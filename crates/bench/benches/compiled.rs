@@ -2,8 +2,8 @@
 //! the `Analyzer` redesign): a batch of ≥ 64 cache-miss requests that all
 //! name one topology must run ≥ 1.3× faster when the misses share one
 //! [`CompiledTopology`] than when each request compiles its own — the
-//! difference between `Analyzer::new(shared)` in a loop and the legacy
-//! per-call `analyze` shape.
+//! difference between `Analyzer::new(shared)` in a loop and
+//! `Analyzer::for_topology` per request.
 
 use std::time::Instant;
 
@@ -75,7 +75,7 @@ fn config() -> AnalysisConfig {
 }
 
 fn run_per_request(topology: &Topology, config: &AnalysisConfig, programs: &[Program]) -> usize {
-    // Each request compiles its own topology — the legacy `analyze` shape.
+    // Each request compiles its own topology.
     programs
         .iter()
         .filter(|p| Analyzer::for_topology(topology, config).analyze(p).is_ok())

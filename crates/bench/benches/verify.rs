@@ -4,19 +4,20 @@
 //!    arena (`verify_batch_compiled`) must beat per-run setup
 //!    (`verify_plan` in a loop, which routes every message and builds
 //!    fresh queue pools per call) by ≥ 1.5×.
-//! 2. **Parallel pool** (PR 5): fanning a 256-plan batch over a
-//!    [`VerifyPool`] of 4 arenas must beat the sequential
+//! 2. **Parallel pool**: fanning a one-topology 256-plan batch over a
+//!    4-worker [`VerifyScheduler`] holding one arena per worker
+//!    (`ArenaBudget::Fixed(1)`) must beat the sequential
 //!    `verify_batch_compiled` by ≥ 2× — on hardware with ≥ 4 cores. The
 //!    asserted floor scales down with `available_parallelism` (a 1-core
 //!    runner can only assert that the pool's coordination overhead is
 //!    bounded), and the actual core count is recorded alongside the
 //!    ratio.
-//! 3. **Mixed-topology scheduler** (PR 6): one persistent
-//!    [`VerifyScheduler`] fanning an interleaved mesh+torus 256-plan
-//!    batch out in a single heterogeneous dispatch must at least match
-//!    splitting the batch by topology into per-topology [`VerifyPool`]s
-//!    rebuilt per call (the pre-scheduler service shape, which pays cold
-//!    arenas and one fan-out per topology every time).
+//! 3. **Mixed-topology scheduler**: one persistent [`VerifyScheduler`]
+//!    fanning an interleaved mesh+torus 256-plan batch out in a single
+//!    heterogeneous dispatch must at least match splitting the batch by
+//!    topology and building a fresh one-arena-per-worker scheduler per
+//!    topology each call (which pays cold arenas and one fan-out per
+//!    topology every time).
 //!
 //! All ratios are measured explicitly, asserted, and recorded in
 //! `BENCH_verify.json` at the workspace root.
@@ -34,8 +35,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use systolic_core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology};
 use systolic_model::{CellId, Program, ProgramBuilder, Topology};
 use systolic_sim::{
-    verify_batch_compiled, verify_plan, ArenaBudget, SimConfig, VerifyPool, VerifyReport,
-    VerifyScheduler,
+    verify_batch_compiled, verify_plan, ArenaBudget, SimConfig, VerifyReport, VerifyScheduler,
 };
 
 const BATCH: usize = 64;
@@ -157,10 +157,15 @@ fn run_shared_arena(batch: &Batch) -> Vec<VerifyReport> {
     .expect("setup succeeds")
 }
 
-fn run_pool(pool: &mut VerifyPool, batch: &Batch) -> Vec<VerifyReport> {
+fn run_pool(pool: &mut VerifyScheduler, batch: &Batch) -> Vec<VerifyReport> {
     // N arenas, work-stealing over the batch, reports in input order.
-    pool.verify_batch(batch.items.iter().map(|(p, plan)| (p, plan)))
-        .expect("setup succeeds")
+    pool.verify_batch(
+        batch
+            .items
+            .iter()
+            .map(|(p, plan)| (p, &batch.compiled, plan)),
+    )
+    .expect("setup succeeds")
 }
 
 /// An interleaved mesh/torus batch — the service shape the scheduler was
@@ -214,9 +219,9 @@ fn mixed_batch(size: usize) -> MixedBatch {
     }
 }
 
-/// The pre-scheduler service shape: split the window by topology, build a
-/// fresh per-topology [`VerifyPool`] each call (cold arenas), fan out once
-/// per topology, and scatter the reports back to input order.
+/// The split-by-topology baseline: build a fresh one-arena-per-worker
+/// scheduler per topology each call (cold arenas), fan out once per
+/// topology, and scatter the reports back to input order.
 fn run_per_topology_pools(batch: &MixedBatch) -> Vec<VerifyReport> {
     let mut groups: Vec<(u128, Vec<usize>)> = Vec::new();
     for (i, (_, compiled, _)) in batch.items.iter().enumerate() {
@@ -228,12 +233,11 @@ fn run_per_topology_pools(batch: &MixedBatch) -> Vec<VerifyReport> {
     }
     let mut reports: Vec<Option<VerifyReport>> = (0..batch.items.len()).map(|_| None).collect();
     for (_, indices) in &groups {
-        let compiled = Arc::clone(&batch.items[indices[0]].1);
-        let mut pool = VerifyPool::from_compiled(compiled, batch.sim, MIXED_THREADS);
+        let mut pool = VerifyScheduler::new(batch.sim, MIXED_THREADS, ArenaBudget::Fixed(1));
         let group_reports = pool
             .verify_batch(indices.iter().map(|&i| {
-                let (program, _, plan) = &batch.items[i];
-                (program, plan)
+                let (program, compiled, plan) = &batch.items[i];
+                (program, compiled, plan)
             }))
             .expect("setup succeeds");
         for (&i, report) in indices.iter().zip(group_reports) {
@@ -268,8 +272,7 @@ fn bench_verify(c: &mut Criterion) {
 
 fn bench_parallel_verify(c: &mut Criterion) {
     let batch = certified_batch(PARALLEL_BATCH);
-    let mut pool =
-        VerifyPool::from_compiled(Arc::clone(&batch.compiled), batch.sim, PARALLEL_THREADS);
+    let mut pool = VerifyScheduler::new(batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
     let mut group = c.benchmark_group("parallel_verify");
     group.sample_size(10);
     group.bench_function(format!("sequential_arena_batch{PARALLEL_BATCH}"), |b| {
@@ -358,11 +361,8 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
         (false, hw) if hw >= 4 => 2.0,
         (false, _) => 1.2,
     };
-    let mut pool = VerifyPool::from_compiled(
-        Arc::clone(&parallel_batch.compiled),
-        parallel_batch.sim,
-        PARALLEL_THREADS,
-    );
+    let mut pool =
+        VerifyScheduler::new(parallel_batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
 
     // Parity again: the pool must be byte-identical to the sequential
     // path, reports in input order.
@@ -382,7 +382,7 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
          (target >= {parallel_target}x on {hw_threads} hw threads)"
     );
 
-    // ---- Mixed-topology scheduler vs per-topology pools (PR 6). ----
+    // ---- Mixed-topology scheduler vs per-topology pools. ----
     // The baseline splits each interleaved window by topology and rebuilds
     // a cold per-topology pool every call; the persistent scheduler keeps
     // its arenas warm and dispatches the whole window in one fan-out. On a
@@ -444,7 +444,7 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
     );
     assert!(
         parallel_ratio >= parallel_target,
-        "a {PARALLEL_THREADS}-thread VerifyPool must measure at least {parallel_target}x \
+        "a {PARALLEL_THREADS}-thread one-topology pool must measure at least {parallel_target}x \
          the sequential arena over a {PARALLEL_BATCH}-plan batch on {hw_threads} hw \
          threads, measured {parallel_ratio:.2}x"
     );

@@ -1,7 +1,6 @@
 //! The staged analysis API: [`Analyzer`] over a [`CompiledTopology`].
 //!
-//! The legacy [`analyze`](crate::analyze) runs the paper's whole pipeline
-//! (Sections 3–7) as one opaque call. [`Analyzer`] decomposes it into the
+//! [`Analyzer`] runs the paper's whole pipeline (Sections 3–7) as the
 //! stages the paper actually describes, each lazily computed, memoized and
 //! individually inspectable through an [`AnalyzerSession`]:
 //!
@@ -99,8 +98,7 @@ pub(crate) struct WarmArtifacts {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LabelingStrategy {
     /// The paper's Section 6 scheme, falling back to the complete
-    /// constraint-solving scheme when it wedges — the legacy
-    /// [`analyze`](crate::analyze) behaviour.
+    /// constraint-solving scheme when it wedges.
     #[default]
     Auto,
     /// Section 6 only: wedging is an error (useful for studying the
@@ -202,9 +200,8 @@ impl Analyzer {
     }
 
     /// Compiles `topology` against `config` and wraps it in an analyzer —
-    /// the one-shot convenience path (and what the legacy
-    /// [`analyze`](crate::analyze) wrapper uses). Prefer compiling once
-    /// with [`CompiledTopology::compile`] when analyzing many programs.
+    /// the one-shot convenience path. Prefer compiling once with
+    /// [`CompiledTopology::compile`] when analyzing many programs.
     #[must_use]
     pub fn for_topology(topology: &Topology, config: &AnalysisConfig) -> Self {
         Analyzer::new(CompiledTopology::compile(topology, config))
@@ -311,14 +308,21 @@ impl Analyzer {
         }
     }
 
-    /// Runs all stages and returns the legacy [`Analysis`] — identical in
-    /// every observable way to [`analyze`](crate::analyze) on the same
-    /// inputs (the parity property tests assert byte-identical plan
-    /// fingerprints).
+    /// Runs all stages and returns the [`Analysis`] — identical in every
+    /// observable way whether the compilation is fresh or shared with
+    /// earlier analyses (the parity property tests assert byte-identical
+    /// plan fingerprints).
     ///
     /// # Errors
     ///
-    /// The same errors as [`analyze`](crate::analyze).
+    /// * [`CoreError::Model`] if routing fails (cell-count mismatch, no
+    ///   route);
+    /// * [`CoreError::ProgramDeadlocked`] if the crossing-off procedure
+    ///   stalls;
+    /// * [`CoreError::LabelConflict`] if labeling fails (not expected for
+    ///   programs that classify as deadlock-free);
+    /// * [`CoreError::Infeasible`] if an interval needs more queues than
+    ///   the configured `queues_per_interval`.
     pub fn analyze(&self, program: &Program) -> Result<Analysis, CoreError> {
         // Diagnostics are discarded here, so skip the advisory
         // (info-severity) scans; error paths still emit theirs.
@@ -368,7 +372,7 @@ impl AnalysisOutcome {
         &self.diagnostics
     }
 
-    /// Consumes the outcome, returning only the result (the legacy shape).
+    /// Consumes the outcome, returning only the result.
     ///
     /// # Errors
     ///
@@ -522,9 +526,9 @@ impl<'a> AnalyzerSession<'a> {
                     let routes = self.routes()?;
                     Ok(compiled.limits_for(self.program, routes))
                 } else {
-                    // Routing errors must still gate the pipeline exactly
-                    // as the legacy analyze did (routes were computed
-                    // first there).
+                    // Routing errors must still gate the pipeline:
+                    // routing is the first stage, so its error wins over
+                    // any later stage's.
                     self.routes()?;
                     Ok(compiled.limits_for(self.program, &MessageRoutes::from_routes(Vec::new())))
                 }
@@ -923,8 +927,8 @@ impl<'a> AnalyzerSession<'a> {
     }
 
     /// Drives every stage and consumes the session into an
-    /// [`AnalysisOutcome`] — the result (identical to the legacy
-    /// [`analyze`](crate::analyze)) plus all accumulated diagnostics.
+    /// [`AnalysisOutcome`] — the result (identical to
+    /// [`Analyzer::analyze`]) plus all accumulated diagnostics.
     #[must_use]
     pub fn finish(self) -> AnalysisOutcome {
         // Drive the stages to completion (or the first error)…
@@ -997,7 +1001,6 @@ impl<'a> AnalyzerSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze;
     use systolic_model::parse_program;
 
     fn fig7_text() -> &'static str {
@@ -1032,16 +1035,17 @@ mod tests {
     }
 
     #[test]
-    fn analyzer_matches_legacy_analyze_on_fig7() {
+    fn shared_and_fresh_compilation_agree_on_fig7() {
         let p = parse_program(fig7_text()).unwrap();
         let topology = Topology::linear(4);
         let config = AnalysisConfig::default();
-        let legacy = analyze(&p, &topology, &config).unwrap();
-        let staged = Analyzer::for_topology(&topology, &config)
+        let fresh = Analyzer::for_topology(&topology, &config)
             .analyze(&p)
             .unwrap();
-        assert_eq!(legacy.plan().fingerprint(), staged.plan().fingerprint());
-        assert_eq!(legacy.labeling_method(), staged.labeling_method());
+        let compiled = CompiledTopology::compile(&topology, &config).into_shared();
+        let shared = Analyzer::new(Arc::clone(&compiled)).analyze(&p).unwrap();
+        assert_eq!(fresh.plan().fingerprint(), shared.plan().fingerprint());
+        assert_eq!(fresh.labeling_method(), shared.labeling_method());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Precompiled topologies: compile once, analyze many programs.
 //!
-//! Every call to the legacy [`analyze`](crate::analyze) re-derives
-//! per-topology state — routes (a BFS per message on graph topologies),
+//! Analyzing a program against a bare topology re-derives per-topology
+//! state on every call — routes (a BFS per message on graph topologies),
 //! lookahead budgets, the request fingerprint's topology component. A
 //! [`CompiledTopology`] hoists that work out of the per-program loop:
 //!

@@ -1,11 +1,10 @@
 //! Structured analysis diagnostics.
 //!
-//! The legacy [`analyze`](crate::analyze) entry point reports failure as a
-//! single [`CoreError`] — fine for a library caller, useless for a client
-//! on the other side of the `systolicd` wire who wants to know *which*
-//! messages deadlocked or *which* interval is short of queues. The
-//! [`Analyzer`](crate::Analyzer) instead accumulates [`Diagnostic`]s as
-//! its stages run: each carries a machine-readable [`DiagnosticCode`], a
+//! A single [`CoreError`] is fine for a library caller but useless for a
+//! client on the other side of the `systolicd` wire who wants to know
+//! *which* messages deadlocked or *which* interval is short of queues.
+//! The [`Analyzer`](crate::Analyzer) therefore also accumulates
+//! [`Diagnostic`]s as its stages run: each carries a machine-readable [`DiagnosticCode`], a
 //! [`Severity`], a human-readable message, and the offending
 //! [`MessageId`]s / [`CellId`]s, so front ends can render or route them
 //! without parsing prose.

@@ -1,7 +1,7 @@
 //! Content fingerprints for analysis requests.
 //!
 //! The serving layer caches analysis results; its cache key must cover
-//! everything [`analyze`](crate::analyze) reads — the program, the topology
+//! everything an [`Analyzer`](crate::Analyzer) reads — the program, the topology
 //! *and* the analysis configuration (lookahead assumption, hardware queue
 //! count). This module extends the model crate's [`CanonicalHash`] to the
 //! analysis configuration types and provides [`request_fingerprint`], the
@@ -124,8 +124,8 @@ impl CommPlan {
     /// every label, route, competing set and queue requirement feeds in,
     /// so two plans fingerprint equal exactly when they are byte-for-byte
     /// the same certified artifact. The parity property tests use it to
-    /// hold [`Analyzer`](crate::Analyzer) to the legacy
-    /// [`analyze`](crate::analyze) output.
+    /// hold analyses through shared and fresh compilations to identical
+    /// output.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
         self.content_hash()
@@ -135,7 +135,7 @@ impl CommPlan {
 /// The canonical 128-bit cache key of one analysis request.
 ///
 /// Two requests receive the same fingerprint exactly when they would be
-/// indistinguishable to [`analyze`](crate::analyze): same program (cell
+/// indistinguishable to an [`Analyzer`](crate::Analyzer): same program (cell
 /// names, message declarations, op lists), same topology and same
 /// configuration.
 ///

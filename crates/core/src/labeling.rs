@@ -190,7 +190,8 @@ impl LabelingReport {
 ///
 /// Both failure modes are gaps of the *literal* Section 6 scheme on exotic
 /// programs; [`label_messages_robust`](crate::label_messages_robust) always
-/// succeeds and [`analyze`](crate::analyze) falls back to it automatically.
+/// succeeds and the [`Analyzer`](crate::Analyzer) falls back to it
+/// automatically.
 pub fn label_messages(
     program: &Program,
     limits: &LookaheadLimits,

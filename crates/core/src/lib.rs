@@ -22,11 +22,10 @@
 //! * [`CompiledTopology`] + [`Analyzer`] — the staged pipeline: compile a
 //!   `(Topology, AnalysisConfig)` pair once (route closure, lookahead
 //!   budgets, content fingerprint), then analyze many programs against it,
-//!   inspecting each stage and collecting structured [`Diagnostic`]s;
-//! * [`analyze`] — the legacy one-shot wrapper around the above, producing
-//!   a [`CommPlan`] that a runtime (`systolic-sim`, `systolic-threaded`)
-//!   enforces with compatible queue assignment, which by **Theorem 1**
-//!   guarantees the run completes.
+//!   inspecting each stage and collecting structured [`Diagnostic`]s. A
+//!   certified program yields a [`CommPlan`] that a runtime
+//!   (`systolic-sim`, `systolic-threaded`) enforces with compatible queue
+//!   assignment, which by **Theorem 1** guarantees the run completes.
 //!
 //! # Examples
 //!
@@ -53,36 +52,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Migrating from `analyze`
-//!
-//! [`analyze`] still works and always will — it is now a thin wrapper — but
-//! it recompiles the topology on every call and discards the structured
-//! diagnostics. The staged API splits the call in two:
-//!
-//! ```text
-//! //  before                                   after
-//! analyze(&program, &topology, &config)   →   let compiled = CompiledTopology::compile(&topology, &config);
-//!                                             let analyzer = Analyzer::new(compiled);
-//!                                             analyzer.analyze(&program)
-//! ```
-//!
-//! * **One program, one topology:** `Analyzer::for_topology(&topology,
-//!   &config).analyze(&program)` is a drop-in replacement.
-//! * **Many programs, one topology** (services, benchmarks, sweeps):
-//!   compile once, share the `Arc<CompiledTopology>`
-//!   ([`CompiledTopology::into_shared`]) and call
-//!   [`Analyzer::analyze`] per program — routing comes from the
-//!   precompiled route closure instead of a per-message search.
-//! * **"Why was it rejected?":** use [`Analyzer::diagnose`] to get the
-//!   [`Diagnostics`] (machine-readable codes, offending message/cell ids)
-//!   alongside the result, or open an [`Analyzer::session`] and inspect
-//!   stages ([`AnalyzerSession::classification`],
-//!   [`AnalyzerSession::requirements`], …) individually.
-//!
-//! Outputs are guaranteed identical: the parity property tests assert that
-//! [`Analyzer`] and [`analyze`] produce byte-identical
-//! [`CommPlan::fingerprint`]s on random programs and topologies.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -126,7 +95,7 @@ pub use incremental::{
 pub use label::Label;
 pub use labeling::{label_messages, LabelRule, Labeling, LabelingReport};
 pub use limits::LookaheadLimits;
-pub use pipeline::{analyze, Analysis, AnalysisConfig, LabelingMethod, Lookahead};
+pub use pipeline::{Analysis, AnalysisConfig, LabelingMethod, Lookahead};
 pub use plan::CommPlan;
 pub use related::RelatedMessages;
 pub use requirements::QueueRequirements;

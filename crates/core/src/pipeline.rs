@@ -9,14 +9,13 @@
 //!    assumption (ii) against the hardware's queue count;
 //! 4. emit the [`CommPlan`] a runtime enforces with compatible assignment.
 //!
-//! Since the [`Analyzer`](crate::Analyzer) redesign the stages live in
-//! [`analyzer`](crate::analyzer); [`analyze`] survives as a thin
-//! compatibility wrapper that compiles the topology per call. See the
-//! crate-level *Migrating from `analyze`* notes.
+//! The stages run in the [`Analyzer`](crate::Analyzer) (see
+//! [`analyzer`](crate::analyzer)); this module holds the configuration
+//! they run under and the [`Analysis`] they produce.
 
-use systolic_model::{MessageId, Program, Topology};
+use systolic_model::MessageId;
 
-use crate::{Analyzer, Classification, CommPlan, CoreError, LabelingReport, LookaheadLimits};
+use crate::{Classification, CommPlan, LabelingReport, LookaheadLimits};
 
 /// How much lookahead (queue buffering) the analysis may assume.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -33,7 +32,7 @@ pub enum Lookahead {
     Unbounded,
 }
 
-/// Configuration for [`analyze`].
+/// Configuration for an [`Analyzer`](crate::Analyzer) run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AnalysisConfig {
     /// Lookahead assumption for the crossing-off procedure.
@@ -145,55 +144,11 @@ impl Analysis {
     }
 }
 
-/// Runs the full pipeline. See the module docs for the stages.
-///
-/// **Compatibility wrapper.** This compiles the topology on every call and
-/// discards the compilation and all structured diagnostics; it exists so
-/// pre-`Analyzer` code keeps working. New code should compile once with
-/// [`CompiledTopology::compile`](crate::CompiledTopology::compile) and
-/// reuse an [`Analyzer`] — especially in loops over many programs, where
-/// the shared compilation amortizes routing. The results are identical
-/// (the parity property tests assert byte-identical plan fingerprints).
-///
-/// # Errors
-///
-/// * [`CoreError::Model`] if routing fails (cell-count mismatch, no route);
-/// * [`CoreError::ProgramDeadlocked`] if the crossing-off procedure stalls;
-/// * [`CoreError::LabelConflict`] if labeling fails (not expected for
-///   programs that classify as deadlock-free);
-/// * [`CoreError::Infeasible`] if an interval needs more queues than
-///   `config.queues_per_interval`.
-///
-/// # Examples
-///
-/// ```
-/// use systolic_core::{analyze, AnalysisConfig};
-/// use systolic_model::{parse_program, Topology};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let p = parse_program(
-///     "cells 2\n\
-///      message A: c0 -> c1\n\
-///      program c0 { W(A)*3 }\n\
-///      program c1 { R(A)*3 }\n",
-/// )?;
-/// let analysis = analyze(&p, &Topology::linear(2), &AnalysisConfig::default())?;
-/// assert!(analysis.classification().is_deadlock_free());
-/// # Ok(())
-/// # }
-/// ```
-pub fn analyze(
-    program: &Program,
-    topology: &Topology,
-    config: &AnalysisConfig,
-) -> Result<Analysis, CoreError> {
-    Analyzer::for_topology(topology, config).analyze(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_model::parse_program;
+    use crate::{Analyzer, CoreError};
+    use systolic_model::{parse_program, Topology};
 
     fn fig7_text() -> &'static str {
         "cells 4\n\
@@ -209,7 +164,9 @@ mod tests {
     #[test]
     fn full_pipeline_on_fig7() {
         let p = parse_program(fig7_text()).unwrap();
-        let a = analyze(&p, &Topology::linear(4), &AnalysisConfig::default()).unwrap();
+        let a = Analyzer::for_topology(&Topology::linear(4), &AnalysisConfig::default())
+            .analyze(&p)
+            .unwrap();
         assert!(a.classification().is_deadlock_free());
         assert_eq!(a.plan().requirements().max_per_interval(), 1);
         assert!(a.extension_candidates(&[0, 0, 0]).is_empty());
@@ -225,7 +182,9 @@ mod tests {
              program c1 { R(A) W(B) }\n",
         )
         .unwrap();
-        let err = analyze(&p, &Topology::linear(2), &AnalysisConfig::default()).unwrap_err();
+        let err = Analyzer::for_topology(&Topology::linear(2), &AnalysisConfig::default())
+            .analyze(&p)
+            .unwrap_err();
         assert!(matches!(err, CoreError::ProgramDeadlocked { .. }));
     }
 
@@ -245,7 +204,9 @@ mod tests {
             queues_per_interval: 1,
             ..Default::default()
         };
-        let err = analyze(&p, &Topology::linear(3), &config).unwrap_err();
+        let err = Analyzer::for_topology(&Topology::linear(3), &config)
+            .analyze(&p)
+            .unwrap_err();
         assert!(matches!(
             err,
             CoreError::Infeasible {
@@ -259,7 +220,9 @@ mod tests {
             queues_per_interval: 2,
             ..Default::default()
         };
-        assert!(analyze(&p, &Topology::linear(3), &config).is_ok());
+        assert!(Analyzer::for_topology(&Topology::linear(3), &config)
+            .analyze(&p)
+            .is_ok());
     }
 
     #[test]
@@ -273,7 +236,9 @@ mod tests {
         )
         .unwrap();
         // Without lookahead: deadlocked.
-        let err = analyze(&p, &Topology::linear(2), &AnalysisConfig::default()).unwrap_err();
+        let err = Analyzer::for_topology(&Topology::linear(2), &AnalysisConfig::default())
+            .analyze(&p)
+            .unwrap_err();
         assert!(matches!(err, CoreError::ProgramDeadlocked { .. }));
 
         // With 2 words of buffering per queue: fine, but A and B now share a
@@ -282,7 +247,9 @@ mod tests {
             lookahead: Lookahead::PerQueueCapacity(2),
             queues_per_interval: 2,
         };
-        let a = analyze(&p, &Topology::linear(2), &config).unwrap();
+        let a = Analyzer::for_topology(&Topology::linear(2), &config)
+            .analyze(&p)
+            .unwrap();
         assert_eq!(a.plan().requirements().max_per_interval(), 2);
 
         // ... and with only one hardware queue that is infeasible.
@@ -290,7 +257,9 @@ mod tests {
             lookahead: Lookahead::PerQueueCapacity(2),
             queues_per_interval: 1,
         };
-        let err = analyze(&p, &Topology::linear(2), &config).unwrap_err();
+        let err = Analyzer::for_topology(&Topology::linear(2), &config)
+            .analyze(&p)
+            .unwrap_err();
         assert!(matches!(err, CoreError::Infeasible { .. }));
     }
 
@@ -308,7 +277,9 @@ mod tests {
             lookahead: Lookahead::Unbounded,
             queues_per_interval: 2,
         };
-        let a = analyze(&p, &Topology::linear(2), &config).unwrap();
+        let a = Analyzer::for_topology(&Topology::linear(2), &config)
+            .analyze(&p)
+            .unwrap();
         // Locating W(B) skips 4 writes of A; with only 2 words of route
         // capacity, A needs the queue-extension mechanism.
         let m_a = p.message_id("A").unwrap();
@@ -324,7 +295,9 @@ mod tests {
             "cells 2\nmessage A: c0 -> c1\nprogram c0 { W(A) }\nprogram c1 { R(A) }\n",
         )
         .unwrap();
-        let err = analyze(&p, &Topology::linear(3), &AnalysisConfig::default()).unwrap_err();
+        let err = Analyzer::for_topology(&Topology::linear(3), &AnalysisConfig::default())
+            .analyze(&p)
+            .unwrap_err();
         assert!(matches!(err, CoreError::Model(_)));
     }
 
@@ -335,7 +308,9 @@ mod tests {
             lookahead: Lookahead::PerQueueCapacity(1),
             queues_per_interval: 2,
         };
-        let a = analyze(&p, &Topology::linear(4), &config).unwrap();
+        let a = Analyzer::for_topology(&Topology::linear(4), &config)
+            .analyze(&p)
+            .unwrap();
         assert_eq!(a.limits().len(), 3);
         assert_eq!(a.labeling_report().unwrap().labeling().len(), 3);
         assert_eq!(a.labeling_method(), LabelingMethod::Section6);
@@ -367,7 +342,9 @@ mod tests {
             queues_per_interval: 4,
             ..Default::default()
         };
-        let a = analyze(&p, &Topology::linear(6), &config).unwrap();
+        let a = Analyzer::for_topology(&Topology::linear(6), &config)
+            .analyze(&p)
+            .unwrap();
         assert_eq!(a.labeling_method(), LabelingMethod::ConstraintSolver);
         assert!(a.labeling_report().is_none());
         assert!(crate::is_consistent(&p, a.plan().labeling()));

@@ -14,7 +14,7 @@ use crate::{CompetingSets, Label, Labeling, QueueRequirements};
 
 /// A compiled deadlock-avoidance plan for one program on one topology.
 ///
-/// Construct via [`analyze`](crate::analyze); the pieces can also be
+/// Construct via [`Analyzer`](crate::Analyzer); the pieces can also be
 /// assembled by hand for experiments (e.g. swapping in the trivial
 /// labeling).
 #[derive(Clone, Debug)]

@@ -167,12 +167,7 @@ mod tests {
     fn list_rules_names_all_codes() {
         let (code, out, _) = run_args(&["--list-rules"]);
         assert_eq!(code, EXIT_CLEAN);
-        for rule in [
-            "L-LOCK-CYCLE",
-            "L-ATOMIC-ORDER",
-            "L-PANIC-PATH",
-            "L-LEGACY-ANALYZE",
-        ] {
+        for rule in ["L-LOCK-CYCLE", "L-ATOMIC-ORDER", "L-PANIC-PATH"] {
             assert!(out.contains(rule), "missing {rule} in:\n{out}");
         }
     }

@@ -6,14 +6,13 @@
 //! real hand-rolled concurrency — a work-stealing verify scheduler, a
 //! lock-free metrics registry, bounded-queue hand-offs — and this crate
 //! holds that code to the same standard. It is a dependency-free,
-//! token-level static-analysis engine with four rules:
+//! token-level static-analysis engine with three rules:
 //!
 //! | code | checks |
 //! |------|--------|
 //! | `L-LOCK-CYCLE` | global lock acquisition-order graph has no cycles |
 //! | `L-ATOMIC-ORDER` | atomic ops name an `Ordering`; `Relaxed` is justified |
 //! | `L-PANIC-PATH` | no unjustified `unwrap`/`expect`/`panic!` on the serving path |
-//! | `L-LEGACY-ANALYZE` | no direct calls to the legacy `analyze()` wrapper |
 //!
 //! Rule codes are stable and mirror the analyzer's `E-*` diagnostic
 //! style; findings are suppressed either by in-source annotations
@@ -122,7 +121,7 @@ impl Sink {
 /// * call [`Sink::suppressed`] when an in-source annotation silences a
 ///   would-be finding, so suppressions stay countable;
 /// * skip tokens marked `test` unless the rule explicitly audits test
-///   code (see `L-LEGACY-ANALYZE` for a rule that does);
+///   code;
 /// * keep the code stable — it is the contract CI configs and
 ///   `lint.toml` sections key on.
 pub trait Rule {
@@ -254,7 +253,7 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
 /// findings if any survive — the one-line form integration tests use:
 ///
 /// ```no_run
-/// systolic_lint::assert_rule_clean(env!("CARGO_MANIFEST_DIR"), "L-LEGACY-ANALYZE");
+/// systolic_lint::assert_rule_clean(env!("CARGO_MANIFEST_DIR"), "L-LOCK-CYCLE");
 /// ```
 ///
 /// # Panics

@@ -2,12 +2,10 @@
 //! is the registry the engine and CLI instantiate.
 
 pub mod atomic_order;
-pub mod legacy_analyze;
 pub mod lock_order;
 pub mod panic_path;
 
 pub use atomic_order::AtomicOrderRule;
-pub use legacy_analyze::LegacyAnalyzeRule;
 pub use lock_order::LockOrderRule;
 pub use panic_path::PanicPathRule;
 
@@ -23,6 +21,5 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(LockOrderRule::default()),
         Box::new(AtomicOrderRule),
         Box::new(PanicPathRule),
-        Box::new(LegacyAnalyzeRule),
     ]
 }

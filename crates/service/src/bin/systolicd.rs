@@ -20,8 +20,8 @@
 //! line to stdout in request order; `--verify` chases every certified
 //! miss with a simulator replay, and `--verify-threads N` coalesces those
 //! chases into batched fan-outs through a cross-topology verify scheduler
-//! with `N` workers instead of running them inline in the analysis
-//! workers. Warm-arena caches (inline per worker, or per scheduler
+//! with `N` workers instead of running them on the analysis workers'
+//! threads. Warm-arena caches (one per analysis worker, or per scheduler
 //! worker) are sized by `--arena-cache-cap N` (arenas per cache; `0`
 //! sizes automatically from the number of distinct topologies observed)
 //! or `--arena-mem-budget BYTES` (approximate bytes per cache, which

@@ -82,6 +82,7 @@ impl Json {
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -177,6 +178,9 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The whole input; `pos` always sits on one of its char boundaries
+    /// between tokens and string characters.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -335,11 +339,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded character (input is &str,
-                    // so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty"); // lint: panic-ok(rest is non-empty: peek() returned Some)
+                    // Decode just the char at `pos`: validating the rest
+                    // of the line per character would make a string cost
+                    // quadratic in the line length.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character in string"));
                     }
@@ -479,6 +486,29 @@ mod tests {
         assert!(Json::parse(&ok).is_ok());
         let over = format!("{}1{}", "[".repeat(129), "]".repeat(129));
         assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 256 KiB string value, multi-byte characters and escapes
+        // included. One pass over it takes milliseconds even unoptimized;
+        // re-validating the rest of the line per character (~20 GB of
+        // UTF-8 checks here) takes tens of seconds, far past the bound's
+        // 20x headroom.
+        let unit = "wire é\\n→";
+        let value = unit.repeat(256 * 1024 / unit.len() + 1);
+        let line = format!(r#"{{"program":"{value}"}}"#);
+        assert!(line.len() >= 256 * 1024);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let elapsed = started.elapsed();
+        let decoded = parsed.get("program").and_then(Json::as_str).unwrap();
+        assert_eq!(decoded, value.replace("\\n", "\n"));
+        assert!(
+            elapsed < std::time::Duration::from_millis(1000),
+            "a {} KiB string took {elapsed:?}",
+            line.len() / 1024
+        );
     }
 
     #[test]

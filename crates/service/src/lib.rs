@@ -1,10 +1,10 @@
 //! A sharded, cached, batch analysis service for systolic deadlock
 //! avoidance.
 //!
-//! The analysis pipeline (`systolic_core::analyze`) is pure compile-time
-//! work — exactly the kind of thing a toolchain serves to many clients and
-//! amortizes across identical requests. This crate turns it into that
-//! shared subsystem:
+//! The staged analysis ([`Analyzer`](systolic_core::Analyzer)) is pure
+//! compile-time work — exactly the kind of thing a toolchain serves to
+//! many clients and amortizes across identical requests. This crate turns
+//! it into that shared subsystem:
 //!
 //! * [`ShardedCache`] — an N-shard, mutex-per-shard LRU plan cache keyed
 //!   by the 128-bit content fingerprint of `(Program, Topology,
@@ -16,14 +16,16 @@
 //!   serves hits from cache, computes misses (optionally chasing each
 //!   certified plan with a `systolic_sim` verification run) and returns
 //!   structured [`AnalysisResponse`]s with cache provenance and timings;
-//! * verification chasing — inline chases replay through each worker's
-//!   [`ArenaLru`] (warm arenas keyed by compiled topology, sized by an
-//!   [`ArenaBudget`]: [`ServiceConfig::arena_cache_capacity`] /
-//!   [`ServiceConfig::arena_mem_budget`]);
+//! * verification chasing — every replay runs through a
+//!   [`VerifyScheduler`](systolic_sim::VerifyScheduler) whose workers keep
+//!   warm arenas keyed by compiled topology (sized by an
+//!   [`ArenaBudget`](systolic_sim::ArenaBudget):
+//!   [`ServiceConfig::arena_cache_capacity`] /
+//!   [`ServiceConfig::arena_mem_budget`]). By default each analysis worker
+//!   holds a one-worker scheduler that replays on its own thread;
 //!   [`ServiceConfig::verify_threads`] instead coalesces the chases of a
-//!   batch window into one fan-out through a cross-topology
-//!   [`VerifyScheduler`](systolic_sim::VerifyScheduler), whose queue
-//!   depth and per-topology fan-outs the summary reports;
+//!   batch window into one fan-out through a shared `N`-worker scheduler,
+//!   whose queue depth and per-topology fan-outs the summary reports;
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the
 //!   [`systolicd`](../systolicd/index.html) binary, which replays scripted
 //!   traffic files end to end;
@@ -68,7 +70,6 @@ mod json;
 mod queue;
 mod service;
 mod snapshot;
-mod varena;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
@@ -81,4 +82,3 @@ pub use service::{
     Ticket, TopologyVerifyStats,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use varena::{ArenaBudget, ArenaLookup, ArenaLru};

@@ -6,11 +6,11 @@
 //! returns the shared `Arc`ed outcome immediately, a miss runs the staged
 //! [`Analyzer`](systolic_core::Analyzer) pipeline and publishes the
 //! outcome for every later identical request. With `verify` on, every
-//! miss's certified plan is *chased* by a simulation replay: inline
-//! through the worker's warm [`ArenaLru`], or — with `verify_threads ≥ 1`
-//! — coalesced with the other chases queued in a batch window and fanned
-//! out (mixed topologies and all) through one cross-topology
-//! [`VerifyScheduler`].
+//! miss's certified plan is *chased* by a simulation replay through a
+//! [`VerifyScheduler`]: the worker's own one-worker scheduler, which
+//! replays on the worker's thread, or — with `verify_threads ≥ 1` — one
+//! shared scheduler that coalesces the chases queued in a batch window
+//! and fans them out (mixed topologies and all) in one go.
 //! Topology compilations are shared too: a second cache keyed by the
 //! [`CompiledTopology`] fingerprint means the misses of a batch that all
 //! name one topology compile it once and reuse the route closure.
@@ -32,7 +32,7 @@ use systolic_core::{
     Diagnostic, EditError, EditOp, IncrementalConfig, IncrementalSession, Label, LabelingMethod,
     ReuseReport, RouteCacheStats,
 };
-use systolic_model::{CanonicalHash, ModelError, Op, Program, Topology};
+use systolic_model::{CanonicalHash, Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
 use systolic_report::Table;
 use systolic_sim::{
@@ -41,7 +41,7 @@ use systolic_sim::{
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
-use crate::{ArenaLru, BoundedQueue, CacheConfig, CacheStats, ShardedCache};
+use crate::{BoundedQueue, CacheConfig, CacheStats, ShardedCache};
 
 /// Default arena-LRU capacity ([`ServiceConfig::arena_cache_capacity`]) —
 /// enough that a handful of interleaved topologies stop thrashing, small
@@ -67,23 +67,26 @@ pub struct ServiceConfig {
     /// Chase every *miss* with a simulator run of the certified plan.
     pub verify: bool,
     /// Dedicated verification parallelism for the chase. `0` (the
-    /// default) chases inline in the analysis worker that computed the
-    /// plan; `N ≥ 1` routes chases to the cross-topology
-    /// [`VerifyScheduler`], which coalesces the chases queued within a
-    /// batch window into one `N`-worker fan-out — so arena residency
-    /// scales with `verify_threads ×` the arena budget, not `workers ×`
-    /// budget, and verification CPU is capped independently of the
-    /// analysis pool. Ignored unless `verify` is set.
+    /// default) chases on the analysis worker that computed the plan,
+    /// through that worker's own one-worker [`VerifyScheduler`]; `N ≥ 1`
+    /// routes chases to one shared cross-topology scheduler, which
+    /// coalesces the chases queued within a batch window into one
+    /// `N`-worker fan-out — so arena residency scales with
+    /// `verify_threads ×` the arena budget, not `workers ×` budget, and
+    /// verification CPU is capped independently of the analysis pool.
+    /// Ignored unless `verify` is set.
     pub verify_threads: usize,
-    /// Arenas each chasing thread keeps warm in its [`ArenaLru`]
-    /// ([`ArenaBudget::Fixed`]). `0` sizes the LRUs automatically from
-    /// the distinct-topology cardinality each thread actually observes
-    /// ([`ArenaBudget::Auto`]). Overridden by
-    /// [`arena_mem_budget`](ServiceConfig::arena_mem_budget) when set.
+    /// Arenas each chasing thread keeps warm in its
+    /// [`ArenaLru`](systolic_sim::ArenaLru) ([`ArenaBudget::Fixed`]). `0`
+    /// sizes the LRUs automatically from the distinct-topology
+    /// cardinality each thread actually observes ([`ArenaBudget::Auto`]).
+    /// Overridden by [`arena_mem_budget`](ServiceConfig::arena_mem_budget)
+    /// when set.
     pub arena_cache_capacity: usize,
-    /// Optional byte budget per chasing thread's [`ArenaLru`]
-    /// ([`ArenaBudget::MemBytes`]): arenas stay resident while their
-    /// combined estimated footprint fits. Takes precedence over
+    /// Optional byte budget per chasing thread's
+    /// [`ArenaLru`](systolic_sim::ArenaLru) ([`ArenaBudget::MemBytes`]):
+    /// arenas stay resident while their combined estimated footprint
+    /// fits. Takes precedence over
     /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity).
     pub arena_mem_budget: Option<usize>,
     /// Simulator configuration for verification runs.
@@ -105,8 +108,8 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The [`ArenaBudget`] every chasing thread's [`ArenaLru`] enforces,
-    /// resolved from
+    /// The [`ArenaBudget`] every chasing thread's
+    /// [`ArenaLru`](systolic_sim::ArenaLru) enforces, resolved from
     /// [`arena_mem_budget`](ServiceConfig::arena_mem_budget) /
     /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity).
     #[must_use]
@@ -362,53 +365,6 @@ struct Job {
     reply: mpsc::Sender<AnalysisResponse>,
 }
 
-struct Latencies {
-    count: u64,
-    sum_micros: u64,
-    max_micros: u64,
-    /// Reservoir of samples for percentile estimates (Algorithm R: once
-    /// full, sample `n` replaces a uniformly random slot with probability
-    /// `capacity / n`, so long runs stay representative of the whole run,
-    /// not just the cold start).
-    samples: Vec<u64>,
-    /// xorshift64 state for reservoir replacement.
-    rng: u64,
-}
-
-impl Default for Latencies {
-    fn default() -> Self {
-        Latencies {
-            count: 0,
-            sum_micros: 0,
-            max_micros: 0,
-            samples: Vec::new(),
-            rng: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-impl Latencies {
-    fn record(&mut self, micros: u64) {
-        self.count += 1;
-        self.sum_micros = self.sum_micros.saturating_add(micros);
-        self.max_micros = self.max_micros.max(micros);
-        if self.samples.len() < MAX_LATENCY_SAMPLES {
-            self.samples.push(micros);
-        } else {
-            // xorshift64, then reduce onto 0..count.
-            self.rng ^= self.rng << 13;
-            self.rng ^= self.rng >> 7;
-            self.rng ^= self.rng << 17;
-            let slot = (self.rng % self.count) as usize;
-            if slot < self.samples.len() {
-                self.samples[slot] = micros;
-            }
-        }
-    }
-}
-
-const MAX_LATENCY_SAMPLES: usize = 100_000;
-
 /// Counter snapshot of the workers' verification-arena LRUs, summed
 /// across all workers/verifier threads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -437,11 +393,10 @@ impl ArenaCacheStats {
 /// Registry instruments the service's hot paths touch, resolved once at
 /// construction so per-request work is atomics only (no registry lock).
 ///
-/// Arena-cache counters are deliberately **absent**: the
-/// [`ArenaLru`]s themselves (inline per worker, and inside the verify
-/// scheduler's workers) are the single writers of the
-/// `systolic_arena_cache_*` series, so inline and scheduled chases sum in
-/// the registry without double counting.
+/// Arena-cache counters are deliberately **absent**: the arena LRUs
+/// inside every verify scheduler (each worker's own, and the shared
+/// dispatcher's) are the single writers of the `systolic_arena_cache_*`
+/// series, so all chases sum in the registry without double counting.
 #[derive(Debug)]
 struct ServiceMetrics {
     /// `systolic_service_requests_total`.
@@ -511,20 +466,12 @@ pub struct TopologyVerifyStats {
     pub blocked: u64,
 }
 
-/// Why a verification chase failed to produce a report.
-enum ChaseError {
-    /// The replay's setup was rejected (cell-count mismatch).
-    Model(ModelError),
-    /// The replay panicked; the arena involved was dropped.
-    Panicked(String),
-}
-
 /// One chase dispatched to the verify scheduler's coalescing queue.
 struct VerifyJob {
     program: Program,
     plan: Arc<CommPlan>,
     compiled: Arc<CompiledTopology>,
-    reply: mpsc::Sender<Result<VerifyReport, ChaseError>>,
+    reply: mpsc::Sender<Result<VerifyReport, VerifyTaskError>>,
 }
 
 /// One edit operation with names instead of ids — the shape the JSONL
@@ -651,13 +598,13 @@ struct SessionSlot {
 }
 
 /// The incremental edit path's mutable state: the bounded session table
-/// plus the arena LRU edit-path chases replay through (edits are
-/// serialized on this one lock — interactive edit traffic is per-client
-/// sequential anyway, and the table re-keys on every apply).
+/// plus the one-worker verify scheduler edit-path chases replay through
+/// (edits are serialized on this one lock — interactive edit traffic is
+/// per-client sequential anyway, and the table re-keys on every apply).
 struct EditState {
     sessions: HashMap<u128, SessionSlot>,
     tick: u64,
-    arenas: ArenaLru,
+    verifier: VerifyScheduler,
 }
 
 struct Inner {
@@ -667,8 +614,9 @@ struct Inner {
     /// misses of one batch (and across batches) compile each distinct
     /// topology once.
     compilations: ShardedCache<Arc<CompiledTopology>>,
-    /// Chase hand-off to the verify scheduler's dispatcher; `None` when
-    /// chases run inline in the analysis workers (`verify_threads == 0`).
+    /// Chase hand-off to the shared verify scheduler's dispatcher; `None`
+    /// when each analysis worker chases through its own one-worker
+    /// scheduler (`verify_threads == 0`).
     verify_queue: Option<BoundedQueue<VerifyJob>>,
     config: ServiceConfig,
     /// The shared observability bundle: every layer (analyzer stages,
@@ -676,10 +624,9 @@ struct Inner {
     /// one registry/tracer pair.
     obs: Arc<Obs>,
     metrics: ServiceMetrics,
-    latencies: Mutex<Latencies>,
-    /// The [`VerifyScheduler`]'s cumulative counters, snapshotted by the
-    /// dispatcher after every fan-out. `None` until the first fan-out (or
-    /// always, when chases run inline).
+    /// The shared [`VerifyScheduler`]'s cumulative counters, snapshotted
+    /// by the dispatcher after every fan-out. `None` until the first
+    /// fan-out (or always, when `verify_threads == 0`).
     scheduler_stats: Mutex<Option<SchedulerStats>>,
     /// Topology spec → (verified, blocked) chase tallies, for the
     /// per-topology summary breakdown. `BTreeMap` so reports render in a
@@ -688,7 +635,7 @@ struct Inner {
     /// Request inputs per fingerprint (bounded like the plan cache), the
     /// seed source for cold `edit` bases.
     seeds: ShardedCache<Arc<SeedInputs>>,
-    /// The incremental edit path: session table + edit-chase arenas.
+    /// The incremental edit path: session table + edit-chase scheduler.
     edit_state: Mutex<EditState>,
     /// Fingerprints installed by a snapshot load; hits on these report
     /// [`CacheProvenance::Warm`]. Guarded by `warm_active` so the common
@@ -776,8 +723,6 @@ pub struct SnapshotReport {
 /// the inclusive upper bound of the bucket holding the ranked sample
 /// (capped by the exact max), so it **overestimates by less than 2× (one
 /// octave) and never underestimates**. Mean, count, and max are exact.
-/// (The old reservoir sampler still records and is kept as a cross-check
-/// in tests.)
 #[derive(Clone, Debug)]
 pub struct ServiceStats {
     /// Requests answered.
@@ -795,13 +740,13 @@ pub struct ServiceStats {
     /// Plan-cache counters.
     pub cache: CacheStats,
     /// Verification-arena LRU counters, summed across all chasing threads
-    /// (inline workers and scheduler workers alike).
+    /// (analysis workers and shared-scheduler workers alike).
     pub arena_cache: ArenaCacheStats,
     /// The arena residency budget every chasing thread's LRU enforces.
     pub arena_budget: ArenaBudget,
-    /// The verify scheduler's cumulative fan-out counters; `None` until
-    /// the scheduler has fanned out at least once (in particular, always
-    /// `None` when chases run inline, `verify_threads == 0`).
+    /// The shared verify scheduler's cumulative fan-out counters; `None`
+    /// until it has fanned out at least once (in particular, always
+    /// `None` when `verify_threads == 0`).
     pub scheduler: Option<SchedulerStats>,
     /// Per-topology verification outcomes (spec order), populated when
     /// the service chases plans (`verify` on).
@@ -925,8 +870,8 @@ impl ServiceStats {
 pub struct AnalysisService {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// The verify scheduler's dispatcher thread (empty when chases run
-    /// inline in the analysis workers).
+    /// The shared verify scheduler's dispatcher thread (empty when each
+    /// analysis worker chases through its own scheduler).
     verifiers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
 }
@@ -941,7 +886,7 @@ impl std::fmt::Debug for Inner {
 
 impl AnalysisService {
     /// Starts the worker pool (and, when `verify_threads ≥ 1` with
-    /// `verify` on, the dedicated verifier pool) with a fresh private
+    /// `verify` on, the shared verify scheduler) with a fresh private
     /// observability bundle. Use [`AnalysisService::with_obs`] to share
     /// one bundle with other components (or to read it back out).
     #[must_use]
@@ -964,10 +909,9 @@ impl AnalysisService {
         obs.registry()
             .gauge(names::HW_THREADS)
             .set(i64::try_from(hw_threads).unwrap_or(i64::MAX));
-        // The edit path's chase arenas, shared across all sessions (edits
-        // are serialized, so one LRU covers them all).
-        let mut edit_arenas = ArenaLru::with_budget(config.arena_budget());
-        edit_arenas.set_obs(&obs);
+        // The edit path's chase scheduler, shared across all sessions
+        // (edits are serialized, so one covers them all).
+        let edit_verifier = local_verifier(&config, &obs);
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedCache::new(config.cache),
@@ -980,14 +924,13 @@ impl AnalysisService {
             config,
             obs,
             metrics,
-            latencies: Mutex::new(Latencies::default()),
             scheduler_stats: Mutex::new(None),
             verify_by_topology: Mutex::new(BTreeMap::new()),
             seeds: ShardedCache::new(config.cache),
             edit_state: Mutex::new(EditState {
                 sessions: HashMap::new(),
                 tick: 0,
-                arenas: edit_arenas,
+                verifier: edit_verifier,
             }),
             warm: Mutex::new(std::collections::HashSet::new()),
             warm_active: std::sync::atomic::AtomicBool::new(false),
@@ -1142,13 +1085,13 @@ impl AnalysisService {
                     .message_ids()
                     .map(|m| (program.message(m).name().to_owned(), plan.label(m)))
                     .collect();
-                // Chase certified edits exactly like misses (inline
-                // through the edit path's own arenas, or the verifier
-                // pool), with the same rejection semantics.
+                // Chase certified edits exactly like misses (through the
+                // edit path's own scheduler, or the shared one), with the
+                // same rejection semantics.
                 let chased = if inner.config.verify {
                     let compiled = Arc::clone(session.analyzer().compiled());
                     let chase_span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
-                    let chased = chase(inner, &mut state.arenas, &compiled, program, &plan);
+                    let chased = chase(inner, &mut state.verifier, &compiled, program, &plan);
                     tracer.finish(chase_span);
                     chased.map(|report| {
                         inner.tally_chase(compiled.topology(), &report);
@@ -1168,11 +1111,11 @@ impl AnalysisService {
                             .unwrap_or(u64::MAX),
                         diagnostics,
                     }),
-                    Err(ChaseError::Model(error)) => Err(Rejection {
+                    Err(VerifyTaskError::Model(error)) => Err(Rejection {
                         error: ServiceError::Analysis(CoreError::Model(error)),
                         diagnostics,
                     }),
-                    Err(ChaseError::Panicked(message)) => Err(Rejection {
+                    Err(VerifyTaskError::Panicked(message)) => Err(Rejection {
                         error: ServiceError::Panicked(message),
                         diagnostics: Vec::new(),
                     }),
@@ -1311,15 +1254,14 @@ impl AnalysisService {
     }
 
     /// Counter snapshot of the verification-arena LRUs, summed across all
-    /// chasing threads — the workers' inline LRUs plus the verify
-    /// scheduler's per-worker LRUs. All-zero unless the service chases
+    /// chasing threads — every analysis worker's scheduler plus the
+    /// shared scheduler's workers. All-zero unless the service chases
     /// plans (`verify` on).
     #[must_use]
     pub fn arena_cache_stats(&self) -> ArenaCacheStats {
-        // The ArenaLrus are the single writers of these series (inline
-        // workers and scheduler workers share the one registry), so the
-        // registry totals already cover both chase routes without double
-        // counting.
+        // The ArenaLrus are the single writers of these series (every
+        // scheduler shares the one registry), so the registry totals
+        // cover all chases without double counting.
         let snapshot = self.inner.obs.registry().snapshot();
         ArenaCacheStats {
             hits: snapshot.counter_total(names::ARENA_CACHE_HITS),
@@ -1328,9 +1270,10 @@ impl AnalysisService {
         }
     }
 
-    /// The verify scheduler's cumulative fan-out counters, as of its most
-    /// recent fan-out. `None` when chases run inline
-    /// (`verify_threads == 0`) or before the first fan-out.
+    /// The shared verify scheduler's cumulative fan-out counters, as of
+    /// its most recent fan-out. `None` when each analysis worker chases
+    /// through its own scheduler (`verify_threads == 0`) or before the
+    /// first fan-out.
     #[must_use]
     pub fn scheduler_stats(&self) -> Option<SchedulerStats> {
         self.inner.scheduler_stats.lock().clone()
@@ -1612,7 +1555,7 @@ impl AnalysisService {
 impl Drop for AnalysisService {
     fn drop(&mut self) {
         // Workers first (they may still be waiting on verifier replies),
-        // then the verifier pool once no chase can arrive anymore.
+        // then the verify dispatcher once no chase can arrive anymore.
         self.inner.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1626,19 +1569,22 @@ impl Drop for AnalysisService {
     }
 }
 
+/// A one-worker [`VerifyScheduler`] for chases replayed on the calling
+/// thread (an analysis worker, or the edit path): its arena LRU keeps
+/// topology-interleaved traffic warm, and it writes the same registry
+/// series as the shared scheduler. Stays empty when chases go to the
+/// shared scheduler instead.
+fn local_verifier(config: &ServiceConfig, obs: &Arc<Obs>) -> VerifyScheduler {
+    let mut verifier = VerifyScheduler::new(config.sim, 1, config.arena_budget());
+    verifier.set_obs(Arc::clone(obs));
+    verifier
+}
+
 fn worker_loop(inner: &Inner) {
-    // The worker's verification arenas: a small LRU keyed by compiled
-    // topology, so topology-interleaved traffic reuses warm arenas
-    // instead of rebuilding per request. Unused (stays empty) when
-    // chases are offloaded to the verify scheduler.
-    let mut arenas = ArenaLru::with_budget(inner.config.arena_budget());
-    // The LRU itself writes the arena-cache registry series (hits,
-    // misses, evictions, build timings) — the service adds nothing on
-    // top, so inline and scheduled chases sum without double counting.
-    arenas.set_obs(&inner.obs);
+    let mut verifier = local_verifier(&inner.config, &inner.obs);
     while let Some(job) = inner.queue.pop() {
         inner.metrics.queue_depth.add(-1);
-        let response = handle(inner, job.seq, job.request, &mut arenas);
+        let response = handle(inner, job.seq, job.request, &mut verifier);
         // A dropped Ticket just means the client stopped listening.
         let _ = job.reply.send(response);
     }
@@ -1666,7 +1612,7 @@ fn scheduler_loop(inner: &Inner) {
     let mut scheduler =
         VerifyScheduler::new(inner.config.sim, threads, inner.config.arena_budget());
     // Scheduler workers' LRUs and fan-out counters write into the same
-    // registry as the inline path.
+    // registry as the analysis workers' own schedulers.
     scheduler.set_obs(Arc::clone(&inner.obs));
     loop {
         let jobs = verify_queue.pop_many(window);
@@ -1683,59 +1629,31 @@ fn scheduler_loop(inner: &Inner) {
         );
         *inner.scheduler_stats.lock() = Some(scheduler.stats().clone());
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let result = outcome.map_err(|error| match error {
-                VerifyTaskError::Model(error) => ChaseError::Model(error),
-                VerifyTaskError::Panicked(message) => ChaseError::Panicked(message),
-            });
             // A dropped reply means the requesting worker is gone
             // (shutdown).
-            let _ = job.reply.send(result);
+            let _ = job.reply.send(outcome);
         }
     }
 }
 
-/// Replays `plan` through `arenas`' warm arena for `compiled` (building
-/// one on a miss), with panic isolation: a replay panic drops the
-/// possibly-poisoned arena and reports [`ChaseError::Panicked`] instead
-/// of unwinding the calling thread.
-fn chase_through(
-    inner: &Inner,
-    arenas: &mut ArenaLru,
-    compiled: &Arc<CompiledTopology>,
-    program: &Program,
-    plan: &Arc<CommPlan>,
-) -> Result<VerifyReport, ChaseError> {
-    let fingerprint = compiled.fingerprint();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // The LRU counts its own hit/miss/eviction into the registry.
-        let lookup = arenas.get_or_build(compiled, inner.config.sim);
-        lookup.arena.verify(program, plan)
-    }));
-    match result {
-        Ok(Ok(report)) => Ok(report),
-        Ok(Err(error)) => Err(ChaseError::Model(error)),
-        Err(panic) => {
-            // The panic may have left the arena mid-replay; drop exactly
-            // that arena (the rest of the LRU stays warm) so the next
-            // request for this topology rebuilds instead of reusing
-            // poisoned queue state.
-            arenas.remove(fingerprint);
-            Err(ChaseError::Panicked(panic_message(&panic)))
-        }
-    }
-}
-
-/// One verification chase, routed inline (this worker's own arenas) or
-/// through the verify scheduler's dispatcher, per `verify_threads`.
+/// One verification chase: queued to the shared scheduler's dispatcher
+/// when `verify_threads ≥ 1`, otherwise replayed on this thread through
+/// the caller's one-worker `verifier`. Either way the scheduler isolates
+/// a replay panic as [`VerifyTaskError::Panicked`] and drops the
+/// poisoned arena.
 fn chase(
     inner: &Inner,
-    arenas: &mut ArenaLru,
+    verifier: &mut VerifyScheduler,
     compiled: &Arc<CompiledTopology>,
     program: &Program,
     plan: &Arc<CommPlan>,
-) -> Result<VerifyReport, ChaseError> {
+) -> Result<VerifyReport, VerifyTaskError> {
     let Some(verify_queue) = &inner.verify_queue else {
-        return chase_through(inner, arenas, compiled, program, plan);
+        return verifier
+            .verify_batch_outcomes([(program, compiled, plan)])
+            .pop()
+            // lint: panic-ok(a one-item batch yields exactly one outcome)
+            .expect("one outcome per batch item");
     };
     let (tx, rx) = mpsc::channel();
     let job = VerifyJob {
@@ -1746,19 +1664,22 @@ fn chase(
     };
     if verify_queue.push(job).is_err() {
         // Only possible mid-shutdown; reject rather than panic the worker.
-        return Err(ChaseError::Panicked(
+        return Err(VerifyTaskError::Panicked(
             "verify scheduler shut down".to_owned(),
         ));
     }
-    rx.recv()
-        .unwrap_or_else(|_| Err(ChaseError::Panicked("verify dispatcher died".to_owned())))
+    rx.recv().unwrap_or_else(|_| {
+        Err(VerifyTaskError::Panicked(
+            "verify dispatcher died".to_owned(),
+        ))
+    })
 }
 
 fn handle(
     inner: &Inner,
     seq: u64,
     request: AnalysisRequest,
-    arenas: &mut ArenaLru,
+    verifier: &mut VerifyScheduler,
 ) -> AnalysisResponse {
     let start = Instant::now();
     // Every request gets a trace: one "request" root span, with the
@@ -1784,9 +1705,9 @@ fn handle(
             // hostile) request rejects that request instead of killing
             // the worker and, via the dropped reply channel, the client.
             // (Replay panics are already contained — and their arena
-            // dropped — inside `chase_through`.)
+            // dropped — inside the verify scheduler.)
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                compute(inner, &request, fingerprint, arenas, ctx)
+                compute(inner, &request, fingerprint, verifier, ctx)
             }));
             let computed: ServiceOutcome = Arc::new(match result {
                 Ok(outcome) => outcome,
@@ -1806,9 +1727,6 @@ fn handle(
     tracer.finish(span);
     inner.metrics.requests.inc();
     inner.metrics.handle_micros.record(handle_micros);
-    // The reservoir stays as an exact cross-check for the histogram
-    // percentiles (read only by tests).
-    inner.latencies.lock().record(handle_micros);
     AnalysisResponse {
         seq,
         name: request.name,
@@ -1914,7 +1832,7 @@ fn compute(
     inner: &Inner,
     request: &AnalysisRequest,
     fingerprint: u128,
-    arenas: &mut ArenaLru,
+    verifier: &mut VerifyScheduler,
     ctx: SpanCtx,
 ) -> Result<Certified, Rejection> {
     let start = Instant::now();
@@ -1952,27 +1870,27 @@ fn compute(
         .collect();
     let verified = if inner.config.verify {
         // Chase the certification with a simulator replay — through this
-        // worker's warm arena LRU, or the dedicated verifier pool when
-        // `verify_threads` is set. The span covers the whole chase,
-        // scheduler queueing included.
+        // worker's own scheduler, or the shared one when `verify_threads`
+        // is set. The span covers the whole chase, scheduler queueing
+        // included.
         let chase_span = inner
             .obs
             .tracer()
             .start(ctx.trace, Some(ctx.parent), "verify");
-        let chased = chase(inner, arenas, &compiled, &request.program, &plan);
+        let chased = chase(inner, verifier, &compiled, &request.program, &plan);
         inner.obs.tracer().finish(chase_span);
         match chased {
             Ok(report) => {
                 inner.tally_chase(&request.topology, &report);
                 Some(report)
             }
-            Err(ChaseError::Model(error)) => {
+            Err(VerifyTaskError::Model(error)) => {
                 return Err(Rejection {
                     error: ServiceError::Analysis(CoreError::Model(error)),
                     diagnostics,
                 })
             }
-            Err(ChaseError::Panicked(message)) => {
+            Err(VerifyTaskError::Panicked(message)) => {
                 return Err(Rejection {
                     error: ServiceError::Panicked(message),
                     diagnostics: Vec::new(),
@@ -2204,6 +2122,95 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("arena cache budget"), "{text}");
+    }
+
+    #[test]
+    fn verify_threads_do_not_change_answers() {
+        // One mixed fig7/fig9/linear batch through the per-worker
+        // schedulers (`verify_threads` 0) and through the shared one (2):
+        // every wire field but the timings and trace ids must match —
+        // status, labels, fingerprints, verified/verify_cycles, the
+        // blocked-replay details and diagnostics. Latch queues make the
+        // P2 replays deadlock, and one program is rejected outright.
+        let mut requests = Vec::new();
+        for reps in 1..=3 {
+            requests.push(AnalysisRequest::new(
+                format!("fig7x{reps}"),
+                fig7(reps),
+                fig7_topology(),
+            ));
+            let mut nine = AnalysisRequest::new(format!("fig9-{reps}"), fig9(), fig9_topology());
+            nine.config.queues_per_interval = 2;
+            requests.push(nine);
+            let transfer = parse_program(&format!(
+                "cells 3\nmessage A: c0 -> c2\nprogram c0 {{ W(A)*{reps} }}\n\
+                 program c2 {{ R(A)*{reps} }}\n"
+            ))
+            .unwrap();
+            requests.push(AnalysisRequest::new(
+                format!("linear-{reps}"),
+                transfer,
+                Topology::linear(3),
+            ));
+            let mut p2 = AnalysisRequest::new(
+                format!("p2-{reps}"),
+                systolic_workloads::fig5_p2(),
+                Topology::linear(2),
+            );
+            p2.config.queues_per_interval = 2;
+            p2.config.lookahead = Lookahead::Unbounded;
+            requests.push(p2);
+        }
+        let deadlocked = parse_program(
+            "cells 2\nmessage A: c0 -> c1\nmessage B: c1 -> c0\n\
+             program c0 { R(B) W(A) }\nprogram c1 { R(A) W(B) }\n",
+        )
+        .unwrap();
+        requests.push(AnalysisRequest::new(
+            "deadlocked",
+            deadlocked,
+            Topology::linear(2),
+        ));
+
+        let answers = |verify_threads: usize| -> Vec<String> {
+            let service = AnalysisService::new(ServiceConfig {
+                workers: 1,
+                verify: true,
+                verify_threads,
+                sim: SimConfig {
+                    queue: systolic_sim::QueueConfig {
+                        capacity: 0,
+                        extension: false,
+                    },
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
+            service
+                .run_batch(requests.clone())
+                .iter()
+                .map(|response| {
+                    let crate::Json::Obj(mut members) =
+                        crate::wire::WireResponse::Analysis(response).to_json()
+                    else {
+                        panic!("analysis responses render as objects");
+                    };
+                    members.retain(|(key, _)| {
+                        !matches!(key.as_str(), "micros" | "analysis_micros" | "trace")
+                    });
+                    crate::Json::Obj(members).to_string()
+                })
+                .collect()
+        };
+        let local = answers(0);
+        assert_eq!(local, answers(2));
+        assert!(local.iter().any(|line| line.contains(r#""verified":true"#)));
+        assert!(local
+            .iter()
+            .any(|line| line.contains(r#""verify_blocked_cell""#)));
+        assert!(local
+            .iter()
+            .any(|line| line.contains(r#""code":"E-DEADLOCK""#)));
     }
 
     #[test]
@@ -2578,28 +2585,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_reservoir_keeps_late_samples() {
-        let mut lat = Latencies::default();
-        // Fill the reservoir with zeros, then stream ones: Algorithm R
-        // must let late samples displace early ones.
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            lat.record(0);
-        }
-        for _ in 0..MAX_LATENCY_SAMPLES {
-            lat.record(1);
-        }
-        assert_eq!(lat.count, 2 * MAX_LATENCY_SAMPLES as u64);
-        assert_eq!(lat.samples.len(), MAX_LATENCY_SAMPLES);
-        let ones = lat.samples.iter().filter(|&&v| v == 1).count();
-        // Expected ~50%; 30%..70% is a >20-sigma-safe band.
-        let fraction = ones as f64 / MAX_LATENCY_SAMPLES as f64;
-        assert!(
-            (0.3..=0.7).contains(&fraction),
-            "late samples under-represented: {fraction}"
-        );
-    }
-
-    #[test]
     fn stats_table_renders() {
         let service = AnalysisService::new(ServiceConfig::default());
         let _ = service.submit(fig7_request()).wait();
@@ -2646,23 +2631,23 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_bound_the_reservoir_truth() {
+    fn histogram_percentiles_bound_the_exact_truth() {
         let service = AnalysisService::new(ServiceConfig::default());
         let requests: Vec<AnalysisRequest> = (1..=32)
             .map(|reps| AnalysisRequest::new(format!("fig7x{reps}"), fig7(reps), fig7_topology()))
             .collect();
-        let _ = service.run_batch(requests);
+        // Every response carries the exact handling time the histogram
+        // recorded for it: together they are the ground truth.
+        let mut samples: Vec<u64> = service
+            .run_batch(requests)
+            .iter()
+            .map(|response| response.handle_micros)
+            .collect();
         let stats = service.stats();
-
-        // The reservoir (kept purely as this cross-check) holds every
-        // sample exactly while under capacity.
-        let (count, max, mut samples) = {
-            let lat = service.inner.latencies.lock();
-            (lat.count, lat.max_micros, lat.samples.clone())
-        };
-        assert_eq!(stats.requests, count);
-        assert_eq!(stats.max_micros, max);
+        let count = samples.len() as u64;
         samples.sort_unstable();
+        assert_eq!(stats.requests, count);
+        assert_eq!(stats.max_micros, samples[samples.len() - 1]);
         for (q, estimate) in [(0.5, stats.p50_micros), (0.99, stats.p99_micros)] {
             let rank = ((q * count as f64).ceil() as usize).clamp(1, count as usize);
             let exact = samples[rank - 1];

@@ -31,15 +31,14 @@
 //! the request's trace id — the span events in a `--trace-file` JSONL log
 //! carry the same id, so responses join against their span trees.
 //!
-//! A control line `{"op": "metrics"}` (alias `"stats"`) is recognized by
-//! [`parse_line`] and answered with one `status: "metrics"` object
-//! dumping the whole metrics registry. A control line `{"op":
-//! "snapshot"}` persists the daemon's warm state to its configured
-//! `--snapshot-save` path and answers with a `status: "snapshot"` object
-//! (`plans`, `seeds`, `bytes`, `micros`), or `status: "rejected"` with
-//! `error_kind: "snapshot"` when no save path is configured. Every
-//! response shape is rendered by the one [`WireResponse::to_json`] entry
-//! point.
+//! A control line `{"op": "metrics"}` is recognized by [`parse_line`]
+//! and answered with one `status: "metrics"` object dumping the whole
+//! metrics registry. A control line `{"op": "snapshot"}` persists the
+//! daemon's warm state to its configured `--snapshot-save` path and
+//! answers with a `status: "snapshot"` object (`plans`, `seeds`, `bytes`,
+//! `micros`), or `status: "rejected"` with `error_kind: "snapshot"` when
+//! no save path is configured. Every response shape is rendered by the
+//! one [`WireResponse::to_json`] entry point.
 //!
 //! An edit line reanalyzes a previously submitted program incrementally
 //! (dirty-tracked stage reuse instead of a from-scratch run):
@@ -174,7 +173,11 @@ fn parse_lookahead(value: Option<&Json>) -> Result<Lookahead, WireError> {
 /// Returns [`WireError`] for malformed JSON, missing fields, or invalid
 /// embedded program/topology text.
 pub fn parse_request(line: &str, line_number: usize) -> Result<AnalysisRequest, WireError> {
-    let value = Json::parse(line)?;
+    request_from_json(&Json::parse(line)?, line_number)
+}
+
+/// Builds an [`AnalysisRequest`] from an already-parsed request line.
+fn request_from_json(value: &Json, line_number: usize) -> Result<AnalysisRequest, WireError> {
     if !matches!(value, Json::Obj(_)) {
         return Err(WireError::Field(
             "request line must be a JSON object".into(),
@@ -237,8 +240,8 @@ pub struct EditCommand {
 pub enum WireRequest {
     /// A regular analysis request ([`parse_request`]).
     Analysis(Box<AnalysisRequest>),
-    /// `{"op": "metrics"}` (alias `"stats"`): dump the metrics registry
-    /// as one JSON object on the response stream.
+    /// `{"op": "metrics"}`: dump the metrics registry as one JSON object
+    /// on the response stream.
     Metrics,
     /// `{"op": "edit"}`: apply an edit batch to a warm session
     /// ([`crate::AnalysisService::apply_edit`]).
@@ -250,8 +253,9 @@ pub enum WireRequest {
 }
 
 /// Parses one JSONL line, recognizing control ops (`{"op": "metrics"}`,
-/// `{"op": "edit"}`, `{"op": "snapshot"}`) before falling back to
-/// [`parse_request`].
+/// `{"op": "edit"}`, `{"op": "snapshot"}`) before falling back to an
+/// analysis request ([`parse_request`]'s format). The line's JSON is
+/// decoded once.
 ///
 /// # Errors
 ///
@@ -260,7 +264,7 @@ pub enum WireRequest {
 pub fn parse_line(line: &str, line_number: usize) -> Result<WireRequest, WireError> {
     let value = Json::parse(line)?;
     match value.get("op").and_then(Json::as_str) {
-        Some("metrics" | "stats") => Ok(WireRequest::Metrics),
+        Some("metrics") => Ok(WireRequest::Metrics),
         Some("edit") => Ok(WireRequest::Edit(Box::new(parse_edit(
             &value,
             line_number,
@@ -274,10 +278,10 @@ pub fn parse_line(line: &str, line_number: usize) -> Result<WireRequest, WireErr
             Ok(WireRequest::Snapshot(name))
         }
         Some(other) => Err(WireError::Field(format!(
-            "unknown op {other:?} (expected \"metrics\", \"stats\", \"edit\" or \"snapshot\")"
+            "unknown op {other:?} (expected \"metrics\", \"edit\" or \"snapshot\")"
         ))),
-        None => Ok(WireRequest::Analysis(Box::new(parse_request(
-            line,
+        None => Ok(WireRequest::Analysis(Box::new(request_from_json(
+            &value,
             line_number,
         )?))),
     }
@@ -738,59 +742,6 @@ fn render_traffic(id: &str, item: &TrafficItem) -> Json {
     ])
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated per-shape entry points, kept as thin wrappers over
-// `WireResponse::to_json` for callers written against the old API.
-// ---------------------------------------------------------------------------
-
-/// Renders one service response as a JSONL line (no trailing newline).
-#[deprecated(note = "use WireResponse::Analysis(..).to_json()")]
-#[must_use]
-pub fn response_to_json(response: &AnalysisResponse) -> Json {
-    WireResponse::Analysis(response).to_json()
-}
-
-/// Renders an incremental edit outcome as a JSONL line: the usual
-/// analysis response fields (`cache: "incremental"`) plus the `base`
-/// echo and a `reuse` object describing what the edit reused.
-#[deprecated(note = "use WireResponse::Edit(..).to_json()")]
-#[must_use]
-pub fn edit_response_to_json(edit: &EditResponse) -> Json {
-    WireResponse::Edit(edit).to_json()
-}
-
-/// Renders a rejected edit request (unknown base, unknown names, invalid
-/// batch) as a JSONL error response. The base session, if any, survives —
-/// the client may retry with a corrected batch.
-#[deprecated(note = "use WireResponse::EditRejected { .. }.to_json()")]
-#[must_use]
-pub fn edit_rejected_to_json(name: &str, base: u128, error: &EditRequestError) -> Json {
-    WireResponse::EditRejected { name, base, error }.to_json()
-}
-
-/// Renders a metrics-registry snapshot as one JSON object (the `metrics`
-/// wire op's response).
-#[deprecated(note = "use WireResponse::Metrics(..).to_json()")]
-#[must_use]
-pub fn metrics_to_json(snapshot: &RegistrySnapshot) -> Json {
-    WireResponse::Metrics(snapshot).to_json()
-}
-
-/// Renders one invalid request line as a JSONL error response.
-#[deprecated(note = "use WireResponse::Invalid { .. }.to_json()")]
-#[must_use]
-pub fn invalid_to_json(line_number: usize, error: &WireError) -> Json {
-    WireResponse::Invalid { line_number, error }.to_json()
-}
-
-/// Renders one traffic item as a JSONL request line (the `systolicd gen`
-/// output format).
-#[deprecated(note = "use WireResponse::Traffic { .. }.to_json()")]
-#[must_use]
-pub fn traffic_to_json(id: &str, item: &TrafficItem) -> Json {
-    WireResponse::Traffic { id, item }.to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,7 +968,7 @@ mod tests {
         ));
         assert!(matches!(
             parse_line(r#"{"op":"stats"}"#, 1),
-            Ok(WireRequest::Metrics)
+            Err(WireError::Field(_))
         ));
         assert!(matches!(
             parse_line(r#"{"op":"explode"}"#, 1),
@@ -1283,89 +1234,6 @@ mod tests {
         assert_eq!(
             WireResponse::Analysis(&response).to_json().to_string(),
             r#"{"id":"r1","status":"certified","cache":"warm","classification":"deadlock-free","labeling":"section6","labels":{"A":"1"},"max_queues_per_interval":1,"analysis_micros":120,"micros":130,"fingerprint":"0x0000000000000000000000000000002a","trace":7}"#
-        );
-    }
-
-    /// The old per-shape entry points must stay byte-identical to the
-    /// consolidated `WireResponse::to_json` on a real served batch —
-    /// callers migrating between the two APIs see identical JSONL.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_render_byte_identical_lines() {
-        let service = AnalysisService::new(ServiceConfig::default());
-        let stream = traffic(&TrafficConfig::default(), 11, 40);
-        let requests: Vec<AnalysisRequest> =
-            stream.iter().map(AnalysisRequest::from_traffic).collect();
-        let responses = service.run_batch(requests);
-        for response in &responses {
-            assert_eq!(
-                response_to_json(response).to_string(),
-                WireResponse::Analysis(response).to_json().to_string(),
-                "{} diverged between the old and new renderers",
-                response.name
-            );
-        }
-        for item in &stream {
-            assert_eq!(
-                traffic_to_json(&item.name, item).to_string(),
-                WireResponse::Traffic {
-                    id: &item.name,
-                    item
-                }
-                .to_json()
-                .to_string()
-            );
-        }
-        let err = parse_request("{", 3).unwrap_err();
-        assert_eq!(
-            invalid_to_json(3, &err).to_string(),
-            WireResponse::Invalid {
-                line_number: 3,
-                error: &err
-            }
-            .to_json()
-            .to_string()
-        );
-        let snapshot = service.registry_snapshot();
-        assert_eq!(
-            metrics_to_json(&snapshot).to_string(),
-            WireResponse::Metrics(&snapshot).to_json().to_string()
-        );
-        let edit_err = service.apply_edit("e1", 0x2a, &[]).unwrap_err();
-        assert_eq!(
-            edit_rejected_to_json("e1", 0x2a, &edit_err).to_string(),
-            WireResponse::EditRejected {
-                name: "e1",
-                base: 0x2a,
-                error: &edit_err
-            }
-            .to_json()
-            .to_string()
-        );
-        let base = service
-            .submit(parse_request(&request_line(""), 1).unwrap())
-            .wait();
-        let edit = service
-            .apply_edit(
-                "e2",
-                base.fingerprint,
-                &[
-                    NamedEditOp::Append {
-                        cell: "c0".to_owned(),
-                        write: true,
-                        message: "A".to_owned(),
-                    },
-                    NamedEditOp::Append {
-                        cell: "c1".to_owned(),
-                        write: false,
-                        message: "A".to_owned(),
-                    },
-                ],
-            )
-            .unwrap();
-        assert_eq!(
-            edit_response_to_json(&edit).to_string(),
-            WireResponse::Edit(&edit).to_json().to_string()
         );
     }
 }

@@ -8,8 +8,8 @@
 //! holder of just the **last** topology's arena thrashes as soon as
 //! traffic interleaves two topologies — A, B, A, B rebuilds on every
 //! request. [`ArenaLru`] keeps the last few topologies' arenas warm
-//! instead, with no locking: each owner (a [`VerifyScheduler`] worker, a
-//! service thread) holds its LRU outright.
+//! instead, with no locking: each owner (a [`VerifyScheduler`] worker)
+//! holds its LRU outright.
 //!
 //! Residency is governed by an [`ArenaBudget`]: a fixed entry count, an
 //! **auto** mode that tracks the distinct-topology cardinality the owner
@@ -85,10 +85,9 @@ pub struct ArenaLookup<'a> {
 }
 
 /// A tiny, lock-free-by-ownership LRU of [`SimArena`]s keyed by
-/// [`CompiledTopology::fingerprint`] (or any caller-chosen 128-bit key),
-/// sized by an [`ArenaBudget`]. Each scheduler worker or service thread
-/// owns one, so topology-interleaved traffic keeps the warm fabrics'
-/// arenas resident instead of rebuilding per request.
+/// [`CompiledTopology::fingerprint`], sized by an [`ArenaBudget`]. Each
+/// scheduler worker owns one, so topology-interleaved traffic keeps the
+/// warm fabrics' arenas resident instead of rebuilding per request.
 ///
 /// # Examples
 ///
@@ -153,8 +152,8 @@ impl ArenaLru {
     /// the shared `systolic_arena_cache_{hits,misses,evictions}_total`
     /// counters and fresh builds record their wall time into the
     /// `systolic_arena_build_duration_micros` histogram. The LRU is the
-    /// **single writer** of these series — holders (scheduler workers,
-    /// service threads) attach the same bundle and their traffic sums.
+    /// **single writer** of these series — holders (every scheduler's
+    /// workers) attach the same bundle and their traffic sums.
     pub fn set_obs(&mut self, obs: &Obs) {
         let registry = obs.registry();
         self.instruments = Some(LruInstruments {
@@ -220,23 +219,7 @@ impl ArenaLru {
         compiled: &Arc<CompiledTopology>,
         sim: SimConfig,
     ) -> ArenaLookup<'_> {
-        let compiled = Arc::clone(compiled);
-        self.get_or_build_with(compiled.fingerprint(), sim, move || {
-            SimArena::from_compiled(compiled, sim)
-        })
-    }
-
-    /// As [`get_or_build`](ArenaLru::get_or_build), but with a
-    /// caller-chosen key and arena constructor — the general entry point
-    /// for worlds that are not compiled-topology-backed (the
-    /// [`VerifyPool`](crate::VerifyPool) adapter's plain
-    /// [`SimWorld`](crate::SimWorld)s).
-    pub fn get_or_build_with(
-        &mut self,
-        key: u128,
-        sim: SimConfig,
-        build: impl FnOnce() -> SimArena,
-    ) -> ArenaLookup<'_> {
+        let key = compiled.fingerprint();
         self.tick += 1;
         if !self.observed.contains(&key) && self.observed.len() < 4 * MAX_AUTO_ARENAS {
             self.observed.push(key);
@@ -259,7 +242,7 @@ impl ArenaLru {
             self.entries.swap_remove(idx);
         }
         let build_start = Instant::now();
-        let arena = build();
+        let arena = SimArena::from_compiled(Arc::clone(compiled), sim);
         if let Some(m) = &self.instruments {
             m.misses.inc();
             m.build_micros

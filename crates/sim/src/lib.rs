@@ -32,22 +32,21 @@
 //! the batch's largest requirement once. That is what lets a serving layer
 //! chase cached analyses with simulator replays at cache-hit throughput.
 //!
-//! On a multi-core node batches fan out over the [`VerifyScheduler`]: N
-//! workers, each owning an [`ArenaLru`] of arenas keyed by
-//! compiled-topology fingerprint, a work-stealing cursor over the plan
-//! indices, and reports merged back into input order — byte-identical to
-//! the sequential path run per topology group. One scheduler spans **all**
-//! topologies: a heterogeneous mesh/torus/line batch verifies in a single
-//! fan-out, workers switching worlds by warm LRU lookup instead of
-//! rebuild, with residency governed by an [`ArenaBudget`] (fixed count,
-//! observed-cardinality auto sizing, or a byte budget against
-//! [`SimArena::approx_bytes`]). Pick `threads` ≈ the cores you can spare:
-//! replays are CPU-bound and share no mutable state, so throughput scales
-//! until the batch runs out of plans to steal.
-//!
-//! [`VerifyPool`] remains as a thin adapter — a scheduler pinned to one
-//! [`SimWorld`] — for the common one-topology shape
-//! ([`verify_batch_compiled_parallel`] is its one-call convenience).
+//! Beyond one-arena batches, certified plans replay through the
+//! [`VerifyScheduler`]: N workers, each owning an [`ArenaLru`] of arenas
+//! keyed by compiled-topology fingerprint, a work-stealing cursor over
+//! the plan indices, and reports merged back into input order —
+//! byte-identical to the sequential path run per topology group. One
+//! scheduler spans **all** topologies: a heterogeneous mesh/torus/line
+//! batch verifies in a single fan-out, workers switching worlds by warm
+//! LRU lookup instead of rebuild, with residency governed by an
+//! [`ArenaBudget`] (fixed count, observed-cardinality auto sizing, or a
+//! byte budget against [`SimArena::approx_bytes`]). Pick `threads` ≈ the
+//! cores you can spare: replays are CPU-bound and share no mutable state,
+//! so throughput scales until the batch runs out of plans to steal. A
+//! one-worker scheduler replays on the calling thread, with no thread
+//! machinery at all — the shape a serving thread holds for its own
+//! chases.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -121,7 +120,6 @@ mod queue;
 mod sched;
 mod stats;
 mod verify;
-mod vpool;
 
 pub use arena_lru::{ArenaBudget, ArenaLookup, ArenaLru, MAX_AUTO_ARENAS};
 pub use cost::CostModel;
@@ -138,4 +136,3 @@ pub use verify::{
     verify_batch, verify_batch_compiled, verify_plan, verify_plan_compiled, ReplayDeadlock,
     VerifyReport,
 };
-pub use vpool::{verify_batch_compiled_parallel, VerifyPool};

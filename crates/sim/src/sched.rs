@@ -1,18 +1,16 @@
 //! Cross-topology verify scheduling: one fan-out for a heterogeneous
 //! batch of certified plans.
 //!
-//! [`VerifyPool`](crate::VerifyPool) spans **one** [`SimWorld`] — mixed
-//! traffic needs a pool per topology, and a serving layer dispatching
-//! chases one at a time loses exactly the parallelism the pool was built
-//! for. [`VerifyScheduler`] generalizes the pool: each worker owns an
-//! [`ArenaLru`] over *multiple* worlds keyed by compiled-topology
+//! [`VerifyScheduler`] is the one engine that replays certified plans
+//! outside the one-arena [`verify_batch_compiled`] path. Each worker owns
+//! an [`ArenaLru`] over *multiple* worlds keyed by compiled-topology
 //! fingerprint, so a single batch may interleave mesh, torus and line
 //! plans and still fan out over every worker at once:
 //!
-//! * **scoped threads, work stealing** — as the pool: a shared atomic
-//!   cursor hands out batch indices, workers borrow their LRU for the
-//!   duration of one call, and reports are merged back into **input
-//!   order**;
+//! * **scoped threads, work stealing** — a shared atomic cursor hands out
+//!   batch indices, workers borrow their LRU for the duration of one
+//!   call, and reports are merged back into **input order**; a
+//!   one-worker scheduler skips the threads and replays on the caller;
 //! * **warm arenas across batches and topologies** — a worker that drew
 //!   a mesh plan after a torus plan switches worlds by LRU lookup, not by
 //!   rebuild; residency is governed by an [`ArenaBudget`] (fixed count,
@@ -20,14 +18,16 @@
 //! * **per-topology pre-growth** — every topology group's arenas grow to
 //!   that group's largest queue requirement before replay, so outcomes
 //!   are independent of stealing order and **byte-identical** to the
-//!   sequential [`verify_batch_compiled`](crate::verify_batch_compiled)
-//!   path per topology (`tests/verify_parity.rs` asserts this by
-//!   property, `ReplayDeadlock` details included);
+//!   sequential [`verify_batch_compiled`] path per topology
+//!   (`tests/verify_parity.rs` asserts this by property,
+//!   `ReplayDeadlock` details included);
 //! * **panic isolation** — [`VerifyScheduler::verify_batch_outcomes`]
 //!   reports a replay panic as one item's
 //!   [`VerifyTaskError::Panicked`] and drops exactly the poisoned arena;
 //!   the rest of the batch, and the other residents of that worker's
 //!   LRU, are untouched.
+//!
+//! [`verify_batch_compiled`]: crate::verify_batch_compiled
 
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +39,7 @@ use systolic_core::{CommPlan, CompiledTopology};
 use systolic_model::{ModelError, Program};
 use systolic_obs::{names, Histogram, Obs};
 
-use crate::{ArenaBudget, ArenaLru, SimArena, SimConfig, SimWorld, VerifyReport};
+use crate::{ArenaBudget, ArenaLru, SimConfig, VerifyReport};
 
 /// Why one scheduled replay produced no [`VerifyReport`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -106,38 +106,15 @@ pub struct SchedulerStats {
     pub per_topology: BTreeMap<String, TopologyFanout>,
 }
 
-/// Where one task's arena comes from when its worker has to build one.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    Compiled(&'a Arc<CompiledTopology>),
-    World(&'a SimWorld),
-}
-
-impl Source<'_> {
-    fn build(self, sim: SimConfig) -> SimArena {
-        match self {
-            Source::Compiled(compiled) => SimArena::from_compiled(Arc::clone(compiled), sim),
-            Source::World(world) => SimArena::new(world.clone()),
-        }
-    }
-
-    fn spec(self) -> String {
-        match self {
-            Source::Compiled(compiled) => compiled.topology().spec(),
-            Source::World(world) => world.topology().spec(),
-        }
-    }
-}
-
-/// One unit of scheduled work: a `(program, plan)` pair, the 128-bit key
-/// its arena lives under, and the queue count its topology group was
-/// sized to.
+/// One unit of scheduled work: a `(program, plan)` pair, the compiled
+/// topology its arena is built over (keyed by that topology's
+/// fingerprint), and the queue count its topology group was sized to.
 struct Task<'a> {
     program: &'a Program,
     plan: &'a Arc<CommPlan>,
+    compiled: &'a Arc<CompiledTopology>,
     key: u128,
     group_max: usize,
-    source: Source<'a>,
 }
 
 /// What one worker hands back from a fan-out: its input-indexed
@@ -327,34 +304,12 @@ impl VerifyScheduler {
             .map(|(program, compiled, plan)| Task {
                 program,
                 plan,
+                compiled,
                 key: compiled.fingerprint(),
                 group_max: 1,
-                source: Source::Compiled(compiled),
             })
             .collect();
         self.run(tasks)
-    }
-
-    /// The [`VerifyPool`](crate::VerifyPool) adapter's entry: a
-    /// homogeneous batch over one caller-held world under a caller-chosen
-    /// key.
-    pub(crate) fn verify_batch_in_world<'a>(
-        &mut self,
-        world: &SimWorld,
-        key: u128,
-        batch: impl IntoIterator<Item = (&'a Program, &'a Arc<CommPlan>)>,
-    ) -> Result<Vec<VerifyReport>, ModelError> {
-        let tasks: Vec<Task<'_>> = batch
-            .into_iter()
-            .map(|(program, plan)| Task {
-                program,
-                plan,
-                key,
-                group_max: 1,
-                source: Source::World(world),
-            })
-            .collect();
-        strict(self.run(tasks))
     }
 
     fn run(&mut self, mut tasks: Vec<Task<'_>>) -> Vec<Result<VerifyReport, VerifyTaskError>> {
@@ -397,7 +352,8 @@ impl VerifyScheduler {
                 .iter()
                 .find(|task| task.key == key)
                 .expect("key came from tasks") // lint: panic-ok(key was drawn from the same map two lines up)
-                .source
+                .compiled
+                .topology()
                 .spec();
             if let Some(obs) = &self.obs {
                 cycle_hists.insert(
@@ -436,9 +392,9 @@ impl VerifyScheduler {
             self.absorb(std::iter::once(tally));
             outcomes
         } else {
-            // Work-stealing cursor, as in the pool: each worker draws the
-            // next unclaimed index until the batch is exhausted; outcomes
-            // carry their index so the merge restores input order.
+            // Work-stealing cursor: each worker draws the next unclaimed
+            // index until the batch is exhausted; outcomes carry their
+            // index so the merge restores input order.
             let cursor = AtomicUsize::new(0);
             let replay_hist = replay_hist.as_deref();
             let per_worker: Vec<WorkerYield> = std::thread::scope(|scope| {
@@ -524,7 +480,7 @@ fn verify_one(
     replay_hist: Option<&Histogram>,
 ) -> Result<VerifyReport, VerifyTaskError> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let lookup = lru.get_or_build_with(task.key, sim, || task.source.build(sim));
+        let lookup = lru.get_or_build(task.compiled, sim);
         let flags = (lookup.hit, lookup.evicted);
         lookup.arena.ensure_queues(task.group_max);
         // Replay wall time: the in-place state reset plus the
@@ -589,6 +545,7 @@ mod tests {
     use crate::verify_batch_compiled;
     use systolic_core::{AnalysisConfig, Analyzer};
     use systolic_model::{ProgramBuilder, Topology};
+    use systolic_workloads::{fig9, fig9_topology};
 
     /// A short neighbor transfer: `reps` words from cell 0 to cell 1 on a
     /// `cells`-cell fabric.
@@ -762,6 +719,46 @@ mod tests {
             4,
             "healthy items still report"
         );
+    }
+
+    #[test]
+    fn threads_clamp_to_one() {
+        let batch = mixed_batch(&[Topology::linear(3)], 3);
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 0, ArenaBudget::Fixed(1));
+        assert_eq!(scheduler.threads(), 1);
+        let reports = scheduler
+            .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
+            .unwrap();
+        assert!(reports.iter().all(|r| r.completed));
+    }
+
+    #[test]
+    fn mixed_queue_requirements_pre_grow_every_arena() {
+        // fig9 needs 2 queues per interval against the simulator's floor
+        // of 1: every worker's arena grows to the group max before
+        // fan-out, so results are independent of stealing order.
+        let config = AnalysisConfig {
+            queues_per_interval: 2,
+            ..Default::default()
+        };
+        let compiled = CompiledTopology::compile(&fig9_topology(), &config).into_shared();
+        let plan = Arc::new(
+            Analyzer::new(Arc::clone(&compiled))
+                .analyze(&fig9())
+                .unwrap()
+                .into_plan(),
+        );
+        let batch: Vec<_> = (0..6)
+            .map(|_| (fig9(), Arc::clone(&compiled), Arc::clone(&plan)))
+            .collect();
+        let sim = SimConfig::default();
+        let sequential = sequential_reference(&batch, sim);
+        let mut scheduler = VerifyScheduler::new(sim, 2, ArenaBudget::Fixed(1));
+        let parallel = scheduler
+            .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
+            .unwrap();
+        assert_eq!(parallel, sequential);
+        assert!(parallel.iter().all(|r| r.completed));
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl std::fmt::Display for ReplayDeadlock {
 /// The result of replaying one plan through the simulator.
 ///
 /// Implements `PartialEq`/`Eq` so batch paths can be checked for
-/// byte-identical results (the parallel [`crate::VerifyPool`] must match
-/// the sequential [`verify_batch_compiled`] report-for-report).
+/// byte-identical results (the parallel [`crate::VerifyScheduler`] must
+/// match the sequential [`verify_batch_compiled`] report-for-report).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VerifyReport {
     /// `true` if every cell completed its program — what Theorem 1

@@ -71,10 +71,13 @@
 //! worker threads, each holding a budgeted LRU of warm arenas keyed by
 //! compiled-topology fingerprint ([`sim::ArenaBudget`]: fixed, auto, or
 //! bytes), with work-stealing and reports merged back into input order —
-//! byte-identical to the sequential path per topology group.
-//! [`sim::VerifyPool`] stays as the single-topology adapter. The serving
-//! layer (`ServiceConfig::verify_threads`) coalesces the chases of a
-//! batch window into one scheduler fan-out. Tuning: one scheduler thread
+//! byte-identical to the sequential path per topology group. It is the
+//! one replay engine: a one-topology batch is a batch whose items share
+//! one compiled topology, and a one-worker scheduler replays on the
+//! calling thread. The serving layer chases each plan through a
+//! per-worker one-worker scheduler, or (`ServiceConfig::verify_threads`)
+//! coalesces the chases of a batch window into one shared scheduler
+//! fan-out. Tuning: one scheduler thread
 //! per spare core — replays are CPU-bound and share no mutable state, so
 //! throughput scales until the batch runs out of plans to steal — and an
 //! arena budget matching the distinct topologies each worker sees.

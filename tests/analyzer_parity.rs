@@ -1,12 +1,10 @@
-//! Parity property tests: the staged [`Analyzer`] must be observably
-//! identical to the legacy `analyze` entry point on random programs and
-//! topologies — byte-identical `CommPlan` fingerprints on success,
-//! identical errors on rejection. This file is the one sanctioned caller
-//! of the legacy wrapper outside its own crate (see
-//! `tests/no_legacy_analyze.rs`).
+//! Parity property tests: analyzing through a shared, reused
+//! [`CompiledTopology`] must be observably identical to a fresh one-shot
+//! compilation on random programs and topologies — byte-identical
+//! `CommPlan` fingerprints on success, identical errors on rejection.
 
 use proptest::prelude::*;
-use systolic::core::{analyze, AnalysisConfig, Analyzer, CompiledTopology, Lookahead};
+use systolic::core::{AnalysisConfig, Analyzer, CompiledTopology, Lookahead};
 use systolic::workloads::{random_program, random_topology, scramble, RandomConfig};
 
 fn shapes() -> impl Strategy<Value = RandomConfig> {
@@ -32,9 +30,11 @@ fn lookaheads() -> impl Strategy<Value = Lookahead> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same inputs, same outputs: staged-and-shared vs. legacy one-shot.
+    /// Same inputs, same outputs: a shared compilation whose session
+    /// stages run out of order vs. a fresh compilation run straight
+    /// through.
     #[test]
-    fn analyzer_matches_legacy_analyze(
+    fn shared_compilation_matches_fresh_compilation(
         shape in shapes(),
         seed in 0u64..1_000_000,
         scrambled in any::<bool>(),
@@ -47,18 +47,20 @@ proptest! {
         let topology = random_topology(&shape);
         let config = AnalysisConfig { lookahead, queues_per_interval: queues };
 
-        let legacy = analyze(&program, &topology, &config);
+        let fresh = Analyzer::for_topology(&topology, &config).analyze(&program);
 
-        // The staged path, deliberately through a shared compilation and
-        // a session whose stages are poked out of order before finishing.
+        // The shared path: one compilation, first used for an unrelated
+        // analysis, then a session whose stages are poked out of order
+        // before finishing.
         let compiled = CompiledTopology::compile(&topology, &config).into_shared();
         let analyzer = Analyzer::new(compiled);
+        let _ = analyzer.analyze(&scramble(&program, seed));
         let session = analyzer.session(&program);
         let _ = session.requirements(); // force later stages first
         let _ = session.classification();
         let staged = session.finish();
 
-        match (&legacy, staged.result()) {
+        match (&fresh, staged.result()) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(
                     a.plan().fingerprint(),
@@ -73,10 +75,10 @@ proptest! {
                 );
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b, "errors must be identical"),
-            (legacy, staged) => prop_assert!(
+            (fresh, staged) => prop_assert!(
                 false,
-                "verdicts diverged: legacy {:?} vs staged {:?}",
-                legacy.is_ok(),
+                "verdicts diverged: fresh {:?} vs shared {:?}",
+                fresh.is_ok(),
                 staged.is_ok()
             ),
         }

@@ -5,10 +5,11 @@
 //! Arena reuse (reset-in-place pools, plan-route reuse, queue-pool
 //! growth across a batch) must never leak state between replays.
 //!
-//! Property two: fanning the same batch over an N-thread `VerifyPool` is
-//! **byte-identical** to the sequential batch — every `VerifyReport`
-//! (including `ReplayDeadlock` details) equal, in input order — no
-//! matter the thread count or which worker stole which plan.
+//! Property two: fanning the same one-topology batch over an N-thread
+//! `VerifyScheduler` is **byte-identical** to the sequential batch —
+//! every `VerifyReport` (including `ReplayDeadlock` details) equal, in
+//! input order — no matter the thread count or which worker stole which
+//! plan.
 //!
 //! Property three: one heterogeneous `VerifyScheduler` fan-out over an
 //! interleaved mesh/torus/linear batch is byte-identical to splitting the
@@ -22,8 +23,8 @@ use proptest::prelude::*;
 use systolic::core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology, Lookahead};
 use systolic::model::{Program, Topology};
 use systolic::sim::{
-    verify_batch_compiled, verify_batch_compiled_parallel, verify_plan, ArenaBudget, QueueConfig,
-    SimConfig, VerifyPool, VerifyReport, VerifyScheduler,
+    verify_batch_compiled, verify_plan, ArenaBudget, QueueConfig, SimConfig, VerifyReport,
+    VerifyScheduler,
 };
 use systolic::workloads::{fig5_p2, fig7, fig7_topology, traffic, TrafficConfig, TrafficItem};
 
@@ -99,24 +100,20 @@ proptest! {
                 sim,
             )
             .expect("batch setup succeeds");
-            // One-call convenience: fresh pool per batch.
-            let parallel = verify_batch_compiled_parallel(
-                batch.items.iter().map(|(program, plan)| (program, plan)),
-                &batch.compiled,
-                sim,
-                threads,
-            )
-            .expect("pool setup succeeds");
-            prop_assert_eq!(&parallel, &sequential, "threads = {}", threads);
-            // Reused pool: a second fan-out through the same arenas must
-            // not drift (reset-in-place across batches).
-            let mut pool =
-                VerifyPool::from_compiled(Arc::clone(&batch.compiled), sim, threads);
-            for _ in 0..2 {
-                let again = pool
-                    .verify_batch(batch.items.iter().map(|(program, plan)| (program, plan)))
-                    .expect("pool setup succeeds");
-                prop_assert_eq!(&again, &sequential);
+            // A fresh scheduler, then a second fan-out through the same
+            // warm arenas: neither may drift (reset-in-place across
+            // batches).
+            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
+            for round in 0..2 {
+                let parallel = scheduler
+                    .verify_batch(
+                        batch
+                            .items
+                            .iter()
+                            .map(|(program, plan)| (program, &batch.compiled, plan)),
+                    )
+                    .expect("scheduler setup succeeds");
+                prop_assert_eq!(&parallel, &sequential, "threads = {}, round = {}", threads, round);
             }
         }
     }
@@ -307,11 +304,11 @@ proptest! {
     }
 }
 
-/// Deadlock details cross the pool unchanged: a batch whose replays
-/// (deliberately) stall on capacity-0 latch queues must produce the same
-/// `ReplayDeadlock` — cycle, first blocked cell, reason text, blocked
-/// count — from the parallel pool as from the sequential arena, merged
-/// in input order.
+/// Deadlock details cross the scheduler's worker pool unchanged: a batch
+/// whose replays (deliberately) stall on capacity-0 latch queues must
+/// produce the same `ReplayDeadlock` — cycle, first blocked cell, reason
+/// text, blocked count — from a parallel one-topology fan-out as from
+/// the sequential arena, merged in input order.
 #[test]
 fn pool_merges_deadlock_details_identically() {
     let topology = Topology::linear(2);
@@ -362,10 +359,10 @@ fn pool_merges_deadlock_details_identically() {
     assert_eq!(completed, 4, "every plain transfer completes");
 
     for threads in [2, 3, 4] {
-        let mut pool = VerifyPool::from_compiled(Arc::clone(&compiled), sim, threads);
-        let parallel = pool
-            .verify_batch(items.iter().map(|(p, plan)| (p, plan)))
-            .expect("pool setup succeeds");
+        let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
+        let parallel = scheduler
+            .verify_batch(items.iter().map(|(p, plan)| (p, &compiled, plan)))
+            .expect("scheduler setup succeeds");
         assert_eq!(parallel, sequential, "threads = {threads}");
         for (through_pool, through_arena) in parallel.iter().zip(&sequential) {
             assert_eq!(through_pool.deadlock, through_arena.deadlock);
