@@ -127,7 +127,7 @@ fn snapshot_acceptance_ratio(_c: &mut Criterion) {
     let donor = AnalysisService::new(config());
     let donor_responses = donor.run_batch(requests.clone());
     let snapshot = donor.export_snapshot();
-    let donor_stats = donor.stats();
+    let donor_misses = donor.cache_stats().misses;
 
     // Parity first: a warmed service must answer every request with the
     // donor's exact outcome, and serve all of them from the warm cache.
@@ -199,7 +199,7 @@ fn snapshot_acceptance_ratio(_c: &mut Criterion) {
          \"rounds\": {rounds},\n  \"hw_threads\": {hw_threads},\n  \
          \"cold_min_secs\": {:.6},\n  \"warm_min_secs\": {:.6},\n  \
          \"ratio\": {:.2},\n  \"target_ratio\": {target}\n}}\n",
-        donor_stats.cache.misses,
+        donor_misses,
         snapshot.len(),
         cold_time.as_secs_f64(),
         warm_time.as_secs_f64(),

@@ -99,6 +99,9 @@ pub mod names {
     pub const PLAN_CACHE_MISSES: &str = "systolic_plan_cache_misses";
     /// Gauge: plan-cache evictions (mirrored from the sharded cache).
     pub const PLAN_CACHE_EVICTIONS: &str = "systolic_plan_cache_evictions";
+    /// Gauge: plan-cache resident entries (mirrored from the sharded
+    /// cache).
+    pub const PLAN_CACHE_ENTRIES: &str = "systolic_plan_cache_entries";
     /// Gauge: hardware threads visible to the process.
     pub const HW_THREADS: &str = "systolic_hw_threads";
     /// Counter: edit batches applied to incremental analyzer sessions.
@@ -131,9 +134,10 @@ pub mod names {
     pub const SNAPSHOT_LOADED_PLANS: &str = "systolic_service_snapshot_loaded_plans_total";
     /// Counter: incremental seed inputs restored from a snapshot load.
     pub const SNAPSHOT_LOADED_SEEDS: &str = "systolic_service_snapshot_loaded_seeds_total";
-    /// Counter: snapshot entries dropped during load, labeled `reason`
-    /// (config-skewed or individually invalid entries — the load itself
-    /// still succeeds).
+    /// Counter: snapshot entries dropped, labeled `reason`: at load,
+    /// invalid, config-skewed, repeated or already-cached entries and
+    /// seeds no plan claims (the load still succeeds); at export, cached
+    /// outcomes without recorded request inputs.
     pub const SNAPSHOT_DROPPED: &str = "systolic_service_snapshot_dropped_total";
     /// Counter: whole snapshot loads rejected (corrupt, truncated or
     /// version-skewed files; the daemon keeps serving cold).

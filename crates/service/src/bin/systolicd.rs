@@ -27,7 +27,8 @@
 //! or `--arena-mem-budget BYTES` (approximate bytes per cache, which
 //! takes precedence); `--summary` prints a throughput/latency/cache table
 //! — including arena-cache counters, scheduler fan-out depths, and a
-//! per-topology verified/blocked breakdown — to stderr.
+//! per-topology verified/blocked breakdown — to stderr, rendered from the
+//! same registry snapshot `--metrics-file` exports.
 //!
 //! Incremental edits: a request line `{"op": "edit", "base": "0x...",
 //! "ops": [...]}` reanalyzes an earlier program (named by its response
@@ -75,6 +76,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
+use systolic_service::summary::{summary_json, summary_table, RunTotals};
 use systolic_service::wire::{parse_line, WireRequest, WireResponse};
 use systolic_service::{AnalysisService, Json, Ticket};
 use systolic_workloads::traffic;
@@ -309,100 +311,27 @@ fn serve_main(options: &ServeOptions) {
         }
     }
 
-    let elapsed = started.elapsed();
-    let secs = elapsed.as_secs_f64();
-    let throughput = if secs > 0.0 {
-        served as f64 / secs
-    } else {
-        0.0
+    let secs = started.elapsed().as_secs_f64();
+    let run = RunTotals {
+        invalid_lines: invalid,
+        wall_seconds: secs,
+        throughput_per_sec: if secs > 0.0 {
+            served as f64 / secs
+        } else {
+            0.0
+        },
     };
-
+    // One registry snapshot feeds both summaries and the exposition.
+    let snapshot = service.registry_snapshot();
     if options.summary {
-        let stats = service.stats();
-        let mut table = stats.table();
-        table.row(["wall time (s)", &format!("{secs:.3}")]);
-        table.row(["throughput (req/s)", &format!("{throughput:.0}")]);
-        table.row(["invalid lines", &invalid.to_string()]);
+        let table = summary_table(&snapshot, config.arena_budget(), &run);
         eprintln!("{}", table.to_text());
     }
-
     if options.summary_json {
-        let stats = service.stats();
-        let snapshot = service.registry_snapshot();
-        let arenas = stats.arena_cache;
-        let mut members = vec![
-            ("requests".to_owned(), Json::Num(stats.requests as f64)),
-            ("invalid_lines".to_owned(), Json::Num(invalid as f64)),
-            ("wall_seconds".to_owned(), Json::Num(secs)),
-            ("throughput_per_sec".to_owned(), Json::Num(throughput)),
-            ("cache_hits".to_owned(), Json::Num(stats.cache.hits as f64)),
-            (
-                "cache_misses".to_owned(),
-                Json::Num(stats.cache.misses as f64),
-            ),
-            (
-                "cache_hit_rate".to_owned(),
-                Json::Num(stats.cache.hit_rate()),
-            ),
-            ("latency_mean_us".to_owned(), Json::Num(stats.mean_micros)),
-            ("latency_p50_us".to_owned(), Json::Num(stats.p50_micros)),
-            ("latency_p99_us".to_owned(), Json::Num(stats.p99_micros)),
-            (
-                "latency_max_us".to_owned(),
-                Json::Num(stats.max_micros as f64),
-            ),
-            ("arena_hits".to_owned(), Json::Num(arenas.hits as f64)),
-            ("arena_misses".to_owned(), Json::Num(arenas.misses as f64)),
-            (
-                "arena_evictions".to_owned(),
-                Json::Num(arenas.evictions as f64),
-            ),
-            (
-                "hw_threads".to_owned(),
-                Json::Num(snapshot.gauge_value(systolic_obs::names::HW_THREADS, &[]) as f64),
-            ),
-        ];
-        if let Some(scheduler) = &stats.scheduler {
-            members.push((
-                "scheduler_fanouts".to_owned(),
-                Json::Num(scheduler.fanouts as f64),
-            ));
-            members.push((
-                "scheduler_items".to_owned(),
-                Json::Num(scheduler.items as f64),
-            ));
-        }
-        let snap = stats.snapshot;
-        if snap.loads + snap.saves + snap.load_rejected > 0 {
-            members.push(("snapshot_loads".to_owned(), Json::Num(snap.loads as f64)));
-            members.push((
-                "snapshot_plans_restored".to_owned(),
-                Json::Num(snap.loaded_plans as f64),
-            ));
-            members.push((
-                "snapshot_seeds_restored".to_owned(),
-                Json::Num(snap.loaded_seeds as f64),
-            ));
-            members.push((
-                "snapshot_dropped".to_owned(),
-                Json::Num(snap.dropped as f64),
-            ));
-            members.push((
-                "snapshot_loads_rejected".to_owned(),
-                Json::Num(snap.load_rejected as f64),
-            ));
-            members.push(("snapshot_saves".to_owned(), Json::Num(snap.saves as f64)));
-            members.push((
-                "snapshot_warm_hits".to_owned(),
-                Json::Num(snap.warm_hits as f64),
-            ));
-        }
-        eprintln!("{}", Json::Obj(members));
+        eprintln!("{}", Json::Obj(summary_json(&snapshot, &run)));
     }
-
     if let Some(path) = &options.metrics_file {
-        let exposition = service.registry_snapshot().render_prometheus();
-        std::fs::write(path, exposition).unwrap_or_else(|e| {
+        std::fs::write(path, snapshot.render_prometheus()).unwrap_or_else(|e| {
             eprintln!("systolicd: cannot write {path}: {e}");
             std::process::exit(2);
         });

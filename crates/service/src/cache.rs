@@ -156,6 +156,14 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
+    /// Looks up `key` without touching its recency or the hit/miss
+    /// counters.
+    #[must_use]
+    pub fn peek(&self, key: u128) -> Option<V> {
+        let shard = self.shard_of(key).lock();
+        shard.entries.get(&key).map(|(_, value)| value.clone())
+    }
+
     /// Inserts `value` under `key` unless the key is already resident.
     ///
     /// Returns `(winning value, inserted)`: when another writer raced this
@@ -301,8 +309,10 @@ mod tests {
         c.insert(1, 1);
         c.insert(2, 2);
         assert_eq!(c.get(1), Some(1)); // 2 is now LRU
+        assert_eq!(c.peek(2), Some(2)); // a peek leaves it LRU
         c.insert(3, 3);
-        assert_eq!(c.get(2), None, "LRU entry should have been evicted");
+        assert_eq!(c.peek(2), None, "LRU entry should have been evicted");
+        assert_eq!(c.get(2), None);
         assert_eq!(c.get(1), Some(1));
         assert_eq!(c.get(3), Some(3));
         assert_eq!(c.stats().evictions, 1);
@@ -355,6 +365,7 @@ mod tests {
         let mut entries = c.entries();
         entries.sort_unstable();
         assert_eq!(entries, vec![(1, 10), (2, 20)]);
+        assert_eq!((c.peek(1), c.peek(3)), (Some(10), None));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (0, 0), "export must not perturb stats");
     }

@@ -24,8 +24,7 @@
 //!   [`ServiceConfig::arena_mem_budget`]). By default each analysis worker
 //!   holds a one-worker scheduler that replays on its own thread;
 //!   [`ServiceConfig::verify_threads`] instead coalesces the chases of a
-//!   batch window into one fan-out through a shared `N`-worker scheduler,
-//!   whose queue depth and per-topology fan-outs the summary reports;
+//!   batch window into one fan-out through a shared `N`-worker scheduler;
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the
 //!   [`systolicd`](../systolicd/index.html) binary, which replays scripted
 //!   traffic files end to end;
@@ -35,10 +34,12 @@
 //!   and scheduler counters, and request/verify spans all land in its
 //!   registry/tracer, exported as a Prometheus text exposition
 //!   ([`AnalysisService::registry_snapshot`]), a `metrics` wire op
-//!   ([`wire::WireResponse::Metrics`]), or a JSONL span log;
+//!   ([`wire::WireResponse::Metrics`]), the [`summary`] table and JSON
+//!   object, or a JSONL span log;
 //! * snapshot persistence — [`AnalysisService::save_snapshot`] /
-//!   [`AnalysisService::load_snapshot`] round-trip the plan cache and its
-//!   recorded seed inputs through the versioned binary container in
+//!   [`AnalysisService::load_snapshot`] round-trip the plan cache — each
+//!   outcome with the request inputs it was computed from — through the
+//!   versioned binary container in
 //!   [`SNAPSHOT_MAGIC`]'s format, so a restarted daemon warms instantly
 //!   (`systolicd serve --snapshot-load/--snapshot-save`); warmed hits
 //!   report [`CacheProvenance::Warm`].
@@ -56,8 +57,7 @@
 //!     .collect();
 //! let responses = service.run_batch(requests);
 //! assert_eq!(responses.len(), 100);
-//! let stats = service.stats();
-//! assert!(stats.cache.hits > 0, "hot traffic repeats must hit the cache");
+//! assert!(service.cache_stats().hits > 0, "hot traffic repeats must hit the cache");
 //! ```
 
 #![warn(missing_docs)]
@@ -70,6 +70,7 @@ mod json;
 mod queue;
 mod service;
 mod snapshot;
+pub mod summary;
 pub mod wire;
 
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
@@ -77,8 +78,7 @@ pub use json::{Json, JsonError};
 pub use queue::{BoundedQueue, QueueClosed};
 pub use service::{
     AnalysisRequest, AnalysisResponse, AnalysisService, ArenaCacheStats, CacheProvenance,
-    Certified, EditRequestError, EditResponse, IncrementalStats, NamedEditOp, Rejection,
-    ServiceConfig, ServiceError, ServiceOutcome, ServiceStats, SnapshotReport, SnapshotStats,
-    Ticket, TopologyVerifyStats,
+    Certified, EditRequestError, EditResponse, NamedEditOp, Rejection, ServiceConfig, ServiceError,
+    ServiceOutcome, SnapshotReport, Ticket,
 };
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

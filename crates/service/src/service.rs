@@ -20,7 +20,8 @@
 //! full — backpressure, not unbounded buffering, is the overload
 //! response.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -34,10 +35,7 @@ use systolic_core::{
 };
 use systolic_model::{CanonicalHash, Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
-use systolic_report::Table;
-use systolic_sim::{
-    ArenaBudget, SchedulerStats, SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError,
-};
+use systolic_sim::{ArenaBudget, SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
@@ -98,8 +96,9 @@ pub struct ServiceConfig {
     /// [`IncrementalSession`]s kept resident for `edit` requests, keyed by
     /// their current request fingerprint. Least-recently-edited sessions
     /// are evicted past this bound (clamped to ≥ 1); an evicted base can
-    /// still be edited — the session re-seeds from the recorded request
-    /// inputs at full-analysis cost.
+    /// still be edited while its plan-cache entry stays cached — the
+    /// session re-seeds from the request inputs that entry keeps, at
+    /// full-analysis cost.
     pub session_capacity: usize,
     /// Forwarded to [`IncrementalConfig::fallback_ratio`]: an edit batch
     /// dirtying more than this fraction of cells is reanalyzed from
@@ -300,9 +299,10 @@ pub enum CacheProvenance {
     Incremental,
     /// Served from a cache entry restored by a snapshot load
     /// ([`AnalysisService::import_snapshot`]) rather than computed in
-    /// this process's lifetime. Entries stay `Warm` for every later hit,
-    /// so warm-start coverage is observable across a whole replayed
-    /// batch.
+    /// this process's lifetime. A restored entry answers `Warm` on every
+    /// hit while it stays cached, so warm-start coverage is observable
+    /// across a whole replayed batch; once evicted, the fingerprint is
+    /// recomputed here and answers `Miss`, then `Hit`.
     Warm,
 }
 
@@ -378,6 +378,17 @@ pub struct ArenaCacheStats {
 }
 
 impl ArenaCacheStats {
+    /// The `systolic_arena_cache_*` series of a registry snapshot. The
+    /// arena LRUs are their single writers (every scheduler shares the one
+    /// registry), so the totals cover all chases without double counting.
+    pub(crate) fn from_registry(snapshot: &RegistrySnapshot) -> Self {
+        ArenaCacheStats {
+            hits: snapshot.counter_total(names::ARENA_CACHE_HITS),
+            misses: snapshot.counter_total(names::ARENA_CACHE_MISSES),
+            evictions: snapshot.counter_total(names::ARENA_CACHE_EVICTIONS),
+        }
+    }
+
     /// Hit rate in `0.0..=1.0` (0.0 before any chases).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -402,7 +413,7 @@ struct ServiceMetrics {
     /// `systolic_service_requests_total`.
     requests: Arc<Counter>,
     /// `systolic_service_handle_duration_micros` — also the source of the
-    /// [`ServiceStats`] latency percentiles.
+    /// summary's request count and latency rows.
     handle_micros: Arc<Histogram>,
     /// `systolic_service_queue_depth`, maintained by `submit`/worker pop.
     queue_depth: Arc<Gauge>,
@@ -432,38 +443,6 @@ impl ServiceMetrics {
             snapshot_warm_hits: registry.counter(names::SNAPSHOT_WARM_HITS),
         }
     }
-}
-
-/// Counter snapshot of the incremental edit path (the
-/// `systolic_analyzer_incremental_*` registry series plus the session
-/// table), for [`ServiceStats`] and the `--summary` report.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct IncrementalStats {
-    /// Edit batches applied (successful applies, certified or rejected).
-    pub edits: u64,
-    /// Edits that reused at least one warm stage artifact.
-    pub reuse_hits: u64,
-    /// Edits that fell back to from-scratch analysis.
-    pub fallbacks: u64,
-    /// Cells dirtied across all edit batches.
-    pub dirty_cells: u64,
-    /// Warm sessions currently resident in the table.
-    pub sessions: u64,
-    /// Sessions evicted by the table's capacity bound.
-    pub evictions: u64,
-}
-
-/// Verification outcomes for one topology spec — the per-topology
-/// breakdown the `--summary` report shows.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TopologyVerifyStats {
-    /// The topology's spec string ([`Topology::spec`]).
-    pub spec: String,
-    /// Chases whose replay completed (Theorem 1 held end to end).
-    pub verified: u64,
-    /// Chases whose replay did **not** complete (deadlocked or hit the
-    /// cycle limit under the configured [`SimConfig`]).
-    pub blocked: u64,
 }
 
 /// One chase dispatched to the verify scheduler's coalescing queue.
@@ -516,7 +495,7 @@ pub enum NamedEditOp {
 #[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum EditRequestError {
-    /// `base` matches neither a warm session nor any recorded request
+    /// `base` matches neither a warm session nor any cached request
     /// fingerprint — the client must submit the full program first.
     UnknownBase {
         /// The fingerprint the client named.
@@ -580,13 +559,25 @@ pub struct EditResponse {
     pub reuse: ReuseReport,
 }
 
-/// The request inputs recorded per fingerprint on every plan-cache miss,
-/// so an `edit` naming a base whose session went cold (or never existed)
-/// can seed a fresh [`IncrementalSession`] without the client resending
-/// the program.
+/// The request inputs a plan-cache entry keeps, so an `edit` naming a
+/// base whose session went cold (or never existed) can seed a fresh
+/// [`IncrementalSession`] without the client resending the program.
 struct SeedInputs {
     program: Program,
     compiled: Arc<CompiledTopology>,
+}
+
+/// Everything the service keeps per request fingerprint: one plan-cache
+/// entry, evicted as a unit.
+#[derive(Clone)]
+struct CacheEntry {
+    outcome: ServiceOutcome,
+    /// The seed a cold `edit` on this fingerprint starts from; `None`
+    /// only when the analysis panicked before its topology compiled.
+    seed: Option<Arc<SeedInputs>>,
+    /// Restored by a snapshot load rather than computed in this process;
+    /// hits on it answer [`CacheProvenance::Warm`].
+    restored: bool,
 }
 
 /// One warm incremental session, keyed in the table by its current
@@ -609,7 +600,7 @@ struct EditState {
 
 struct Inner {
     queue: BoundedQueue<Job>,
-    cache: ShardedCache<ServiceOutcome>,
+    cache: ShardedCache<CacheEntry>,
     /// `(topology, config)` fingerprint → shared compilation, so the
     /// misses of one batch (and across batches) compile each distinct
     /// topology once.
@@ -624,79 +615,21 @@ struct Inner {
     /// one registry/tracer pair.
     obs: Arc<Obs>,
     metrics: ServiceMetrics,
-    /// The shared [`VerifyScheduler`]'s cumulative counters, snapshotted
-    /// by the dispatcher after every fan-out. `None` until the first
-    /// fan-out (or always, when `verify_threads == 0`).
-    scheduler_stats: Mutex<Option<SchedulerStats>>,
-    /// Topology spec → (verified, blocked) chase tallies, for the
-    /// per-topology summary breakdown. `BTreeMap` so reports render in a
-    /// stable order.
-    verify_by_topology: Mutex<BTreeMap<String, (u64, u64)>>,
-    /// Request inputs per fingerprint (bounded like the plan cache), the
-    /// seed source for cold `edit` bases.
-    seeds: ShardedCache<Arc<SeedInputs>>,
     /// The incremental edit path: session table + edit-chase scheduler.
     edit_state: Mutex<EditState>,
-    /// Fingerprints installed by a snapshot load; hits on these report
-    /// [`CacheProvenance::Warm`]. Guarded by `warm_active` so the common
-    /// never-loaded service pays one relaxed atomic read per hit, not a
-    /// lock.
-    warm: Mutex<std::collections::HashSet<u128>>,
-    /// `true` once any snapshot import installed at least one entry.
-    warm_active: std::sync::atomic::AtomicBool,
-    /// Cumulative snapshot activity, reported by [`ServiceStats`].
-    snapshot_tally: Mutex<SnapshotStats>,
 }
 
 impl Inner {
     fn tally_chase(&self, topology: &Topology, report: &VerifyReport) {
-        let spec = topology.spec();
         let outcome = if report.completed { "ok" } else { "blocked" };
-        // Per-chase registry lookup is fine here: tally_chase already
-        // serializes on the verify_by_topology mutex.
         self.obs
             .registry()
             .counter_with(
                 names::VERIFY_OUTCOMES,
-                &[("topology", &spec), ("outcome", outcome)],
+                &[("topology", &topology.spec()), ("outcome", outcome)],
             )
             .inc();
-        let mut tallies = self.verify_by_topology.lock();
-        let entry = tallies.entry(spec).or_insert((0, 0));
-        if report.completed {
-            entry.0 += 1;
-        } else {
-            entry.1 += 1;
-        }
     }
-}
-
-/// Cumulative snapshot-persistence counters, for [`ServiceStats`] and the
-/// `--summary` report. All-zero until the service loads or saves a
-/// snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SnapshotStats {
-    /// Snapshot imports that fully parsed and installed.
-    pub loads: u64,
-    /// Cached plan outcomes restored across all loads.
-    pub loaded_plans: u64,
-    /// Incremental seed inputs restored across all loads.
-    pub loaded_seeds: u64,
-    /// Entries dropped during loads (config-skewed, re-fingerprint
-    /// mismatches, plans without a surviving seed) — the loads themselves
-    /// still succeeded.
-    pub dropped: u64,
-    /// Whole snapshot loads rejected (corrupt, truncated, or
-    /// version-skewed files); nothing was installed and the service kept
-    /// serving cold.
-    pub load_rejected: u64,
-    /// Snapshots written.
-    pub saves: u64,
-    /// Bytes in the most recently written snapshot.
-    pub last_save_bytes: u64,
-    /// Cache hits served from snapshot-warmed entries
-    /// ([`CacheProvenance::Warm`]).
-    pub warm_hits: u64,
 }
 
 /// What one snapshot operation ([`AnalysisService::import_snapshot`] /
@@ -714,137 +647,6 @@ pub struct SnapshotReport {
     pub bytes: u64,
     /// Wall time of the operation, microseconds.
     pub micros: u64,
-}
-
-/// Aggregate service statistics (request latencies + cache counters).
-///
-/// Latency percentiles come from the lock-free log2-bucket
-/// `systolic_service_handle_duration_micros` histogram: an estimate is
-/// the inclusive upper bound of the bucket holding the ranked sample
-/// (capped by the exact max), so it **overestimates by less than 2× (one
-/// octave) and never underestimates**. Mean, count, and max are exact.
-#[derive(Clone, Debug)]
-pub struct ServiceStats {
-    /// Requests answered.
-    pub requests: u64,
-    /// Mean in-worker handling time, microseconds.
-    pub mean_micros: f64,
-    /// Median handling time, microseconds (histogram estimate, < 2×
-    /// overestimate, never an underestimate).
-    pub p50_micros: f64,
-    /// 99th-percentile handling time, microseconds (histogram estimate,
-    /// < 2× overestimate, never an underestimate).
-    pub p99_micros: f64,
-    /// Worst handling time, microseconds.
-    pub max_micros: u64,
-    /// Plan-cache counters.
-    pub cache: CacheStats,
-    /// Verification-arena LRU counters, summed across all chasing threads
-    /// (analysis workers and shared-scheduler workers alike).
-    pub arena_cache: ArenaCacheStats,
-    /// The arena residency budget every chasing thread's LRU enforces.
-    pub arena_budget: ArenaBudget,
-    /// The shared verify scheduler's cumulative fan-out counters; `None`
-    /// until it has fanned out at least once (in particular, always
-    /// `None` when `verify_threads == 0`).
-    pub scheduler: Option<SchedulerStats>,
-    /// Per-topology verification outcomes (spec order), populated when
-    /// the service chases plans (`verify` on).
-    pub verify_topologies: Vec<TopologyVerifyStats>,
-    /// Incremental edit-path counters (all-zero until the first `edit`).
-    pub incremental: IncrementalStats,
-    /// Snapshot persistence counters (all-zero until the first snapshot
-    /// load or save).
-    pub snapshot: SnapshotStats,
-}
-
-/// Renders an [`ArenaBudget`] for the summary table.
-fn budget_label(budget: ArenaBudget) -> String {
-    match budget {
-        ArenaBudget::Fixed(n) => format!("{n} arenas/thread"),
-        ArenaBudget::Auto => "auto (observed topologies)".to_owned(),
-        ArenaBudget::MemBytes(bytes) => format!("{bytes} bytes/thread"),
-    }
-}
-
-impl ServiceStats {
-    /// Renders the stats as a two-column report table.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(["metric", "value"]);
-        t.row(["requests", &self.requests.to_string()]);
-        t.row(["cache hits", &self.cache.hits.to_string()]);
-        t.row(["cache misses", &self.cache.misses.to_string()]);
-        t.row(["cache evictions", &self.cache.evictions.to_string()]);
-        t.row(["cache entries", &self.cache.entries.to_string()]);
-        t.row([
-            "hit rate",
-            &format!("{:.1}%", self.cache.hit_rate() * 100.0),
-        ]);
-        t.row(["latency mean (us)", &format!("{:.1}", self.mean_micros)]);
-        t.row(["latency p50 (us)", &format!("{:.1}", self.p50_micros)]);
-        t.row(["latency p99 (us)", &format!("{:.1}", self.p99_micros)]);
-        t.row(["latency max (us)", &self.max_micros.to_string()]);
-        let arenas = self.arena_cache;
-        if arenas.hits + arenas.misses > 0 {
-            t.row(["arena cache hits", &arenas.hits.to_string()]);
-            t.row(["arena cache misses", &arenas.misses.to_string()]);
-            t.row(["arena cache evictions", &arenas.evictions.to_string()]);
-            t.row([
-                "arena hit rate",
-                &format!("{:.1}%", arenas.hit_rate() * 100.0),
-            ]);
-            t.row(["arena cache budget", &budget_label(self.arena_budget)]);
-        }
-        if let Some(scheduler) = &self.scheduler {
-            t.row(["scheduler fan-outs", &scheduler.fanouts.to_string()]);
-            t.row(["scheduler coalesced jobs", &scheduler.items.to_string()]);
-            t.row([
-                "scheduler queue depth (max)",
-                &scheduler.max_fanout.to_string(),
-            ]);
-            t.row([
-                "scheduler distinct topologies",
-                &scheduler.distinct_topologies.to_string(),
-            ]);
-            for (spec, fanout) in &scheduler.per_topology {
-                t.row([
-                    &format!("fanout[{spec}]"),
-                    &format!("{} jobs / {} fan-outs", fanout.items, fanout.fanouts),
-                ]);
-            }
-        }
-        for topology in &self.verify_topologies {
-            t.row([
-                &format!("verify[{}]", topology.spec),
-                &format!("{} ok / {} blocked", topology.verified, topology.blocked),
-            ]);
-        }
-        let inc = self.incremental;
-        if inc.edits > 0 {
-            t.row(["incremental edits", &inc.edits.to_string()]);
-            t.row(["incremental reuse hits", &inc.reuse_hits.to_string()]);
-            t.row(["incremental fallbacks", &inc.fallbacks.to_string()]);
-            t.row(["incremental dirty cells", &inc.dirty_cells.to_string()]);
-            t.row(["incremental sessions", &inc.sessions.to_string()]);
-            t.row(["incremental session evictions", &inc.evictions.to_string()]);
-        }
-        let snap = self.snapshot;
-        if snap.loads + snap.saves + snap.load_rejected > 0 {
-            t.row(["snapshot loads", &snap.loads.to_string()]);
-            t.row(["snapshot plans restored", &snap.loaded_plans.to_string()]);
-            t.row(["snapshot seeds restored", &snap.loaded_seeds.to_string()]);
-            t.row(["snapshot entries dropped", &snap.dropped.to_string()]);
-            t.row(["snapshot loads rejected", &snap.load_rejected.to_string()]);
-            t.row(["snapshot saves", &snap.saves.to_string()]);
-            t.row([
-                "snapshot last save bytes",
-                &snap.last_save_bytes.to_string(),
-            ]);
-            t.row(["snapshot warm hits", &snap.warm_hits.to_string()]);
-        }
-        t
-    }
 }
 
 /// The sharded, cached, batch analysis service.
@@ -924,17 +726,11 @@ impl AnalysisService {
             config,
             obs,
             metrics,
-            scheduler_stats: Mutex::new(None),
-            verify_by_topology: Mutex::new(BTreeMap::new()),
-            seeds: ShardedCache::new(config.cache),
             edit_state: Mutex::new(EditState {
                 sessions: HashMap::new(),
                 tick: 0,
                 verifier: edit_verifier,
             }),
-            warm: Mutex::new(std::collections::HashSet::new()),
-            warm_active: std::sync::atomic::AtomicBool::new(false),
-            snapshot_tally: Mutex::new(SnapshotStats::default()),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -1005,10 +801,10 @@ impl AnalysisService {
 
     /// Applies an edit batch against `base` — the fingerprint of a
     /// previously served request or edit — through the incremental path:
-    /// the warm [`IncrementalSession`] for `base` (seeded from the
-    /// recorded request inputs when cold) reanalyzes the edited program
-    /// reusing every stage artifact its dirty set left valid, and the
-    /// session is re-keyed under the *edited* fingerprint so the next
+    /// the warm [`IncrementalSession`] for `base` (seeded from the request
+    /// inputs its plan-cache entry keeps when cold) reanalyzes the edited
+    /// program reusing every stage artifact its dirty set left valid, and
+    /// the session is re-keyed under the *edited* fingerprint so the next
     /// edit can chain on the returned [`AnalysisResponse::fingerprint`].
     ///
     /// The outcome (certified or rejected, with the same diagnostics a
@@ -1041,9 +837,11 @@ impl AnalysisService {
         let mut session = match state.sessions.remove(&base) {
             Some(slot) => slot.session,
             None => {
-                // Cold base: seed a fresh session from the recorded
-                // request inputs (full-analysis cost, once).
-                let Some(seed) = inner.seeds.get(base) else {
+                // Cold base: seed a fresh session from the request inputs
+                // its plan-cache entry keeps (full-analysis cost, once).
+                // A peek, so edits leave the plan cache's recency and
+                // counters alone.
+                let Some(seed) = inner.cache.peek(base).and_then(|entry| entry.seed) else {
                     tracer.finish(span);
                     return Err(EditRequestError::UnknownBase { base });
                 };
@@ -1181,29 +979,25 @@ impl AnalysisService {
 
     /// An owned snapshot of the metrics registry, with the plan-cache
     /// counters mirrored into the `systolic_plan_cache_*` export gauges
-    /// first — the one-stop input for `--metrics-file` and the `metrics`
-    /// wire op.
+    /// first — the one input for `--summary`, `--summary-json`,
+    /// `--metrics-file` and the `metrics` wire op.
     #[must_use]
     pub fn registry_snapshot(&self) -> RegistrySnapshot {
         let cache = self.inner.cache.stats();
-        let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let registry = self.inner.obs.registry();
-        registry
-            .gauge(names::PLAN_CACHE_HITS)
-            .set(clamp(cache.hits));
-        registry
-            .gauge(names::PLAN_CACHE_MISSES)
-            .set(clamp(cache.misses));
-        registry
-            .gauge(names::PLAN_CACHE_EVICTIONS)
-            .set(clamp(cache.evictions));
         let routes = self.route_cache_stats();
-        registry
-            .gauge(names::ROUTE_CACHE_HITS)
-            .set(clamp(routes.hits));
-        registry
-            .gauge(names::ROUTE_CACHE_MISSES)
-            .set(clamp(routes.misses));
+        let registry = self.inner.obs.registry();
+        for (name, value) in [
+            (names::PLAN_CACHE_HITS, cache.hits),
+            (names::PLAN_CACHE_MISSES, cache.misses),
+            (names::PLAN_CACHE_EVICTIONS, cache.evictions),
+            (names::PLAN_CACHE_ENTRIES, cache.entries as u64),
+            (names::ROUTE_CACHE_HITS, routes.hits),
+            (names::ROUTE_CACHE_MISSES, routes.misses),
+        ] {
+            registry
+                .gauge(name)
+                .set(i64::try_from(value).unwrap_or(i64::MAX));
+        }
         registry.snapshot()
     }
 
@@ -1236,139 +1030,50 @@ impl AnalysisService {
         total
     }
 
-    /// Counter snapshot of the incremental edit path: the
-    /// `systolic_analyzer_incremental_*` registry series plus the live
-    /// session-table occupancy. All-zero until the first
-    /// [`AnalysisService::apply_edit`].
-    #[must_use]
-    pub fn incremental_stats(&self) -> IncrementalStats {
-        let snapshot = self.inner.obs.registry().snapshot();
-        IncrementalStats {
-            edits: snapshot.counter_total(names::INCREMENTAL_EDITS),
-            reuse_hits: snapshot.counter_total(names::INCREMENTAL_HITS),
-            fallbacks: snapshot.counter_total(names::INCREMENTAL_FALLBACKS),
-            dirty_cells: snapshot.counter_total(names::INCREMENTAL_DIRTY_CELLS),
-            sessions: self.inner.edit_state.lock().sessions.len() as u64,
-            evictions: snapshot.counter_total(names::INCREMENTAL_SESSION_EVICTIONS),
-        }
-    }
-
     /// Counter snapshot of the verification-arena LRUs, summed across all
     /// chasing threads — every analysis worker's scheduler plus the
     /// shared scheduler's workers. All-zero unless the service chases
     /// plans (`verify` on).
     #[must_use]
     pub fn arena_cache_stats(&self) -> ArenaCacheStats {
-        // The ArenaLrus are the single writers of these series (every
-        // scheduler shares the one registry), so the registry totals
-        // cover all chases without double counting.
-        let snapshot = self.inner.obs.registry().snapshot();
-        ArenaCacheStats {
-            hits: snapshot.counter_total(names::ARENA_CACHE_HITS),
-            misses: snapshot.counter_total(names::ARENA_CACHE_MISSES),
-            evictions: snapshot.counter_total(names::ARENA_CACHE_EVICTIONS),
-        }
+        ArenaCacheStats::from_registry(&self.inner.obs.registry().snapshot())
     }
 
-    /// The shared verify scheduler's cumulative fan-out counters, as of
-    /// its most recent fan-out. `None` when each analysis worker chases
-    /// through its own scheduler (`verify_threads == 0`) or before the
-    /// first fan-out.
-    #[must_use]
-    pub fn scheduler_stats(&self) -> Option<SchedulerStats> {
-        self.inner.scheduler_stats.lock().clone()
-    }
-
-    /// Per-topology verification outcomes so far, in spec order. Empty
-    /// unless the service chases plans (`verify` on).
-    #[must_use]
-    pub fn verify_topology_stats(&self) -> Vec<TopologyVerifyStats> {
-        self.inner
-            .verify_by_topology
-            .lock()
-            .iter()
-            .map(|(spec, &(verified, blocked))| TopologyVerifyStats {
-                spec: spec.clone(),
-                verified,
-                blocked,
-            })
-            .collect()
-    }
-
-    /// Aggregate latency + cache statistics. Percentiles are log2-bucket
-    /// histogram estimates (< 2× overestimate, never an underestimate —
-    /// see [`ServiceStats`]); count, mean, and max are exact.
-    #[must_use]
-    pub fn stats(&self) -> ServiceStats {
-        // Three atomic-array reads — no lock, no sort, regardless of how
-        // many requests have been served.
-        let latency = self.inner.metrics.handle_micros.snapshot();
-        ServiceStats {
-            requests: latency.count,
-            mean_micros: latency.mean(),
-            p50_micros: latency.quantile(0.5) as f64,
-            p99_micros: latency.quantile(0.99) as f64,
-            max_micros: latency.max,
-            cache: self.inner.cache.stats(),
-            arena_cache: self.arena_cache_stats(),
-            arena_budget: self.inner.config.arena_budget(),
-            scheduler: self.scheduler_stats(),
-            verify_topologies: self.verify_topology_stats(),
-            incremental: self.incremental_stats(),
-            snapshot: self.snapshot_stats(),
-        }
-    }
-
-    /// Cumulative snapshot-persistence counters (all-zero until the first
-    /// snapshot load or save).
-    #[must_use]
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        let mut stats = *self.inner.snapshot_tally.lock();
-        stats.warm_hits = self.inner.metrics.snapshot_warm_hits.get();
-        stats
-    }
-
-    /// Stages the current warm state — every cached plan outcome plus the
-    /// recorded seed inputs — for serialization. Plans whose seed entry
-    /// was independently evicted carry no reconstructable request inputs
-    /// and are skipped (counted under `systolic_service_snapshot_dropped_total`,
-    /// reason `export-missing-seed`).
+    /// Stages the current warm state — every cached plan outcome with the
+    /// request inputs its entry keeps — for serialization. An entry whose
+    /// analysis panicked before its topology compiled has no inputs to
+    /// re-fingerprint on load and is skipped (counted under
+    /// `systolic_service_snapshot_dropped_total`, reason
+    /// `export-missing-seed`).
     fn export_snapshot_data(&self) -> snapshot::SnapshotData {
-        let mut config_hashes: HashMap<u128, u128> = HashMap::new();
-        let mut seeds = Vec::new();
-        for (fingerprint, seed) in self.inner.seeds.entries() {
+        let mut data = snapshot::SnapshotData::default();
+        let mut skipped = 0u64;
+        for (fingerprint, entry) in self.inner.cache.entries() {
+            let Some(seed) = entry.seed else {
+                skipped += 1;
+                continue;
+            };
             let config = seed.compiled.config().clone();
-            config_hashes.insert(fingerprint, config.content_hash());
-            seeds.push(snapshot::SeedEntry {
+            data.plans.push(snapshot::PlanEntry {
+                fingerprint,
+                config_hash: config.content_hash(),
+                outcome: entry.outcome,
+            });
+            data.seeds.push(snapshot::SeedEntry {
                 fingerprint,
                 program: seed.program.clone(),
                 topology: seed.compiled.topology().clone(),
                 config,
             });
         }
-        let mut plans = Vec::new();
-        let mut skipped = 0u64;
-        for (fingerprint, outcome) in self.inner.cache.entries() {
-            match config_hashes.get(&fingerprint) {
-                Some(&config_hash) => plans.push(snapshot::PlanEntry {
-                    fingerprint,
-                    config_hash,
-                    outcome,
-                }),
-                None => skipped += 1,
-            }
-        }
         if skipped > 0 {
-            self.inner
-                .obs
-                .registry()
-                .counter_with(
-                    names::SNAPSHOT_DROPPED,
-                    &[("reason", "export-missing-seed")],
-                )
+            let reason = [("reason", "export-missing-seed")];
+            let registry = self.inner.obs.registry();
+            registry
+                .counter_with(names::SNAPSHOT_DROPPED, &reason)
                 .add(skipped);
         }
-        snapshot::SnapshotData { plans, seeds }
+        data
     }
 
     /// Serializes the service's warm state into the versioned snapshot
@@ -1378,16 +1083,17 @@ impl AnalysisService {
         snapshot::write_snapshot(&self.export_snapshot_data())
     }
 
-    /// Parses `bytes` as a snapshot and installs its entries into the
-    /// plan and seed caches.
+    /// Parses `bytes` as a snapshot and installs each plan, paired with
+    /// its seed, as one plan-cache entry.
     ///
     /// The whole file is decoded and validated *before* anything is
     /// installed: a corrupt, truncated, or version-skewed snapshot
     /// returns a typed [`SnapshotError`], installs nothing, and leaves
     /// the service serving cold. Per-entry skew — a seed that no longer
     /// re-fingerprints to its recorded key, a plan whose config hash
-    /// mismatches its seed's, or a plan whose fingerprint is already
-    /// cached — is dropped and counted, never an error.
+    /// mismatches its seed's or that has no seed, a seed that no plan
+    /// claims, or a plan or seed whose fingerprint is already cached or
+    /// repeated — is dropped and counted, never an error.
     pub fn import_snapshot(&self, bytes: &[u8]) -> Result<SnapshotReport, SnapshotError> {
         let start = Instant::now();
         let registry = self.inner.obs.registry();
@@ -1395,105 +1101,80 @@ impl AnalysisService {
             Ok(data) => data,
             Err(error) => {
                 registry.counter(names::SNAPSHOT_LOAD_REJECTED).inc();
-                self.inner.snapshot_tally.lock().load_rejected += 1;
                 return Err(error);
             }
         };
-        let mut dropped = [
-            ("refingerprint", 0u64),
-            ("config-skew", 0u64),
-            ("missing-seed", 0u64),
-            ("already-cached", 0u64),
-        ];
-        let mut config_hashes: HashMap<u128, u128> = HashMap::new();
-        let mut loaded_seeds = 0u64;
+        // Entries dropped, by `reason` label.
+        let mut dropped: HashMap<&str, u64> = HashMap::new();
+        let mut drop_one = |reason| *dropped.entry(reason).or_default() += 1;
+        // Each seed until a plan claims it; `None` once one has.
+        let mut seeds: HashMap<u128, Option<snapshot::SeedEntry>> = HashMap::new();
         for seed in data.seeds {
             // A seed that no longer fingerprints to its recorded key was
             // written by an incompatible build (or corrupted in a way the
             // section hash cannot see); installing it would seed wrong
-            // sessions, so drop it.
-            let recomputed = request_fingerprint(&seed.program, &seed.topology, &seed.config);
-            if recomputed != seed.fingerprint {
-                dropped[0].1 += 1;
+            // sessions, so drop it. Of repeated fingerprints, the first
+            // copy holds the slot.
+            if request_fingerprint(&seed.program, &seed.topology, &seed.config) != seed.fingerprint
+            {
+                drop_one("refingerprint");
+            } else if let Entry::Vacant(slot) = seeds.entry(seed.fingerprint) {
+                slot.insert(Some(seed));
+            } else {
+                drop_one("already-cached");
+            }
+        }
+        let mut loaded = 0u64;
+        for plan in data.plans {
+            let Some(slot) = seeds.get_mut(&plan.fingerprint) else {
+                drop_one("missing-seed");
+                continue;
+            };
+            // An earlier copy of this plan may have claimed the seed.
+            let Some(seed) = slot.take() else {
+                drop_one("already-cached");
+                continue;
+            };
+            if seed.config.content_hash() != plan.config_hash {
+                drop_one("config-skew");
                 continue;
             }
-            let key = CompiledTopology::fingerprint_of(&seed.topology, &seed.config);
-            let compiled = match self.inner.compilations.get(key) {
-                Some(compiled) => compiled,
-                None => {
-                    let built =
-                        CompiledTopology::compile(&seed.topology, &seed.config).into_shared();
-                    self.inner.compilations.insert(key, built).0
-                }
-            };
-            config_hashes.insert(seed.fingerprint, seed.config.content_hash());
-            let _ = self.inner.seeds.insert(
-                seed.fingerprint,
-                Arc::new(SeedInputs {
+            let entry = CacheEntry {
+                outcome: plan.outcome,
+                seed: Some(Arc::new(SeedInputs {
+                    compiled: compiled_for(&self.inner, &seed.topology, &seed.config),
                     program: seed.program,
-                    compiled,
-                }),
-            );
-            loaded_seeds += 1;
-        }
-        let mut loaded_plans = 0u64;
-        {
-            let mut warm = self.inner.warm.lock();
-            for plan in data.plans {
-                match config_hashes.get(&plan.fingerprint) {
-                    Some(&hash) if hash == plan.config_hash => {
-                        // First writer wins: an outcome this process
-                        // already computed beats the snapshot's copy, and
-                        // its hits keep reporting plain `Hit`.
-                        let (_, installed) =
-                            self.inner.cache.insert(plan.fingerprint, plan.outcome);
-                        if installed {
-                            warm.insert(plan.fingerprint);
-                            loaded_plans += 1;
-                        } else {
-                            dropped[3].1 += 1;
-                        }
-                    }
-                    Some(_) => dropped[1].1 += 1,
-                    None => dropped[2].1 += 1,
-                }
+                })),
+                restored: true,
+            };
+            // First writer wins: an outcome this process already computed
+            // beats the snapshot's copy, and its hits keep reporting
+            // plain `Hit`.
+            if self.inner.cache.insert(plan.fingerprint, entry).1 {
+                loaded += 1;
+            } else {
+                drop_one("already-cached");
             }
         }
-        if loaded_plans > 0 {
-            self.inner
-                .warm_active
-                // lint: relaxed-ok(one-way flag; the warm set itself is published under its lock)
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+        // A seed that no plan claims has no outcome to serve.
+        for _orphan in seeds.values().flatten() {
+            drop_one("missing-plan");
         }
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        registry
-            .counter(names::SNAPSHOT_LOADED_PLANS)
-            .add(loaded_plans);
-        registry
-            .counter(names::SNAPSHOT_LOADED_SEEDS)
-            .add(loaded_seeds);
-        let mut total_dropped = 0u64;
+        registry.counter(names::SNAPSHOT_LOADED_PLANS).add(loaded);
+        registry.counter(names::SNAPSHOT_LOADED_SEEDS).add(loaded);
+        let total_dropped = dropped.values().sum();
         for (reason, count) in dropped {
-            if count > 0 {
-                registry
-                    .counter_with(names::SNAPSHOT_DROPPED, &[("reason", reason)])
-                    .add(count);
-                total_dropped += count;
-            }
+            registry
+                .counter_with(names::SNAPSHOT_DROPPED, &[("reason", reason)])
+                .add(count);
         }
         registry
             .histogram(names::SNAPSHOT_LOAD_DURATION)
             .record(micros);
-        {
-            let mut tally = self.inner.snapshot_tally.lock();
-            tally.loads += 1;
-            tally.loaded_plans += loaded_plans;
-            tally.loaded_seeds += loaded_seeds;
-            tally.dropped += total_dropped;
-        }
         Ok(SnapshotReport {
-            plans: loaded_plans,
-            seeds: loaded_seeds,
+            plans: loaded,
+            seeds: loaded,
             dropped: total_dropped,
             bytes: bytes.len() as u64,
             micros,
@@ -1518,11 +1199,6 @@ impl AnalysisService {
         registry
             .histogram(names::SNAPSHOT_SAVE_DURATION)
             .record(micros);
-        {
-            let mut tally = self.inner.snapshot_tally.lock();
-            tally.saves += 1;
-            tally.last_save_bytes = bytes.len() as u64;
-        }
         Ok(SnapshotReport {
             plans,
             seeds,
@@ -1544,7 +1220,6 @@ impl AnalysisService {
                     .registry()
                     .counter(names::SNAPSHOT_LOAD_REJECTED)
                     .inc();
-                self.inner.snapshot_tally.lock().load_rejected += 1;
                 return Err(SnapshotError::Io(error));
             }
         };
@@ -1627,7 +1302,6 @@ fn scheduler_loop(inner: &Inner) {
             jobs.iter()
                 .map(|job| (&job.program, &job.compiled, &job.plan)),
         );
-        *inner.scheduler_stats.lock() = Some(scheduler.stats().clone());
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
             // A dropped reply means the requesting worker is gone
             // (shutdown).
@@ -1691,35 +1365,37 @@ fn handle(
     let ctx = span.ctx();
     let fingerprint = request_fingerprint(&request.program, &request.topology, &request.config);
     let (outcome, provenance) = match inner.cache.get(fingerprint) {
-        Some(outcome)
-            // lint: relaxed-ok(one-way flag; the warm set is published under its own lock)
-            if inner.warm_active.load(Ordering::Relaxed)
-                && inner.warm.lock().contains(&fingerprint) =>
-        {
+        Some(entry) if entry.restored => {
             inner.metrics.snapshot_warm_hits.inc();
-            (outcome, CacheProvenance::Warm)
+            (entry.outcome, CacheProvenance::Warm)
         }
-        Some(outcome) => (outcome, CacheProvenance::Hit),
+        Some(entry) => (entry.outcome, CacheProvenance::Hit),
         None => {
             // catch_unwind so a panic in the analysis of one (possibly
             // hostile) request rejects that request instead of killing
             // the worker and, via the dropped reply channel, the client.
             // (Replay panics are already contained — and their arena
             // dropped — inside the verify scheduler.)
+            let mut seed = None;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                compute(inner, &request, fingerprint, verifier, ctx)
+                compute(inner, &request, verifier, ctx, &mut seed)
             }));
-            let computed: ServiceOutcome = Arc::new(match result {
+            let outcome: ServiceOutcome = Arc::new(match result {
                 Ok(outcome) => outcome,
                 Err(panic) => Err(Rejection {
                     error: ServiceError::Panicked(panic_message(&panic)),
                     diagnostics: Vec::new(),
                 }),
             });
+            let entry = CacheEntry {
+                outcome,
+                seed,
+                restored: false,
+            };
             // First writer wins: racing workers converge on one entry and
             // one shared outcome.
-            let (winner, _inserted) = inner.cache.insert(fingerprint, computed);
-            (winner, CacheProvenance::Miss)
+            let (winner, _inserted) = inner.cache.insert(fingerprint, entry);
+            (winner.outcome, CacheProvenance::Miss)
         }
     };
     let handle_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1814,39 +1490,41 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The shared compilation for a request's `(topology, config)` pair:
-/// served from the compilation cache, compiled and published on a miss
-/// (first writer wins, as with the plan cache).
-fn compiled_for(inner: &Inner, request: &AnalysisRequest) -> Arc<CompiledTopology> {
-    let key = CompiledTopology::fingerprint_of(&request.topology, &request.config);
+/// The shared compilation for a `(topology, config)` pair: served from
+/// the compilation cache, compiled and published on a miss (first writer
+/// wins, as with the plan cache).
+fn compiled_for(
+    inner: &Inner,
+    topology: &Topology,
+    config: &AnalysisConfig,
+) -> Arc<CompiledTopology> {
+    let key = CompiledTopology::fingerprint_of(topology, config);
     match inner.compilations.get(key) {
         Some(compiled) => compiled,
         None => {
-            let built = CompiledTopology::compile(&request.topology, &request.config).into_shared();
+            let built = CompiledTopology::compile(topology, config).into_shared();
             inner.compilations.insert(key, built).0
         }
     }
 }
 
+/// Analyzes (and, with `verify` on, chases) one plan-cache miss. The
+/// request inputs go to `seed` as soon as the topology compiled, so the
+/// cache entry keeps them even if the analysis panics later: an `edit`
+/// can still name this fingerprint as its base.
 fn compute(
     inner: &Inner,
     request: &AnalysisRequest,
-    fingerprint: u128,
     verifier: &mut VerifyScheduler,
     ctx: SpanCtx,
+    seed: &mut Option<Arc<SeedInputs>>,
 ) -> Result<Certified, Rejection> {
     let start = Instant::now();
-    let compiled = compiled_for(inner, request);
-    // Record the request inputs (first writer wins) so a later `edit`
-    // naming this fingerprint as its base can seed an incremental session
-    // even when no warm session exists.
-    let _ = inner.seeds.insert(
-        fingerprint,
-        Arc::new(SeedInputs {
-            program: request.program.clone(),
-            compiled: Arc::clone(&compiled),
-        }),
-    );
+    let compiled = compiled_for(inner, &request.topology, &request.config);
+    *seed = Some(Arc::new(SeedInputs {
+        program: request.program.clone(),
+        compiled: Arc::clone(&compiled),
+    }));
     let analyzer = Analyzer::new(Arc::clone(&compiled)).with_obs(Arc::clone(&inner.obs));
     let (result, diagnostics) = analyzer
         .diagnose_in(&request.program, Some(ctx))
@@ -1915,12 +1593,33 @@ fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::{summary_table, tests::rows, RunTotals};
     use systolic_core::Lookahead;
     use systolic_model::parse_program;
     use systolic_workloads::{fig7, fig7_topology, fig9, fig9_topology};
 
     fn fig7_request() -> AnalysisRequest {
         AnalysisRequest::new("fig7", fig7(3), fig7_topology())
+    }
+
+    fn fig7_times(reps: usize) -> AnalysisRequest {
+        AnalysisRequest::new(format!("fig7x{reps}"), fig7(reps), fig7_topology())
+    }
+
+    /// One counter, summed across its label series, from the registry the
+    /// summary renders.
+    fn counter(service: &AnalysisService, name: &str) -> u64 {
+        service.registry_snapshot().counter_total(name)
+    }
+
+    /// Fails unless the `--summary` table has every `label = value` row.
+    fn assert_summary(service: &AnalysisService, expected: &[&str]) {
+        let budget = service.inner.config.arena_budget();
+        let run = RunTotals::default();
+        let rows = rows(&summary_table(&service.registry_snapshot(), budget, &run));
+        for row in expected {
+            assert!(rows.iter().any(|r| r == row), "{row:?} not in {rows:#?}");
+        }
     }
 
     #[test]
@@ -2080,7 +1779,7 @@ mod tests {
     fn scheduler_reports_coalesced_mixed_topology_fanouts() {
         // Mixed fig7/fig9 misses through the scheduler: every chase is
         // accounted to a fan-out, and the summary grows the scheduler
-        // block with per-topology rows.
+        // block.
         let config = ServiceConfig {
             verify: true,
             verify_threads: 2,
@@ -2101,27 +1800,16 @@ mod tests {
         let responses = service.run_batch(requests);
         assert!(responses.iter().all(AnalysisResponse::is_certified));
 
-        let scheduler = service.scheduler_stats().expect("scheduler fanned out");
-        assert_eq!(scheduler.items, 5, "every chase coalesced: {scheduler:?}");
-        assert!(
-            scheduler.fanouts >= 1 && scheduler.fanouts <= 5,
-            "{scheduler:?}"
+        let fanouts = counter(&service, names::SCHED_FANOUTS);
+        assert!((1..=5).contains(&fanouts), "{fanouts} fan-outs");
+        assert_summary(
+            &service,
+            &[
+                &format!("scheduler fan-outs = {fanouts}"),
+                "scheduler coalesced jobs = 5",
+                "arena cache budget = 4 arenas/thread",
+            ],
         );
-        assert_eq!(scheduler.distinct_topologies, 2, "{scheduler:?}");
-        let per_topology_items: u64 = scheduler.per_topology.values().map(|f| f.items).sum();
-        assert_eq!(per_topology_items, 5, "{scheduler:?}");
-        assert!(scheduler.max_fanout >= 1, "{scheduler:?}");
-
-        let text = service.stats().table().to_text();
-        assert!(text.contains("scheduler fan-outs"), "{text}");
-        assert!(text.contains("scheduler coalesced jobs"), "{text}");
-        assert!(text.contains("scheduler queue depth (max)"), "{text}");
-        assert!(text.contains("scheduler distinct topologies"), "{text}");
-        assert!(
-            text.contains(&format!("fanout[{}]", fig7_topology().spec())),
-            "{text}"
-        );
-        assert!(text.contains("arena cache budget"), "{text}");
     }
 
     #[test]
@@ -2232,15 +1920,6 @@ mod tests {
             ArenaBudget::MemBytes(1 << 20),
             "a byte budget takes precedence over capacity"
         );
-        // The budget row renders once a chase has exercised the arenas.
-        let service = AnalysisService::new(ServiceConfig {
-            verify: true,
-            arena_cache_capacity: 0,
-            ..Default::default()
-        });
-        assert!(service.submit(fig7_request()).wait().is_certified());
-        let text = service.stats().table().to_text();
-        assert!(text.contains("auto (observed topologies)"), "{text}");
     }
 
     #[test]
@@ -2283,6 +1962,10 @@ mod tests {
         assert_eq!(
             arenas.evictions, 0,
             "auto budget keeps both warm: {arenas:?}"
+        );
+        assert_summary(
+            &service,
+            &["arena cache budget = auto (observed topologies)"],
         );
     }
 
@@ -2339,27 +2022,14 @@ mod tests {
         p2.config.lookahead = Lookahead::Unbounded;
         assert!(service.submit(p2).wait().is_certified());
 
-        let stats = service.stats();
-        assert_eq!(
-            stats.verify_topologies,
-            vec![
-                TopologyVerifyStats {
-                    spec: "linear:2".into(),
-                    verified: 0,
-                    blocked: 1
-                },
-                TopologyVerifyStats {
-                    spec: fig7_topology().spec(),
-                    verified: 2,
-                    blocked: 0
-                },
-            ]
+        assert_summary(
+            &service,
+            &[
+                "verify[linear:2] = 0 ok / 1 blocked",
+                &format!("verify[{}] = 2 ok / 0 blocked", fig7_topology().spec()),
+                "arena cache hits = 1",
+            ],
         );
-        let text = stats.table().to_text();
-        assert!(text.contains("verify[linear:2]"), "{text}");
-        assert!(text.contains("0 ok / 1 blocked"), "{text}");
-        assert!(text.contains("2 ok / 0 blocked"), "{text}");
-        assert!(text.contains("arena cache hits"), "{text}");
     }
 
     #[test]
@@ -2489,31 +2159,32 @@ mod tests {
             assert_eq!(r.name, format!("req-{i}"));
             assert!(r.is_certified());
         }
-        let stats = service.stats();
-        assert_eq!(stats.requests, 20);
+        assert_eq!(counter(&service, names::SERVICE_REQUESTS), 20);
         // 20 identical requests: at least one miss, and once cached every
         // later request hits. (More than one miss is possible only if
         // several workers raced the first fill.)
-        let hits = stats.cache.hits;
-        assert!(hits >= 1, "some requests must hit");
+        assert!(service.cache_stats().hits >= 1, "some requests must hit");
         assert_eq!(service.cache_entries(), 1);
     }
 
     #[test]
     fn batch_misses_share_one_compilation() {
         // 16 distinct programs on one topology: 16 plan-cache misses but a
-        // single topology compilation, shared across the batch.
-        let service = AnalysisService::new(ServiceConfig::default());
-        let requests: Vec<AnalysisRequest> = (1..=16)
-            .map(|reps| AnalysisRequest::new(format!("fig7x{reps}"), fig7(reps), fig7_topology()))
-            .collect();
+        // single published topology compilation, shared across the batch.
+        let config = ServiceConfig::default();
+        let service = AnalysisService::new(config);
+        let requests: Vec<AnalysisRequest> = (1..=16).map(fig7_times).collect();
         let responses = service.run_batch(requests);
         assert!(responses.iter().all(AnalysisResponse::is_certified));
         assert_eq!(service.cache_entries(), 16);
         let stats = service.compilation_cache_stats();
         assert_eq!(stats.insertions, 1, "one compilation for the whole batch");
         assert_eq!(stats.entries, 1);
-        assert!(stats.hits >= 15, "later misses reuse the compilation");
+        // One compilation lookup per plan miss. Workers that race the
+        // first fill may each miss (first writer wins the insert), but no
+        // more than once each.
+        assert_eq!(stats.hits + stats.misses, 16, "{stats:?}");
+        assert!(stats.misses <= config.workers as u64, "{stats:?}");
 
         // A different topology (or config) compiles separately.
         let mut other = AnalysisRequest::new("fig9", fig9(), fig9_topology());
@@ -2585,16 +2256,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_table_renders() {
-        let service = AnalysisService::new(ServiceConfig::default());
-        let _ = service.submit(fig7_request()).wait();
-        let table = service.stats().table();
-        let text = table.to_text();
-        assert!(text.contains("requests"));
-        assert!(text.contains("hit rate"));
-    }
-
-    #[test]
     fn responses_carry_distinct_trace_ids_with_request_spans() {
         let service = AnalysisService::new(ServiceConfig::default());
         let mut ids = Vec::new();
@@ -2643,15 +2304,17 @@ mod tests {
             .iter()
             .map(|response| response.handle_micros)
             .collect();
-        let stats = service.stats();
+        let latency = service
+            .registry_snapshot()
+            .histogram_value(names::SERVICE_HANDLE_DURATION, &[]);
         let count = samples.len() as u64;
         samples.sort_unstable();
-        assert_eq!(stats.requests, count);
-        assert_eq!(stats.max_micros, samples[samples.len() - 1]);
-        for (q, estimate) in [(0.5, stats.p50_micros), (0.99, stats.p99_micros)] {
+        assert_eq!(latency.count, count);
+        assert_eq!(latency.max, samples[samples.len() - 1]);
+        for q in [0.5, 0.99] {
             let rank = ((q * count as f64).ceil() as usize).clamp(1, count as usize);
             let exact = samples[rank - 1];
-            let estimate = estimate as u64;
+            let estimate = latency.quantile(q);
             assert!(
                 estimate >= exact,
                 "histogram q={q} must never underestimate: {estimate} < {exact}"
@@ -2703,6 +2366,7 @@ mod tests {
         assert_eq!(arenas.hits, 2);
         // Plan-cache counters are mirrored into export gauges on snapshot.
         assert_eq!(snapshot.gauge_value(names::PLAN_CACHE_MISSES, &[]), 3);
+        assert_eq!(snapshot.gauge_value(names::PLAN_CACHE_ENTRIES, &[]), 3);
         assert!(snapshot.gauge_value(names::HW_THREADS, &[]) >= 1);
         // Queue drained: depth gauge returns to zero.
         assert_eq!(snapshot.gauge_value(names::SERVICE_QUEUE_DEPTH, &[]), 0);
@@ -2811,9 +2475,8 @@ mod tests {
         assert_ne!(second.response.fingerprint, first.response.fingerprint);
         // Both edits ran warm (the second from the stored session).
         assert!(second.reuse.reused_routes);
-        let stats = service.incremental_stats();
-        assert_eq!(stats.edits, 2);
-        assert!(stats.reuse_hits >= 1);
+        assert_eq!(counter(&service, names::INCREMENTAL_EDITS), 2);
+        assert!(counter(&service, names::INCREMENTAL_HITS) >= 1);
     }
 
     #[test]
@@ -2882,19 +2545,17 @@ mod tests {
                 &[append("c2", true, "A"), append("c3", false, "A")],
             )
             .is_ok());
-        let stats = service.incremental_stats();
-        assert_eq!(stats.sessions, 1);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.edits, 2);
+        assert_summary(
+            &service,
+            &[
+                "incremental sessions = 1",
+                "incremental session evictions = 1",
+                "incremental edits = 2",
+            ],
+        );
         // An evicted base is still editable — it cold-seeds from the
-        // recorded request inputs instead of failing.
+        // request inputs its plan-cache entry keeps instead of failing.
         assert!(service.apply_edit("ea2", a.fingerprint, &balanced).is_ok());
-
-        // The summary table surfaces the incremental rows once edits ran.
-        let text = service.stats().table().to_text();
-        assert!(text.contains("incremental edits"), "{text}");
-        assert!(text.contains("incremental sessions"), "{text}");
-        assert!(text.contains("incremental session evictions"), "{text}");
     }
 
     #[test]
@@ -2997,12 +2658,16 @@ mod tests {
         // observable across a whole replayed batch.
         let again = restarted.submit(fig7_request()).wait();
         assert_eq!(again.provenance, CacheProvenance::Warm);
-        let stats = restarted.snapshot_stats();
-        assert_eq!(stats.loads, 1);
-        assert_eq!(stats.loaded_plans, 5);
-        assert_eq!(stats.loaded_seeds, 5);
-        assert_eq!(stats.load_rejected, 0);
-        assert!(stats.warm_hits >= 6);
+        assert_summary(
+            &restarted,
+            &[
+                "snapshot loads = 1",
+                "snapshot plans restored = 5",
+                "snapshot seeds restored = 5",
+                "snapshot loads rejected = 0",
+                "snapshot warm hits = 6",
+            ],
+        );
     }
 
     #[test]
@@ -3019,10 +2684,14 @@ mod tests {
         assert_eq!(restarted.cache_entries(), 0);
         let response = restarted.submit(fig7_request()).wait();
         assert_eq!(response.provenance, CacheProvenance::Miss);
-        let stats = restarted.snapshot_stats();
-        assert_eq!(stats.load_rejected, 1);
-        assert_eq!(stats.loads, 0);
-        assert_eq!(stats.loaded_plans, 0);
+        assert_summary(
+            &restarted,
+            &[
+                "snapshot loads rejected = 1",
+                "snapshot loads = 0",
+                "snapshot plans restored = 0",
+            ],
+        );
     }
 
     #[test]
@@ -3039,7 +2708,7 @@ mod tests {
         // and — the guarantee under test — zero partial application.
         let _ = error;
         assert_eq!(restarted.cache_entries(), 0);
-        assert_eq!(restarted.snapshot_stats().load_rejected, 1);
+        assert_eq!(counter(&restarted, names::SNAPSHOT_LOAD_REJECTED), 1);
         let response = restarted.submit(fig7_request()).wait();
         assert_eq!(response.provenance, CacheProvenance::Miss);
     }
@@ -3058,8 +2727,9 @@ mod tests {
         let restarted = AnalysisService::new(ServiceConfig::default());
         let report = restarted.import_snapshot(&bytes).expect("load succeeds");
         assert_eq!(report.plans, 4, "the skewed entry is dropped, not fatal");
+        assert_eq!(report.seeds, 4, "its seed goes with it");
         assert_eq!(report.dropped, 1);
-        assert_eq!(restarted.snapshot_stats().dropped, 1);
+        assert_eq!(counter(&restarted, names::SNAPSHOT_DROPPED), 1);
         assert_eq!(
             restarted
                 .registry_snapshot()
@@ -3086,6 +2756,87 @@ mod tests {
         assert_eq!(again.provenance, CacheProvenance::Hit);
     }
 
+    /// One worker and a one-shard, two-entry plan cache, so the LRU order
+    /// of a request sequence is exact.
+    fn two_entry_cache() -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            cache: CacheConfig {
+                shards: 1,
+                capacity_per_shard: 2,
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_hot_plan_keeps_its_seed() {
+        let service = AnalysisService::new(two_entry_cache());
+        let hot = service.submit(fig7_times(1)).wait();
+        let _ = service.submit(fig7_times(2)).wait();
+        assert_eq!(
+            service.submit(fig7_times(1)).wait().provenance,
+            CacheProvenance::Hit
+        );
+        // Evicts fig7x2, the least recently *used* entry.
+        let _ = service.submit(fig7_times(3)).wait();
+
+        let data = snapshot::read_snapshot(&service.export_snapshot()).unwrap();
+        assert!(data.plans.iter().any(|p| p.fingerprint == hot.fingerprint));
+        assert!(data.seeds.iter().any(|s| s.fingerprint == hot.fingerprint));
+        let balanced = [append("c1", true, "C"), append("c4", false, "C")];
+        let edit = service.apply_edit("e", hot.fingerprint, &balanced);
+        assert!(edit.is_ok(), "{:?}", edit.err());
+    }
+
+    #[test]
+    fn a_recomputed_entry_is_not_warm() {
+        let donor = AnalysisService::new(two_entry_cache());
+        let _ = donor.run_batch(vec![fig7_times(1), fig7_times(2)]);
+        let service = AnalysisService::new(two_entry_cache());
+        let report = service.import_snapshot(&donor.export_snapshot()).unwrap();
+        assert_eq!(report.plans, 2);
+        let served = |reps| service.submit(fig7_times(reps)).wait().provenance;
+        assert_eq!(served(1), CacheProvenance::Warm);
+        // Two fresh misses evict both restored entries.
+        assert_eq!(served(3), CacheProvenance::Miss);
+        assert_eq!(served(4), CacheProvenance::Miss);
+        assert_eq!(served(1), CacheProvenance::Miss, "recomputed here");
+        assert_eq!(served(1), CacheProvenance::Hit, "not restored anymore");
+        assert_eq!(counter(&service, names::SNAPSHOT_WARM_HITS), 1);
+    }
+
+    #[test]
+    fn an_orphan_seed_is_dropped() {
+        let warm_source = AnalysisService::new(ServiceConfig::default());
+        let _ = warm_source.run_batch(snapshot_working_set());
+        let mut data = snapshot::read_snapshot(&warm_source.export_snapshot()).unwrap();
+        let orphan = data.plans.pop().unwrap().fingerprint;
+        assert!(data.seeds.iter().any(|s| s.fingerprint == orphan));
+        // Repeated fingerprints: the first copy of each wins.
+        data.plans.push(data.plans[0].clone());
+        data.seeds.push(data.seeds[0].clone());
+        let bytes = snapshot::write_snapshot(&data);
+
+        let restarted = AnalysisService::new(ServiceConfig::default());
+        let report = restarted.import_snapshot(&bytes).expect("load succeeds");
+        assert_eq!((report.plans, report.seeds, report.dropped), (4, 4, 3));
+        assert_eq!(restarted.cache_entries(), 4);
+        let snapshot = restarted.registry_snapshot();
+        for (reason, dropped) in [("missing-plan", 1), ("already-cached", 2)] {
+            let labels = [("reason", reason)];
+            assert_eq!(
+                snapshot.counter_value(names::SNAPSHOT_DROPPED, &labels),
+                dropped
+            );
+        }
+        assert_eq!(
+            restarted.apply_edit("e", orphan, &[]).unwrap_err(),
+            EditRequestError::UnknownBase { base: orphan },
+            "an orphan seed installs nothing"
+        );
+    }
+
     #[test]
     fn save_and_load_roundtrip_via_files() {
         let path = std::env::temp_dir().join(format!(
@@ -3097,9 +2848,10 @@ mod tests {
         let _ = warm_source.run_batch(snapshot_working_set());
         let saved = warm_source.save_snapshot(&path).expect("saves");
         assert_eq!(saved.plans, 5);
+        assert_eq!(saved.seeds, 5);
         assert!(saved.bytes > 0);
-        assert_eq!(warm_source.snapshot_stats().saves, 1);
-        assert_eq!(warm_source.snapshot_stats().last_save_bytes, saved.bytes);
+        let bytes = format!("snapshot last save bytes = {}", saved.bytes);
+        assert_summary(&warm_source, &["snapshot saves = 1", &bytes]);
 
         let restarted = AnalysisService::new(ServiceConfig::default());
         let loaded = restarted.load_snapshot(&path).expect("loads");
@@ -3112,6 +2864,6 @@ mod tests {
         let cold = AnalysisService::new(ServiceConfig::default());
         let error = cold.load_snapshot(&path).expect_err("missing file");
         assert!(matches!(error, SnapshotError::Io(_)), "{error:?}");
-        assert_eq!(cold.snapshot_stats().load_rejected, 1);
+        assert_eq!(counter(&cold, names::SNAPSHOT_LOAD_REJECTED), 1);
     }
 }

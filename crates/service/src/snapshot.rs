@@ -1,10 +1,11 @@
 //! Versioned binary snapshot of the daemon's warm state.
 //!
-//! A snapshot persists the two caches a restarted daemon wants back
-//! immediately: the plan cache (`fingerprint → certified plan | cached
-//! rejection`, each with its diagnostics) and the recorded incremental
-//! seed inputs (`fingerprint → program + topology + config`, the material
-//! `edit` requests re-seed sessions from). Certificates are *static
+//! A snapshot persists the plan cache a restarted daemon wants back
+//! immediately, as two sections keyed by the same fingerprints: the
+//! outcomes (`fingerprint → certified plan | cached rejection`, each with
+//! its diagnostics) and the seed inputs each cache entry keeps
+//! (`fingerprint → program + topology + config`, the material `edit`
+//! requests re-seed sessions from). Certificates are *static
 //! artifacts* — Theorem 1 labelings don't change between runs — so
 //! shipping them beats recomputing them on the whole working set.
 //!

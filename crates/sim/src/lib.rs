@@ -130,7 +130,7 @@ pub use policy::{
 };
 pub use pool::{PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
-pub use sched::{SchedulerStats, TopologyFanout, VerifyScheduler, VerifyTaskError};
+pub use sched::{VerifyScheduler, VerifyTaskError};
 pub use stats::{AssignmentEvent, RunStats};
 pub use verify::{
     verify_batch, verify_batch_compiled, verify_plan, verify_plan_compiled, ReplayDeadlock,

@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use systolic::core::{request_fingerprint, Analyzer};
+use systolic::obs::names;
 use systolic::service::{
     AnalysisRequest, AnalysisResponse, AnalysisService, CacheConfig, CacheProvenance, ServiceConfig,
 };
@@ -73,14 +74,17 @@ fn five_hundred_mixed_requests_match_direct_analysis() {
 
     // Cache accounting: entries equal distinct fingerprints, counters add
     // up, and the hot part of the traffic produced real hits.
-    let stats = service.stats();
-    assert_eq!(stats.requests, REQUESTS as u64);
+    let requests = service
+        .registry_snapshot()
+        .counter_value(names::SERVICE_REQUESTS, &[]);
+    assert_eq!(requests, REQUESTS as u64);
+    let cache = service.cache_stats();
     assert_eq!(service.cache_entries(), direct_cache.len());
-    assert_eq!(stats.cache.hits + stats.cache.misses, REQUESTS as u64);
+    assert_eq!(cache.hits + cache.misses, REQUESTS as u64);
     assert!(
-        stats.cache.hits >= (REQUESTS / 4) as u64,
+        cache.hits >= (REQUESTS / 4) as u64,
         "mixed traffic should hit the cache often, got {} hits",
-        stats.cache.hits
+        cache.hits
     );
     let per_shard = service.per_shard_cache_stats();
     assert_eq!(per_shard.len(), 8);
