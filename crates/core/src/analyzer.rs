@@ -7,9 +7,10 @@
 //! 1. **routes** — message routing over the compiled topology
 //!    (Section 2.3), served from the route closure when precompiled;
 //! 2. **classification** — the crossing-off procedure (Sections 3, 8.1);
-//! 3. **labeling** — Section 6 (with the constraint-solver fallback) or a
-//!    caller-chosen [`LabelingStrategy`];
-//! 4. **consistency** — the independent Section 5 check;
+//! 3. **labeling** — Section 6, falling back to the constraint solver
+//!    when the scheme wedges;
+//! 4. **consistency** — the independent Section 5 check, inspectable on
+//!    demand (and a debug assertion before the plan);
 //! 5. **requirements** — competing sets and queue counts (Section 7);
 //! 6. **plan** — the certified [`CommPlan`] (Theorem 1).
 //!
@@ -94,73 +95,6 @@ pub(crate) struct WarmArtifacts {
     pub competing: Option<CompetingSets>,
 }
 
-/// Which labeling scheme(s) an [`Analyzer`] may use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LabelingStrategy {
-    /// The paper's Section 6 scheme, falling back to the complete
-    /// constraint-solving scheme when it wedges.
-    #[default]
-    Auto,
-    /// Section 6 only: wedging is an error (useful for studying the
-    /// scheme itself).
-    Section6,
-    /// The constraint solver only.
-    ConstraintSolver,
-}
-
-/// Builds an [`Analyzer`] with non-default options.
-///
-/// # Examples
-///
-/// ```
-/// use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology, LabelingStrategy};
-/// use systolic_model::Topology;
-///
-/// let compiled = CompiledTopology::compile(&Topology::linear(3), &AnalysisConfig::default());
-/// let analyzer = Analyzer::builder(compiled)
-///     .labeling(LabelingStrategy::ConstraintSolver)
-///     .verify_consistency(true)
-///     .build();
-/// assert_eq!(analyzer.config().queues_per_interval, 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct AnalyzerBuilder {
-    compiled: Arc<CompiledTopology>,
-    labeling: LabelingStrategy,
-    verify_consistency: bool,
-}
-
-impl AnalyzerBuilder {
-    /// Chooses the labeling strategy (default: [`LabelingStrategy::Auto`]).
-    #[must_use]
-    pub fn labeling(mut self, strategy: LabelingStrategy) -> Self {
-        self.labeling = strategy;
-        self
-    }
-
-    /// When `true`, runs the independent Section 5 consistency check as a
-    /// mandatory stage (instead of a debug assertion) and fails the plan
-    /// on violations. Default `false`: both shipped labeling schemes are
-    /// verified consistent by construction, so release builds skip the
-    /// extra pass.
-    #[must_use]
-    pub fn verify_consistency(mut self, on: bool) -> Self {
-        self.verify_consistency = on;
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> Analyzer {
-        Analyzer {
-            compiled: self.compiled,
-            labeling: self.labeling,
-            verify_consistency: self.verify_consistency,
-            obs: None,
-        }
-    }
-}
-
 /// A reusable handle that runs staged analyses against one
 /// [`CompiledTopology`].
 ///
@@ -169,8 +103,6 @@ impl AnalyzerBuilder {
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     compiled: Arc<CompiledTopology>,
-    labeling: LabelingStrategy,
-    verify_consistency: bool,
     obs: Option<Arc<Obs>>,
 }
 
@@ -180,8 +112,6 @@ impl Analyzer {
     pub fn new(compiled: impl Into<Arc<CompiledTopology>>) -> Self {
         Analyzer {
             compiled: compiled.into(),
-            labeling: LabelingStrategy::default(),
-            verify_consistency: false,
             obs: None,
         }
     }
@@ -205,16 +135,6 @@ impl Analyzer {
     #[must_use]
     pub fn for_topology(topology: &Topology, config: &AnalysisConfig) -> Self {
         Analyzer::new(CompiledTopology::compile(topology, config))
-    }
-
-    /// Starts a builder for non-default options.
-    #[must_use]
-    pub fn builder(compiled: impl Into<Arc<CompiledTopology>>) -> AnalyzerBuilder {
-        AnalyzerBuilder {
-            compiled: compiled.into(),
-            labeling: LabelingStrategy::default(),
-            verify_consistency: false,
-        }
     }
 
     /// The shared compilation this analyzer runs against.
@@ -297,13 +217,10 @@ impl Analyzer {
     }
 
     /// This analyzer with its compilation replaced (incremental topology
-    /// edits); labeling strategy, consistency verification and
-    /// observability carry over.
+    /// edits); observability carries over.
     pub(crate) fn with_compiled_swapped(&self, compiled: Arc<CompiledTopology>) -> Analyzer {
         Analyzer {
             compiled,
-            labeling: self.labeling,
-            verify_consistency: self.verify_consistency,
             obs: self.obs.clone(),
         }
     }
@@ -644,24 +561,32 @@ impl<'a> AnalyzerSession<'a> {
                     return Err(error);
                 }
                 let limits = self.limits()?;
-                let section6 = |report: LabelingReport| LabelingOutcome {
-                    labeling: report.labeling().clone(),
-                    method: LabelingMethod::Section6,
-                    report: Some(report),
-                };
                 // The incremental path substitutes the early-stopping
                 // Section 6 driver: identical labels, errors and
                 // diagnostics (the program is already proven
                 // deadlock-free above), truncated trace.
-                let run_section6 = |program, limits| {
-                    if self.fast_labeling {
-                        label_messages_assignments_only(program, limits)
-                    } else {
-                        label_messages(program, limits)
-                    }
+                let section6 = if self.fast_labeling {
+                    label_messages_assignments_only(self.program, limits)
+                } else {
+                    label_messages(self.program, limits)
                 };
-                match self.analyzer.labeling {
-                    LabelingStrategy::ConstraintSolver => {
+                match section6 {
+                    Ok(report) => Ok(LabelingOutcome {
+                        labeling: report.labeling().clone(),
+                        method: LabelingMethod::Section6,
+                        report: Some(report),
+                    }),
+                    Err(
+                        error @ (CoreError::LabelConflict { .. }
+                        | CoreError::InconsistentLabeling { .. }),
+                    ) => {
+                        self.push(Diagnostic::new(
+                            DiagnosticCode::Section6Fallback,
+                            format!(
+                                "the section 6 labeling scheme wedged ({error}); \
+                                 using the constraint-solving scheme"
+                            ),
+                        ));
                         let labeling = label_messages_robust(self.program, limits)
                             .map_err(|e| self.label_error(&e))?;
                         Ok(LabelingOutcome {
@@ -670,33 +595,7 @@ impl<'a> AnalyzerSession<'a> {
                             report: None,
                         })
                     }
-                    LabelingStrategy::Section6 => match run_section6(self.program, limits) {
-                        Ok(report) => Ok(section6(report)),
-                        Err(error) => Err(self.label_error(&error)),
-                    },
-                    LabelingStrategy::Auto => match run_section6(self.program, limits) {
-                        Ok(report) => Ok(section6(report)),
-                        Err(
-                            error @ (CoreError::LabelConflict { .. }
-                            | CoreError::InconsistentLabeling { .. }),
-                        ) => {
-                            self.push(Diagnostic::new(
-                                DiagnosticCode::Section6Fallback,
-                                format!(
-                                    "the section 6 labeling scheme wedged ({error}); \
-                                     using the constraint-solving scheme"
-                                ),
-                            ));
-                            let labeling = label_messages_robust(self.program, limits)
-                                .map_err(|e| self.label_error(&e))?;
-                            Ok(LabelingOutcome {
-                                labeling,
-                                method: LabelingMethod::ConstraintSolver,
-                                report: None,
-                            })
-                        }
-                        Err(other) => Err(self.label_error(&other)),
-                    },
+                    Err(other) => Err(self.label_error(&other)),
                 }
             })
             .as_ref()
@@ -715,8 +614,8 @@ impl<'a> AnalyzerSession<'a> {
     /// # Errors
     ///
     /// Routing errors, [`CoreError::ProgramDeadlocked`] for deadlocked
-    /// programs, and labeling failures per the configured
-    /// [`LabelingStrategy`].
+    /// programs, and labeling failures the constraint-solver fallback
+    /// cannot recover from.
     pub fn labeling(&self) -> Result<&Labeling, CoreError> {
         Ok(&self.labeling_outcome()?.labeling)
     }
@@ -820,26 +719,15 @@ impl<'a> AnalyzerSession<'a> {
     ///
     /// Everything earlier stages can fail with, plus
     /// [`CoreError::Infeasible`] when an interval needs more queues than
-    /// the compiled configuration provides, and
-    /// [`CoreError::InconsistentLabeling`] when the builder enabled
-    /// [`AnalyzerBuilder::verify_consistency`] and the check fails.
+    /// the compiled configuration provides.
     pub fn plan(&self) -> Result<&CommPlan, CoreError> {
         self.plan
             .get_or_init(|| {
                 let outcome = self.labeling_outcome()?;
-                if self.analyzer.verify_consistency {
-                    let violations = self.consistency()?;
-                    if !violations.is_empty() {
-                        return Err(CoreError::InconsistentLabeling {
-                            violations: violations.len(),
-                        });
-                    }
-                } else {
-                    debug_assert!(
-                        self.consistency().map(<[_]>::is_empty).unwrap_or(true),
-                        "labeling schemes must produce consistent labelings"
-                    );
-                }
+                debug_assert!(
+                    self.consistency().map(<[_]>::is_empty).unwrap_or(true),
+                    "labeling schemes must produce consistent labelings"
+                );
                 let requirements = self.requirements()?.clone();
                 let config = self.analyzer.compiled.config();
                 if let Err(error) = requirements.check_feasible(config.queues_per_interval) {
@@ -918,9 +806,6 @@ impl<'a> AnalyzerSession<'a> {
         run("routes", &|| self.routes().map(drop))?;
         run("classification", &|| self.classification().map(drop))?;
         run("labeling", &|| self.labeling().map(drop))?;
-        if self.analyzer.verify_consistency {
-            run("consistency", &|| self.consistency().map(drop))?;
-        }
         run("competing", &|| self.competing().map(drop))?;
         run("requirements", &|| self.requirements().map(drop))?;
         run("plan", &|| self.plan().map(drop))
@@ -1170,18 +1055,14 @@ mod tests {
         assert_eq!(d.code(), DiagnosticCode::Section6Fallback);
         assert_eq!(d.severity(), crate::Severity::Warning);
 
-        // Section6-only strategy turns the wedge into an error instead.
-        let strict = Analyzer::builder(Arc::clone(analyzer.compiled()))
-            .labeling(LabelingStrategy::Section6)
-            .build();
-        assert!(strict.analyze(&p).is_err());
-
-        // The solver-only strategy certifies it directly.
-        let solver = Analyzer::builder(Arc::clone(analyzer.compiled()))
-            .labeling(LabelingStrategy::ConstraintSolver)
-            .build();
-        let analysis = solver.analyze(&p).unwrap();
+        // The literal scheme wedges on it; the constraint solver labels
+        // it, and those are the labels the plan carries.
+        let limits = LookaheadLimits::disabled(&p);
+        assert!(label_messages(&p, &limits).is_err());
+        let solver = label_messages_robust(&p, &limits).unwrap();
+        let analysis = outcome.into_result().unwrap();
         assert_eq!(analysis.labeling_method(), LabelingMethod::ConstraintSolver);
+        assert_eq!(analysis.plan().labeling(), &solver);
     }
 
     #[test]
@@ -1279,10 +1160,10 @@ mod tests {
     }
 
     #[test]
-    fn verify_consistency_stage_passes_for_shipped_schemes() {
+    fn consistency_stage_passes_for_shipped_schemes() {
         let p = parse_program(fig7_text()).unwrap();
-        let compiled = CompiledTopology::compile(&Topology::linear(4), &AnalysisConfig::default());
-        let analyzer = Analyzer::builder(compiled).verify_consistency(true).build();
-        assert!(analyzer.analyze(&p).is_ok());
+        let analyzer = Analyzer::for_topology(&Topology::linear(4), &AnalysisConfig::default());
+        let session = analyzer.session(&p);
+        assert!(session.consistency().unwrap().is_empty());
     }
 }

@@ -78,7 +78,7 @@ mod requirements;
 
 pub(crate) use crossing_off::Machine;
 
-pub use analyzer::{AnalysisOutcome, Analyzer, AnalyzerBuilder, AnalyzerSession, LabelingStrategy};
+pub use analyzer::{AnalysisOutcome, Analyzer, AnalyzerSession};
 pub use codec::{CodecError, Decode, Encode, FieldReader, FieldWriter};
 pub use competing::CompetingSets;
 pub use compiled::{CompiledTopology, RouteCacheStats, MAX_CLOSURE_CELLS, ROUTE_CACHE_CAPACITY};

@@ -13,7 +13,7 @@
 //! [`analyzer`](crate::analyzer)); this module holds the configuration
 //! they run under and the [`Analysis`] they produce.
 
-use systolic_model::MessageId;
+use systolic_model::{MessageId, Program};
 
 use crate::{Classification, CommPlan, LabelingReport, LookaheadLimits};
 
@@ -47,6 +47,27 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             lookahead: Lookahead::Disabled,
             queues_per_interval: 1,
+        }
+    }
+}
+
+impl AnalysisConfig {
+    /// Checks that this configuration covers `program`: an explicit
+    /// lookahead table needs exactly one budget per declared message, or
+    /// the crossing-off procedure indexes past its end.
+    ///
+    /// # Errors
+    ///
+    /// A message naming both counts when an explicit table's length
+    /// differs from the program's message count.
+    pub fn check_covers(&self, program: &Program) -> Result<(), String> {
+        match &self.lookahead {
+            Lookahead::Explicit(limits) if limits.len() != program.num_messages() => Err(format!(
+                "lookahead array has {} entries but the program declares {} messages",
+                limits.len(),
+                program.num_messages()
+            )),
+            _ => Ok(()),
         }
     }
 }

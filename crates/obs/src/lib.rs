@@ -132,12 +132,12 @@ pub mod names {
     pub const ROUTE_CACHE_MISSES: &str = "systolic_route_cache_misses";
     /// Counter: cached plan outcomes restored from a snapshot load.
     pub const SNAPSHOT_LOADED_PLANS: &str = "systolic_service_snapshot_loaded_plans_total";
-    /// Counter: incremental seed inputs restored from a snapshot load.
-    pub const SNAPSHOT_LOADED_SEEDS: &str = "systolic_service_snapshot_loaded_seeds_total";
     /// Counter: snapshot entries dropped, labeled `reason`: at load,
-    /// invalid, config-skewed, repeated or already-cached entries and
-    /// seeds no plan claims (the load still succeeds); at export, cached
-    /// outcomes without recorded request inputs.
+    /// `refingerprint` (the recorded inputs no longer fingerprint to the
+    /// record's key) and `already-cached` (the fingerprint is cached
+    /// already, or repeated in the file); the load still succeeds. At
+    /// export, `export-missing-seed`: cached outcomes without recorded
+    /// request inputs.
     pub const SNAPSHOT_DROPPED: &str = "systolic_service_snapshot_dropped_total";
     /// Counter: whole snapshot loads rejected (corrupt, truncated or
     /// version-skewed files; the daemon keeps serving cold).

@@ -42,7 +42,7 @@
 //!
 //! Snapshot persistence: `--snapshot-load PATH` warms the plan cache from
 //! a snapshot before the first request (a rejected load — missing file,
-//! corrupt bytes, future format version — keeps serving cold, never
+//! corrupt bytes, another format version — keeps serving cold, never
 //! partially warmed); `--snapshot-save PATH` writes a snapshot when the
 //! stream ends, `--snapshot-every N` additionally autosaves after every
 //! `N` served requests, and a request line `{"op": "snapshot"}` saves
@@ -155,9 +155,8 @@ fn serve_main(options: &ServeOptions) {
         // serving, cold, exactly as if no snapshot had been offered.
         match service.load_snapshot(Path::new(path)) {
             Ok(report) => eprintln!(
-                "systolicd: snapshot {path} warmed {} plans, {} seeds \
-                 ({} dropped, {} bytes, {} us)",
-                report.plans, report.seeds, report.dropped, report.bytes, report.micros
+                "systolicd: snapshot {path} warmed {} plans ({} dropped, {} bytes, {} us)",
+                report.plans, report.dropped, report.bytes, report.micros
             ),
             Err(error) => {
                 eprintln!("systolicd: snapshot load rejected ({error}); serving cold");
@@ -301,8 +300,8 @@ fn serve_main(options: &ServeOptions) {
     if let Some(path) = &options.snapshot_save {
         match service.save_snapshot(Path::new(path)) {
             Ok(report) => eprintln!(
-                "systolicd: snapshot saved to {path} ({} plans, {} seeds, {} bytes)",
-                report.plans, report.seeds, report.bytes
+                "systolicd: snapshot saved to {path} ({} plans, {} bytes)",
+                report.plans, report.bytes
             ),
             Err(error) => {
                 eprintln!("systolicd: cannot write snapshot {path}: {error}");

@@ -167,7 +167,7 @@ pub struct ServeOptions {
     pub input_path: Option<String>,
     /// `--snapshot-load PATH`: warm the plan cache from a snapshot
     /// before serving the first request. A rejected load (missing file,
-    /// corrupt bytes, future format version) keeps the daemon serving —
+    /// corrupt bytes, another format version) keeps the daemon serving —
     /// cold, never partially warmed.
     pub snapshot_load: Option<String>,
     /// `--snapshot-save PATH`: where `{"op": "snapshot"}` requests,

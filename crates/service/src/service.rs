@@ -20,7 +20,6 @@
 //! full — backpressure, not unbounded buffering, is the overload
 //! response.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -29,11 +28,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use systolic_core::{
-    request_fingerprint, AnalysisConfig, Analyzer, CommPlan, CompiledTopology, CoreError,
-    Diagnostic, EditError, EditOp, IncrementalConfig, IncrementalSession, Label, LabelingMethod,
-    ReuseReport, RouteCacheStats,
+    request_fingerprint, AnalysisConfig, AnalysisOutcome, Analyzer, CommPlan, CompiledTopology,
+    CoreError, Diagnostic, EditError, EditOp, IncrementalConfig, IncrementalSession, Label,
+    LabelingMethod, ReuseReport, RouteCacheStats,
 };
-use systolic_model::{CanonicalHash, Op, Program, Topology};
+use systolic_model::{Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
 use systolic_sim::{ArenaBudget, SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError};
 use systolic_workloads::TrafficItem;
@@ -202,6 +201,41 @@ pub struct Certified {
     /// such as a Section 6 fallback, advisories such as queue-extension
     /// candidates).
     pub diagnostics: Vec<Diagnostic>,
+}
+
+impl Certified {
+    /// A certified outcome for `program`, deriving
+    /// [`message_labels`](Certified::message_labels) and
+    /// [`max_queues_per_interval`](Certified::max_queues_per_interval)
+    /// from `plan` — the one derivation misses, edits and snapshot loads
+    /// share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` labels fewer messages than `program` declares.
+    #[must_use]
+    pub fn new(
+        program: &Program,
+        plan: Arc<CommPlan>,
+        labeling_method: LabelingMethod,
+        verified: Option<VerifyReport>,
+        analysis_micros: u64,
+        diagnostics: Vec<Diagnostic>,
+    ) -> Self {
+        let message_labels = program
+            .message_ids()
+            .map(|m| (program.message(m).name().to_owned(), plan.label(m)))
+            .collect();
+        Certified {
+            max_queues_per_interval: plan.requirements().max_per_interval(),
+            plan,
+            labeling_method,
+            message_labels,
+            verified,
+            analysis_micros,
+            diagnostics,
+        }
+    }
 }
 
 /// Why the service could not certify a request.
@@ -637,10 +671,8 @@ impl Inner {
 /// the wire `snapshot` response and the daemon's summary lines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SnapshotReport {
-    /// Plan outcomes restored (load) or serialized (save).
+    /// Plan-cache entries restored (load) or serialized (save).
     pub plans: u64,
-    /// Seed inputs restored (load) or serialized (save).
-    pub seeds: u64,
     /// Entries dropped by this operation (load-side skew; zero on save).
     pub dropped: u64,
     /// Snapshot size in bytes.
@@ -873,57 +905,17 @@ impl AnalysisService {
             }
         };
         let fingerprint = session.fingerprint();
-        let diagnostics: Vec<Diagnostic> = session.diagnostics().clone().into_iter().collect();
-        let outcome: Result<Certified, Rejection> = match session.outcome().result() {
-            Ok(analysis) => {
-                let labeling_method = analysis.labeling_method();
-                let plan = Arc::new(analysis.plan().clone());
-                let program = session.program();
-                let message_labels = program
-                    .message_ids()
-                    .map(|m| (program.message(m).name().to_owned(), plan.label(m)))
-                    .collect();
-                // Chase certified edits exactly like misses (through the
-                // edit path's own scheduler, or the shared one), with the
-                // same rejection semantics.
-                let chased = if inner.config.verify {
-                    let compiled = Arc::clone(session.analyzer().compiled());
-                    let chase_span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
-                    let chased = chase(inner, &mut state.verifier, &compiled, program, &plan);
-                    tracer.finish(chase_span);
-                    chased.map(|report| {
-                        inner.tally_chase(compiled.topology(), &report);
-                        Some(report)
-                    })
-                } else {
-                    Ok(None)
-                };
-                match chased {
-                    Ok(verified) => Ok(Certified {
-                        max_queues_per_interval: plan.requirements().max_per_interval(),
-                        plan,
-                        labeling_method,
-                        message_labels,
-                        verified,
-                        analysis_micros: u64::try_from(start.elapsed().as_micros())
-                            .unwrap_or(u64::MAX),
-                        diagnostics,
-                    }),
-                    Err(VerifyTaskError::Model(error)) => Err(Rejection {
-                        error: ServiceError::Analysis(CoreError::Model(error)),
-                        diagnostics,
-                    }),
-                    Err(VerifyTaskError::Panicked(message)) => Err(Rejection {
-                        error: ServiceError::Panicked(message),
-                        diagnostics: Vec::new(),
-                    }),
-                }
-            }
-            Err(error) => Err(Rejection {
-                error: ServiceError::Analysis(error.clone()),
-                diagnostics,
-            }),
-        };
+        // Certified edits are chased exactly like misses, through the
+        // edit path's own scheduler (or the shared one).
+        let outcome = conclude(
+            inner,
+            &mut state.verifier,
+            ctx,
+            start,
+            session.analyzer().compiled(),
+            session.program(),
+            session.outcome(),
+        );
         store_session(inner, &mut state, fingerprint, session);
         drop(state);
         tracer.finish(span);
@@ -1039,10 +1031,10 @@ impl AnalysisService {
         ArenaCacheStats::from_registry(&self.inner.obs.registry().snapshot())
     }
 
-    /// Stages the current warm state — every cached plan outcome with the
-    /// request inputs its entry keeps — for serialization. An entry whose
-    /// analysis panicked before its topology compiled has no inputs to
-    /// re-fingerprint on load and is skipped (counted under
+    /// Stages the current warm state — one record per cached outcome,
+    /// with the request inputs its entry keeps — for serialization. An
+    /// entry whose analysis panicked before its topology compiled has no
+    /// inputs to re-fingerprint on load and is skipped (counted under
     /// `systolic_service_snapshot_dropped_total`, reason
     /// `export-missing-seed`).
     fn export_snapshot_data(&self) -> snapshot::SnapshotData {
@@ -1053,17 +1045,12 @@ impl AnalysisService {
                 skipped += 1;
                 continue;
             };
-            let config = seed.compiled.config().clone();
-            data.plans.push(snapshot::PlanEntry {
-                fingerprint,
-                config_hash: config.content_hash(),
-                outcome: entry.outcome,
-            });
-            data.seeds.push(snapshot::SeedEntry {
+            data.entries.push(snapshot::SnapshotEntry {
                 fingerprint,
                 program: seed.program.clone(),
                 topology: seed.compiled.topology().clone(),
-                config,
+                config: seed.compiled.config().clone(),
+                outcome: entry.outcome,
             });
         }
         if skipped > 0 {
@@ -1083,17 +1070,16 @@ impl AnalysisService {
         snapshot::write_snapshot(&self.export_snapshot_data())
     }
 
-    /// Parses `bytes` as a snapshot and installs each plan, paired with
-    /// its seed, as one plan-cache entry.
+    /// Parses `bytes` as a snapshot and installs each record as one
+    /// plan-cache entry.
     ///
     /// The whole file is decoded and validated *before* anything is
     /// installed: a corrupt, truncated, or version-skewed snapshot
     /// returns a typed [`SnapshotError`], installs nothing, and leaves
-    /// the service serving cold. Per-entry skew — a seed that no longer
-    /// re-fingerprints to its recorded key, a plan whose config hash
-    /// mismatches its seed's or that has no seed, a seed that no plan
-    /// claims, or a plan or seed whose fingerprint is already cached or
-    /// repeated — is dropped and counted, never an error.
+    /// the service serving cold. Per-record skew — inputs that no longer
+    /// re-fingerprint to the recorded key, or a fingerprint already
+    /// cached or repeated in the file — is dropped and counted, never an
+    /// error.
     pub fn import_snapshot(&self, bytes: &[u8]) -> Result<SnapshotReport, SnapshotError> {
         let start = Instant::now();
         let registry = self.inner.obs.registry();
@@ -1107,62 +1093,36 @@ impl AnalysisService {
         // Entries dropped, by `reason` label.
         let mut dropped: HashMap<&str, u64> = HashMap::new();
         let mut drop_one = |reason| *dropped.entry(reason).or_default() += 1;
-        // Each seed until a plan claims it; `None` once one has.
-        let mut seeds: HashMap<u128, Option<snapshot::SeedEntry>> = HashMap::new();
-        for seed in data.seeds {
-            // A seed that no longer fingerprints to its recorded key was
-            // written by an incompatible build (or corrupted in a way the
-            // section hash cannot see); installing it would seed wrong
-            // sessions, so drop it. Of repeated fingerprints, the first
-            // copy holds the slot.
-            if request_fingerprint(&seed.program, &seed.topology, &seed.config) != seed.fingerprint
-            {
-                drop_one("refingerprint");
-            } else if let Entry::Vacant(slot) = seeds.entry(seed.fingerprint) {
-                slot.insert(Some(seed));
-            } else {
-                drop_one("already-cached");
-            }
-        }
         let mut loaded = 0u64;
-        for plan in data.plans {
-            let Some(slot) = seeds.get_mut(&plan.fingerprint) else {
-                drop_one("missing-seed");
-                continue;
-            };
-            // An earlier copy of this plan may have claimed the seed.
-            let Some(seed) = slot.take() else {
-                drop_one("already-cached");
-                continue;
-            };
-            if seed.config.content_hash() != plan.config_hash {
-                drop_one("config-skew");
+        for record in data.entries {
+            // Inputs that no longer fingerprint to their recorded key were
+            // written by an incompatible build (or corrupted in a way the
+            // section hash cannot see); installing them would seed wrong
+            // sessions.
+            let key = request_fingerprint(&record.program, &record.topology, &record.config);
+            if key != record.fingerprint {
+                drop_one("refingerprint");
                 continue;
             }
             let entry = CacheEntry {
-                outcome: plan.outcome,
+                outcome: record.outcome,
                 seed: Some(Arc::new(SeedInputs {
-                    compiled: compiled_for(&self.inner, &seed.topology, &seed.config),
-                    program: seed.program,
+                    compiled: compiled_for(&self.inner, &record.topology, &record.config),
+                    program: record.program,
                 })),
                 restored: true,
             };
             // First writer wins: an outcome this process already computed
-            // beats the snapshot's copy, and its hits keep reporting
-            // plain `Hit`.
-            if self.inner.cache.insert(plan.fingerprint, entry).1 {
+            // (or an earlier copy of a repeated record) beats this one,
+            // and hits on it keep their provenance.
+            if self.inner.cache.insert(key, entry).1 {
                 loaded += 1;
             } else {
                 drop_one("already-cached");
             }
         }
-        // A seed that no plan claims has no outcome to serve.
-        for _orphan in seeds.values().flatten() {
-            drop_one("missing-plan");
-        }
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         registry.counter(names::SNAPSHOT_LOADED_PLANS).add(loaded);
-        registry.counter(names::SNAPSHOT_LOADED_SEEDS).add(loaded);
         let total_dropped = dropped.values().sum();
         for (reason, count) in dropped {
             registry
@@ -1174,7 +1134,6 @@ impl AnalysisService {
             .record(micros);
         Ok(SnapshotReport {
             plans: loaded,
-            seeds: loaded,
             dropped: total_dropped,
             bytes: bytes.len() as u64,
             micros,
@@ -1186,8 +1145,7 @@ impl AnalysisService {
     pub fn save_snapshot(&self, path: &std::path::Path) -> Result<SnapshotReport, SnapshotError> {
         let start = Instant::now();
         let data = self.export_snapshot_data();
-        let plans = data.plans.len() as u64;
-        let seeds = data.seeds.len() as u64;
+        let plans = data.entries.len() as u64;
         let bytes = snapshot::write_snapshot(&data);
         std::fs::write(path, &bytes)?;
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1201,7 +1159,6 @@ impl AnalysisService {
             .record(micros);
         Ok(SnapshotReport {
             plans,
-            seeds,
             dropped: 0,
             bytes: bytes.len() as u64,
             micros,
@@ -1526,40 +1483,53 @@ fn compute(
         compiled: Arc::clone(&compiled),
     }));
     let analyzer = Analyzer::new(Arc::clone(&compiled)).with_obs(Arc::clone(&inner.obs));
-    let (result, diagnostics) = analyzer
-        .diagnose_in(&request.program, Some(ctx))
-        .into_parts();
-    let diagnostics: Vec<Diagnostic> = diagnostics.into_iter().collect();
-    let analysis = match result {
+    let outcome = analyzer.diagnose_in(&request.program, Some(ctx));
+    conclude(
+        inner,
+        verifier,
+        ctx,
+        start,
+        &compiled,
+        &request.program,
+        &outcome,
+    )
+}
+
+/// Turns an analyzer outcome into the served one, for misses and edits
+/// alike. A refusal becomes a rejection carrying the analyzer's
+/// diagnostics. With `verify` on, a certified plan is first chased by a
+/// simulator replay (through `verifier`, or the shared scheduler when
+/// `verify_threads` is set; the `verify` span covers the queueing too):
+/// a model error rejects it with the diagnostics, a replay panic without
+/// them. `analysis_micros` counts from `start`.
+fn conclude(
+    inner: &Inner,
+    verifier: &mut VerifyScheduler,
+    ctx: SpanCtx,
+    start: Instant,
+    compiled: &Arc<CompiledTopology>,
+    program: &Program,
+    outcome: &AnalysisOutcome,
+) -> Result<Certified, Rejection> {
+    let diagnostics = outcome.diagnostics().as_slice().to_vec();
+    let analysis = match outcome.result() {
         Ok(analysis) => analysis,
         Err(error) => {
             return Err(Rejection {
-                error: ServiceError::Analysis(error),
+                error: ServiceError::Analysis(error.clone()),
                 diagnostics,
             })
         }
     };
-    let labeling_method = analysis.labeling_method();
-    let plan = Arc::new(analysis.into_plan());
-    let message_labels = request
-        .program
-        .message_ids()
-        .map(|m| (request.program.message(m).name().to_owned(), plan.label(m)))
-        .collect();
+    let plan = Arc::new(analysis.plan().clone());
     let verified = if inner.config.verify {
-        // Chase the certification with a simulator replay — through this
-        // worker's own scheduler, or the shared one when `verify_threads`
-        // is set. The span covers the whole chase, scheduler queueing
-        // included.
-        let chase_span = inner
-            .obs
-            .tracer()
-            .start(ctx.trace, Some(ctx.parent), "verify");
-        let chased = chase(inner, verifier, &compiled, &request.program, &plan);
-        inner.obs.tracer().finish(chase_span);
+        let tracer = inner.obs.tracer();
+        let chase_span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
+        let chased = chase(inner, verifier, compiled, program, &plan);
+        tracer.finish(chase_span);
         match chased {
             Ok(report) => {
-                inner.tally_chase(&request.topology, &report);
+                inner.tally_chase(compiled.topology(), &report);
                 Some(report)
             }
             Err(VerifyTaskError::Model(error)) => {
@@ -1579,15 +1549,14 @@ fn compute(
         None
     };
     let analysis_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    Ok(Certified {
-        max_queues_per_interval: plan.requirements().max_per_interval(),
+    Ok(Certified::new(
+        program,
         plan,
-        labeling_method,
-        message_labels,
+        analysis.labeling_method(),
         verified,
         analysis_micros,
         diagnostics,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -2635,7 +2604,6 @@ mod tests {
         let restarted = AnalysisService::new(ServiceConfig::default());
         let report = restarted.import_snapshot(&bytes).expect("snapshot loads");
         assert_eq!(report.plans, 5);
-        assert_eq!(report.seeds, 5);
         assert_eq!(report.dropped, 0);
 
         let replayed = restarted.run_batch(snapshot_working_set());
@@ -2663,7 +2631,6 @@ mod tests {
             &[
                 "snapshot loads = 1",
                 "snapshot plans restored = 5",
-                "snapshot seeds restored = 5",
                 "snapshot loads rejected = 0",
                 "snapshot warm hits = 6",
             ],
@@ -2680,6 +2647,20 @@ mod tests {
         let restarted = AnalysisService::new(ServiceConfig::default());
         let error = restarted.import_snapshot(&bytes).expect_err("bad magic");
         assert!(matches!(error, SnapshotError::BadMagic), "{error:?}");
+        // A format-1 file: the version is read, and refused.
+        let error = restarted
+            .import_snapshot(b"SYSSNAP\0\x01\x00")
+            .expect_err("version 1");
+        assert!(
+            matches!(
+                error,
+                SnapshotError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "{error:?}"
+        );
         // Nothing was installed: the next request is a plain cold miss.
         assert_eq!(restarted.cache_entries(), 0);
         let response = restarted.submit(fig7_request()).wait();
@@ -2687,7 +2668,7 @@ mod tests {
         assert_summary(
             &restarted,
             &[
-                "snapshot loads rejected = 1",
+                "snapshot loads rejected = 2",
                 "snapshot loads = 0",
                 "snapshot plans restored = 0",
             ],
@@ -2714,27 +2695,66 @@ mod tests {
     }
 
     #[test]
-    fn config_skewed_entries_drop_without_failing_the_load() {
+    fn skewed_and_repeated_records_drop_without_failing_the_load() {
         let warm_source = AnalysisService::new(ServiceConfig::default());
         let _ = warm_source.run_batch(snapshot_working_set());
-        // Simulate a snapshot written under a different AnalysisConfig:
-        // rewrite one plan entry's recorded config hash so it no longer
-        // matches its seed's.
         let mut data = snapshot::read_snapshot(&warm_source.export_snapshot()).unwrap();
-        data.plans[0].config_hash ^= 1;
+        // A record whose inputs no longer fingerprint to its key, and a
+        // second copy of another record: the first copy holds the slot.
+        data.entries[0].fingerprint ^= 1;
+        let skewed = data.entries[0].fingerprint;
+        data.entries.push(data.entries[1].clone());
         let bytes = snapshot::write_snapshot(&data);
 
         let restarted = AnalysisService::new(ServiceConfig::default());
         let report = restarted.import_snapshot(&bytes).expect("load succeeds");
-        assert_eq!(report.plans, 4, "the skewed entry is dropped, not fatal");
-        assert_eq!(report.seeds, 4, "its seed goes with it");
-        assert_eq!(report.dropped, 1);
-        assert_eq!(counter(&restarted, names::SNAPSHOT_DROPPED), 1);
+        assert_eq!((report.plans, report.dropped), (4, 2));
+        assert_eq!(restarted.cache_entries(), 4);
+        let snapshot = restarted.registry_snapshot();
+        for reason in ["refingerprint", "already-cached"] {
+            let labels = [("reason", reason)];
+            assert_eq!(
+                snapshot.counter_value(names::SNAPSHOT_DROPPED, &labels),
+                1,
+                "{reason}"
+            );
+        }
         assert_eq!(
-            restarted
-                .registry_snapshot()
-                .counter_value(names::SNAPSHOT_DROPPED, &[("reason", "config-skew")]),
-            1
+            restarted.apply_edit("e", skewed, &[]).unwrap_err(),
+            EditRequestError::UnknownBase { base: skewed },
+            "a skewed record installs nothing"
+        );
+    }
+
+    #[test]
+    fn a_restored_lookahead_table_must_cover_its_program() {
+        let program = parse_program(
+            "cells 2\nmessage A: c0 -> c1\nmessage B: c0 -> c1\n\
+             program c0 { W(B) W(A) }\nprogram c1 { R(A) R(B) }\n",
+        )
+        .unwrap();
+        let warm_source = AnalysisService::new(ServiceConfig::default());
+        let _ = warm_source
+            .submit(AnalysisRequest::new("pair", program, Topology::linear(2)))
+            .wait();
+        // Rewrite the record's config to a one-entry explicit table for a
+        // two-message program, fingerprint and all: an edit seeded from it
+        // would index past the table.
+        let mut data = snapshot::read_snapshot(&warm_source.export_snapshot()).unwrap();
+        let record = &mut data.entries[0];
+        record.config.lookahead =
+            Lookahead::Explicit(systolic_core::LookaheadLimits::from_table(vec![Some(4)]));
+        record.fingerprint = request_fingerprint(&record.program, &record.topology, &record.config);
+        let base = record.fingerprint;
+        let bytes = snapshot::write_snapshot(&data);
+
+        let restarted = AnalysisService::new(ServiceConfig::default());
+        let error = restarted.import_snapshot(&bytes).expect_err("rejected");
+        assert!(matches!(error, SnapshotError::Codec(_)), "{error:?}");
+        assert_eq!(restarted.cache_entries(), 0);
+        assert_eq!(
+            restarted.apply_edit("e", base, &[]).unwrap_err(),
+            EditRequestError::UnknownBase { base }
         );
     }
 
@@ -2782,8 +2802,10 @@ mod tests {
         let _ = service.submit(fig7_times(3)).wait();
 
         let data = snapshot::read_snapshot(&service.export_snapshot()).unwrap();
-        assert!(data.plans.iter().any(|p| p.fingerprint == hot.fingerprint));
-        assert!(data.seeds.iter().any(|s| s.fingerprint == hot.fingerprint));
+        assert!(data
+            .entries
+            .iter()
+            .any(|e| e.fingerprint == hot.fingerprint));
         let balanced = [append("c1", true, "C"), append("c4", false, "C")];
         let edit = service.apply_edit("e", hot.fingerprint, &balanced);
         assert!(edit.is_ok(), "{:?}", edit.err());
@@ -2807,37 +2829,6 @@ mod tests {
     }
 
     #[test]
-    fn an_orphan_seed_is_dropped() {
-        let warm_source = AnalysisService::new(ServiceConfig::default());
-        let _ = warm_source.run_batch(snapshot_working_set());
-        let mut data = snapshot::read_snapshot(&warm_source.export_snapshot()).unwrap();
-        let orphan = data.plans.pop().unwrap().fingerprint;
-        assert!(data.seeds.iter().any(|s| s.fingerprint == orphan));
-        // Repeated fingerprints: the first copy of each wins.
-        data.plans.push(data.plans[0].clone());
-        data.seeds.push(data.seeds[0].clone());
-        let bytes = snapshot::write_snapshot(&data);
-
-        let restarted = AnalysisService::new(ServiceConfig::default());
-        let report = restarted.import_snapshot(&bytes).expect("load succeeds");
-        assert_eq!((report.plans, report.seeds, report.dropped), (4, 4, 3));
-        assert_eq!(restarted.cache_entries(), 4);
-        let snapshot = restarted.registry_snapshot();
-        for (reason, dropped) in [("missing-plan", 1), ("already-cached", 2)] {
-            let labels = [("reason", reason)];
-            assert_eq!(
-                snapshot.counter_value(names::SNAPSHOT_DROPPED, &labels),
-                dropped
-            );
-        }
-        assert_eq!(
-            restarted.apply_edit("e", orphan, &[]).unwrap_err(),
-            EditRequestError::UnknownBase { base: orphan },
-            "an orphan seed installs nothing"
-        );
-    }
-
-    #[test]
     fn save_and_load_roundtrip_via_files() {
         let path = std::env::temp_dir().join(format!(
             "systolic-snapshot-test-{}-{:?}.snap",
@@ -2848,7 +2839,6 @@ mod tests {
         let _ = warm_source.run_batch(snapshot_working_set());
         let saved = warm_source.save_snapshot(&path).expect("saves");
         assert_eq!(saved.plans, 5);
-        assert_eq!(saved.seeds, 5);
         assert!(saved.bytes > 0);
         let bytes = format!("snapshot last save bytes = {}", saved.bytes);
         assert_summary(&warm_source, &["snapshot saves = 1", &bytes]);

@@ -1,31 +1,37 @@
 //! Versioned binary snapshot of the daemon's warm state.
 //!
 //! A snapshot persists the plan cache a restarted daemon wants back
-//! immediately, as two sections keyed by the same fingerprints: the
-//! outcomes (`fingerprint → certified plan | cached rejection`, each with
-//! its diagnostics) and the seed inputs each cache entry keeps
-//! (`fingerprint → program + topology + config`, the material `edit`
-//! requests re-seed sessions from). Certificates are *static
-//! artifacts* — Theorem 1 labelings don't change between runs — so
-//! shipping them beats recomputing them on the whole working set.
+//! immediately: one record per cache entry, holding the request inputs
+//! (`program + topology + config`, keyed by their fingerprint — the
+//! material `edit` requests re-seed sessions from) and the outcome they
+//! produced (a certified plan or a cached rejection, each with its
+//! diagnostics). Certificates are *static artifacts* — Theorem 1
+//! labelings don't change between runs — so shipping them beats
+//! recomputing them on the whole working set. Nothing a record implies is
+//! stored twice: the message-name → label table and the queue count are
+//! derived from the program and the plan on decode.
 //!
 //! # Container layout
 //!
 //! ```text
 //! magic            8 bytes   "SYSSNAP\0"
-//! format version   uvarint   (currently 1)
+//! format version   uvarint   (2; any other version is rejected)
 //! section count    uvarint
 //! per section:
-//!   kind           uvarint   (1 = plans, 2 = seeds; unknown kinds skipped)
+//!   kind           uvarint   (1 = entries; unknown kinds skipped)
 //!   payload len    uvarint   (validated against remaining bytes)
 //!   content hash   16 bytes  (ContentHasher over the payload, LE)
 //!   payload        len bytes (a systolic_core::codec field sequence)
 //! ```
 //!
+//! Each record's fields are tagged: 1 fingerprint, 2 program, 3 topology,
+//! 4 config, then exactly one of 5 (certified: plan, labeling method,
+//! verify report, analysis micros, diagnostics) or 6 (rejection).
+//!
 //! Section payloads reuse the core codec (`Encode`/`Decode` with explicit
 //! field tags), so the snapshot inherits its forward-compat rules: unknown
-//! fields inside entries are skipped, unknown *section kinds* are skipped
-//! whole, but an unknown *format version* or a failed section hash rejects
+//! fields inside records are skipped, unknown *section kinds* are skipped
+//! whole, but another *format version* or a failed section hash rejects
 //! the load with a typed [`SnapshotError`].
 //!
 //! # No partial application
@@ -33,11 +39,10 @@
 //! [`read_snapshot`] decodes the entire file into a staging
 //! [`SnapshotData`] before the service installs anything, so a corrupt
 //! byte can never leave a half-warmed cache: either the whole snapshot
-//! parses or the daemon keeps serving cold. Per-*entry* skew (an entry
-//! re-fingerprinting differently than recorded, or a plan whose config
-//! hash mismatches its seed's) is dropped and counted during installation,
-//! not an error — that is what lets a daemon under a new `AnalysisConfig`
-//! load an old snapshot and keep the still-valid entries.
+//! parses or the daemon keeps serving cold. Per-*record* skew (inputs
+//! re-fingerprinting differently than recorded, say under a changed
+//! fingerprint scheme) is dropped and counted during installation, not an
+//! error.
 
 use std::sync::Arc;
 
@@ -45,21 +50,21 @@ use systolic_core::codec::{
     self, decode_nested, decode_str, decode_u128, decode_u64, encode_to_vec, labeling_method_str,
     Decode, Encode, FieldReader, FieldWriter,
 };
-use systolic_core::{AnalysisConfig, CodecError, CommPlan, CoreError, Diagnostic, Label};
+use systolic_core::{AnalysisConfig, CodecError, CommPlan, CoreError, Diagnostic};
 use systolic_model::{CellId, ContentHasher, Program, Topology};
 use systolic_sim::{ReplayDeadlock, VerifyReport};
 
-use crate::service::{Certified, Rejection, ServiceError};
+use crate::service::{Certified, Rejection, ServiceError, ServiceOutcome};
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SYSSNAP\0";
-/// Newest container version this build writes and understands.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// The one container version this build writes and reads. Version 2
+/// stores each plan-cache entry as one record; version-1 files are
+/// rejected, so the daemon serves cold.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
-/// Section kind holding cached plan outcomes.
-const SECTION_PLANS: u64 = 1;
-/// Section kind holding recorded incremental seed inputs.
-const SECTION_SEEDS: u64 = 2;
+/// Section kind holding the plan-cache records.
+const SECTION_ENTRIES: u64 = 1;
 
 /// Typed failure of a snapshot read or write. A failed load applies
 /// nothing — the daemon keeps serving with a cold cache.
@@ -70,11 +75,11 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's format version postdates this build.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u64,
-        /// Newest version this build understands.
+        /// The version this build reads.
         supported: u64,
     },
     /// The file ended inside the container framing.
@@ -102,7 +107,8 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a systolic snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than supported version {supported}"
+                "snapshot format version {found} is not supported; this build reads version \
+                 {supported}"
             ),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::OversizedSection {
@@ -142,24 +148,11 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
-/// One cached plan outcome, keyed by its full request fingerprint.
+/// One plan-cache entry: the request inputs and the outcome they produced.
 #[derive(Clone, Debug)]
-pub(crate) struct PlanEntry {
+pub(crate) struct SnapshotEntry {
     /// `request_fingerprint(program, topology, config)` — the plan-cache
-    /// key, which already commits to the whole request including config.
-    pub fingerprint: u128,
-    /// Content hash of the `AnalysisConfig` the outcome was computed
-    /// under, cross-checked against the matching seed on load so
-    /// config-skewed entries are dropped (counted) instead of installed.
-    pub config_hash: u128,
-    /// The cached outcome.
-    pub outcome: Arc<Result<Certified, Rejection>>,
-}
-
-/// One recorded incremental seed input.
-#[derive(Clone, Debug)]
-pub(crate) struct SeedEntry {
-    /// The request fingerprint this seed re-seeds sessions for.
+    /// key, re-checked against the inputs on load.
     pub fingerprint: u128,
     /// The request's program.
     pub program: Program,
@@ -167,18 +160,19 @@ pub(crate) struct SeedEntry {
     pub topology: Topology,
     /// The request's analysis config.
     pub config: AnalysisConfig,
+    /// The cached outcome.
+    pub outcome: ServiceOutcome,
 }
 
 /// Fully decoded snapshot contents, staged before installation so a
 /// failed load never partially applies.
 #[derive(Default, Debug)]
 pub(crate) struct SnapshotData {
-    pub plans: Vec<PlanEntry>,
-    pub seeds: Vec<SeedEntry>,
+    pub entries: Vec<SnapshotEntry>,
 }
 
 // ---------------------------------------------------------------------------
-// Outcome codecs (service-side companions of the core codec)
+// Record codecs (service-side companions of the core codec)
 // ---------------------------------------------------------------------------
 
 /// Adapter: `VerifyReport` lives in `systolic_sim`, the codec traits in
@@ -232,17 +226,13 @@ impl Decode for VerifyReportCodec {
     }
 }
 
+// Writes what a certified outcome does not derive from its program and
+// plan; `decode_certified` rebuilds the rest. Tags 3 and 4 held the label
+// table and queue count in format 1 and stay unused.
 impl Encode for Certified {
     fn encode(&self, w: &mut FieldWriter) {
         w.put_nested(1, &self.plan);
         w.put_str(2, labeling_method_str(self.labeling_method));
-        for (name, label) in &self.message_labels {
-            let mut entry = FieldWriter::default();
-            entry.put_str(1, name);
-            entry.put_nested(2, label);
-            w.put_bytes(3, &entry.into_bytes());
-        }
-        w.put_u64(4, self.max_queues_per_interval as u64);
         if let Some(report) = &self.verified {
             w.put_nested(5, &VerifyReportCodec(report.clone()));
         }
@@ -253,43 +243,40 @@ impl Encode for Certified {
     }
 }
 
-impl Decode for Certified {
-    fn decode(r: &FieldReader<'_>) -> Result<Self, CodecError> {
-        let plan: CommPlan = decode_nested(r.req(1)?)?;
-        let method_str = decode_str(r.req(2)?)?;
-        let labeling_method = codec::labeling_method_from_str(method_str).ok_or_else(|| {
-            CodecError::Invalid(format!("unknown labeling method {method_str:?}"))
-        })?;
-        let message_labels = r
-            .all(3)
-            .map(|payload| {
-                let entry = FieldReader::parse(payload)?;
-                Ok((
-                    decode_str(entry.req(1)?)?.to_owned(),
-                    decode_nested::<Label>(entry.req(2)?)?,
-                ))
-            })
-            .collect::<Result<Vec<(String, Label)>, CodecError>>()?;
-        let verified = r
-            .opt(5)
-            .map(decode_nested::<VerifyReportCodec>)
-            .transpose()?
-            .map(|codec| codec.0);
-        let diagnostics = r
-            .all(7)
-            .map(decode_nested::<Diagnostic>)
-            .collect::<Result<Vec<Diagnostic>, CodecError>>()?;
-        Ok(Certified {
-            plan: Arc::new(plan),
-            labeling_method,
-            message_labels,
-            max_queues_per_interval: usize::try_from(decode_u64(r.req(4)?)?)
-                .map_err(|_| CodecError::Invalid("queue count exceeds usize".to_owned()))?,
-            verified,
-            analysis_micros: decode_u64(r.req(6)?)?,
-            diagnostics,
-        })
+/// Decodes the certified outcome recorded for `program`, deriving its
+/// label table and queue count through [`Certified::new`]. The plan must
+/// label exactly the program's messages, or the derivation would index
+/// past the labeling.
+fn decode_certified(payload: &[u8], program: &Program) -> Result<Certified, CodecError> {
+    let r = FieldReader::parse(payload)?;
+    let plan: CommPlan = decode_nested(r.req(1)?)?;
+    if plan.labeling().len() != program.num_messages() {
+        return Err(CodecError::Invalid(format!(
+            "plan labels {} messages but the program declares {}",
+            plan.labeling().len(),
+            program.num_messages()
+        )));
     }
+    let method_str = decode_str(r.req(2)?)?;
+    let labeling_method = codec::labeling_method_from_str(method_str)
+        .ok_or_else(|| CodecError::Invalid(format!("unknown labeling method {method_str:?}")))?;
+    let verified = r
+        .opt(5)
+        .map(decode_nested::<VerifyReportCodec>)
+        .transpose()?
+        .map(|codec| codec.0);
+    let diagnostics = r
+        .all(7)
+        .map(decode_nested::<Diagnostic>)
+        .collect::<Result<Vec<Diagnostic>, CodecError>>()?;
+    Ok(Certified::new(
+        program,
+        Arc::new(plan),
+        labeling_method,
+        verified,
+        decode_u64(r.req(6)?)?,
+        diagnostics,
+    ))
 }
 
 impl Encode for ServiceError {
@@ -342,94 +329,61 @@ impl Decode for Rejection {
     }
 }
 
-/// Adapter for the cached outcome (`Result` is foreign to both crates).
-struct OutcomeCodec(Result<Certified, Rejection>);
-
-impl Encode for OutcomeCodec {
-    fn encode(&self, w: &mut FieldWriter) {
-        match &self.0 {
-            Ok(certified) => {
-                w.put_u64(1, 0);
-                w.put_nested(2, certified);
-            }
-            Err(rejection) => {
-                w.put_u64(1, 1);
-                w.put_nested(3, rejection);
-            }
-        }
-    }
-}
-
-impl Decode for OutcomeCodec {
-    fn decode(r: &FieldReader<'_>) -> Result<Self, CodecError> {
-        Ok(OutcomeCodec(match decode_u64(r.req(1)?)? {
-            0 => Ok(decode_nested::<Certified>(r.req(2)?)?),
-            1 => Err(decode_nested::<Rejection>(r.req(3)?)?),
-            other => {
-                return Err(CodecError::Invalid(format!(
-                    "unrecognised outcome variant {other}"
-                )))
-            }
-        }))
-    }
-}
-
-impl Encode for PlanEntry {
-    fn encode(&self, w: &mut FieldWriter) {
-        w.put_u128(1, self.fingerprint);
-        w.put_u128(2, self.config_hash);
-        w.put_nested(3, &OutcomeCodec((*self.outcome).clone()));
-    }
-}
-
-impl Decode for PlanEntry {
-    fn decode(r: &FieldReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanEntry {
-            fingerprint: decode_u128(r.req(1)?)?,
-            config_hash: decode_u128(r.req(2)?)?,
-            outcome: Arc::new(decode_nested::<OutcomeCodec>(r.req(3)?)?.0),
-        })
-    }
-}
-
-impl Encode for SeedEntry {
+impl Encode for SnapshotEntry {
     fn encode(&self, w: &mut FieldWriter) {
         w.put_u128(1, self.fingerprint);
         w.put_nested(2, &self.program);
         w.put_nested(3, &self.topology);
         w.put_nested(4, &self.config);
+        match self.outcome.as_ref() {
+            Ok(certified) => w.put_nested(5, certified),
+            Err(rejection) => w.put_nested(6, rejection),
+        }
     }
 }
 
-impl Decode for SeedEntry {
+impl Decode for SnapshotEntry {
     fn decode(r: &FieldReader<'_>) -> Result<Self, CodecError> {
-        Ok(SeedEntry {
+        let program: Program = decode_nested(r.req(2)?)?;
+        let config: AnalysisConfig = decode_nested(r.req(4)?)?;
+        // A restored entry seeds edit sessions, whose analysis indexes an
+        // explicit lookahead table by message.
+        config.check_covers(&program).map_err(CodecError::Invalid)?;
+        let outcome = match (r.opt(5), r.opt(6)) {
+            (Some(certified), None) => Ok(decode_certified(certified, &program)?),
+            (None, Some(rejection)) => Err(decode_nested::<Rejection>(rejection)?),
+            _ => {
+                return Err(CodecError::Invalid(
+                    "a record holds exactly one outcome, certified or rejected".to_owned(),
+                ))
+            }
+        };
+        Ok(SnapshotEntry {
             fingerprint: decode_u128(r.req(1)?)?,
-            program: decode_nested(r.req(2)?)?,
+            program,
             topology: decode_nested(r.req(3)?)?,
-            config: decode_nested(r.req(4)?)?,
+            config,
+            outcome: Arc::new(outcome),
         })
     }
 }
 
-/// Repeated-entry section payloads.
-struct Section<T>(Vec<T>);
-
-impl<T: Encode> Encode for Section<T> {
+impl Encode for SnapshotData {
     fn encode(&self, w: &mut FieldWriter) {
-        for entry in &self.0 {
+        for entry in &self.entries {
             w.put_nested(1, entry);
         }
     }
 }
 
-impl<T: Decode> Decode for Section<T> {
+impl Decode for SnapshotData {
     fn decode(r: &FieldReader<'_>) -> Result<Self, CodecError> {
-        Ok(Section(
-            r.all(1)
-                .map(decode_nested::<T>)
-                .collect::<Result<Vec<T>, CodecError>>()?,
-        ))
+        Ok(SnapshotData {
+            entries: r
+                .all(1)
+                .map(decode_nested::<SnapshotEntry>)
+                .collect::<Result<Vec<SnapshotEntry>, CodecError>>()?,
+        })
     }
 }
 
@@ -482,27 +436,18 @@ pub(crate) fn write_snapshot(data: &SnapshotData) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     write_uvarint(&mut out, SNAPSHOT_VERSION);
-    write_uvarint(&mut out, 2);
-    push_section(
-        &mut out,
-        SECTION_PLANS,
-        &encode_to_vec(&Section(data.plans.clone())),
-    );
-    push_section(
-        &mut out,
-        SECTION_SEEDS,
-        &encode_to_vec(&Section(data.seeds.clone())),
-    );
+    write_uvarint(&mut out, 1);
+    push_section(&mut out, SECTION_ENTRIES, &encode_to_vec(data));
     out
 }
 
 /// Parses and fully validates a snapshot file into staged contents.
 ///
 /// Every framing check (magic, version, section lengths, per-section
-/// content hashes) and every entry decode runs before this returns, so a
+/// content hashes) and every record decode runs before this returns, so a
 /// caller that installs the result cannot partially apply a corrupt file.
-/// Unknown section kinds are skipped (forward compat); an unknown
-/// *version* is a typed rejection.
+/// Unknown section kinds are skipped (forward compat); any version other
+/// than [`SNAPSHOT_VERSION`] is a typed rejection.
 pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
     let mut input = bytes;
     if input.len() < SNAPSHOT_MAGIC.len() {
@@ -514,7 +459,7 @@ pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError>
     }
     input = rest;
     let version = read_uvarint(&mut input)?;
-    if version > SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
@@ -543,17 +488,11 @@ pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError>
         if section_hash(payload) != stored_hash {
             return Err(SnapshotError::SectionHashMismatch { kind });
         }
-        match kind {
-            SECTION_PLANS => {
-                data.plans = codec::decode_from_slice::<Section<PlanEntry>>(payload)?.0;
-            }
-            SECTION_SEEDS => {
-                data.seeds = codec::decode_from_slice::<Section<SeedEntry>>(payload)?.0;
-            }
-            // Forward compat: a future writer may append section kinds
-            // this build does not know; they are hash-checked (above) and
-            // skipped.
-            _ => {}
+        // Forward compat: a future writer may append section kinds this
+        // build does not know; they are hash-checked (above) and skipped.
+        if kind == SECTION_ENTRIES {
+            let section = codec::decode_from_slice::<SnapshotData>(payload)?;
+            data.entries.extend(section.entries);
         }
     }
     Ok(data)
@@ -562,8 +501,8 @@ pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_core::LabelingMethod;
-    use systolic_model::CanonicalHash;
+    use systolic_core::{LabelingMethod, Lookahead, LookaheadLimits};
+    use systolic_model::parse_program;
     use systolic_workloads::{fig7, fig7_topology};
 
     fn sample_data() -> SnapshotData {
@@ -574,38 +513,32 @@ mod tests {
         let analysis = systolic_core::Analyzer::for_topology(&topology, &config)
             .analyze(&program)
             .expect("certifies");
-        let plan = Arc::new(analysis.into_plan());
-        let message_labels = program
-            .message_ids()
-            .map(|m| (program.message(m).name().to_owned(), plan.label(m)))
-            .collect();
-        let certified = Certified {
-            max_queues_per_interval: plan.requirements().max_per_interval(),
-            plan,
-            labeling_method: LabelingMethod::Section6,
-            message_labels,
-            verified: Some(VerifyReport {
+        let certified = Certified::new(
+            &program,
+            Arc::new(analysis.into_plan()),
+            LabelingMethod::Section6,
+            Some(VerifyReport {
                 completed: true,
                 cycles: 42,
                 words_delivered: 9,
                 deadlock: None,
             }),
-            analysis_micros: 1234,
-            diagnostics: Vec::new(),
-        };
+            1234,
+            Vec::new(),
+        );
         SnapshotData {
-            plans: vec![PlanEntry {
-                fingerprint,
-                config_hash: config.content_hash(),
-                outcome: Arc::new(Ok(certified)),
-            }],
-            seeds: vec![SeedEntry {
+            entries: vec![SnapshotEntry {
                 fingerprint,
                 program,
                 topology,
                 config,
+                outcome: Arc::new(Ok(certified)),
             }],
         }
+    }
+
+    fn certified(entry: &SnapshotEntry) -> &Certified {
+        entry.outcome.as_ref().as_ref().expect("certified")
     }
 
     #[test]
@@ -613,18 +546,23 @@ mod tests {
         let data = sample_data();
         let bytes = write_snapshot(&data);
         let back = read_snapshot(&bytes).expect("snapshot parses");
-        assert_eq!(back.plans.len(), 1);
-        assert_eq!(back.seeds.len(), 1);
-        assert_eq!(back.plans[0].fingerprint, data.plans[0].fingerprint);
-        assert_eq!(back.plans[0].config_hash, data.plans[0].config_hash);
-        let original = data.plans[0].outcome.as_ref().as_ref().expect("certified");
-        let restored = back.plans[0].outcome.as_ref().as_ref().expect("certified");
+        assert_eq!(back.entries.len(), 1);
+        let (original, restored) = (&data.entries[0], &back.entries[0]);
+        assert_eq!(restored.fingerprint, original.fingerprint);
+        assert_eq!(restored.program, original.program);
+        assert_eq!(restored.topology, original.topology);
+        assert_eq!(restored.config, original.config);
+        let (original, restored) = (certified(original), certified(restored));
         assert_eq!(restored.plan.fingerprint(), original.plan.fingerprint());
+        assert_eq!(restored.labeling_method, original.labeling_method);
         assert_eq!(restored.message_labels, original.message_labels);
+        assert_eq!(
+            restored.max_queues_per_interval,
+            original.max_queues_per_interval
+        );
         assert_eq!(restored.verified, original.verified);
-        assert_eq!(back.seeds[0].program, data.seeds[0].program);
-        assert_eq!(back.seeds[0].topology, data.seeds[0].topology);
-        assert_eq!(back.seeds[0].config, data.seeds[0].config);
+        assert_eq!(restored.analysis_micros, original.analysis_micros);
+        assert_eq!(restored.diagnostics, original.diagnostics);
     }
 
     #[test]
@@ -639,21 +577,67 @@ mod tests {
                 "deadlocked after 7 crossed words",
             )],
         };
-        let data = SnapshotData {
-            plans: vec![PlanEntry {
-                fingerprint: 99,
-                config_hash: 7,
-                outcome: Arc::new(Err(rejection.clone())),
-            }],
-            seeds: Vec::new(),
-        };
+        let mut data = sample_data();
+        data.entries[0].outcome = Arc::new(Err(rejection.clone()));
         let back = read_snapshot(&write_snapshot(&data)).expect("parses");
-        let restored = back.plans[0]
+        let restored = back.entries[0]
             .outcome
             .as_ref()
             .as_ref()
             .expect_err("rejected");
         assert_eq!(*restored, rejection);
+    }
+
+    #[test]
+    fn records_that_contradict_their_program_are_invalid() {
+        let invalid = |data: &SnapshotData| {
+            matches!(
+                read_snapshot(&write_snapshot(data)),
+                Err(SnapshotError::Codec(CodecError::Invalid(_)))
+            )
+        };
+        // A program with more messages than the plan labels: deriving its
+        // label table would index past the labeling.
+        let mut data = sample_data();
+        data.entries[0].program = parse_program(
+            "cells 2\nmessage A: c0 -> c1\nmessage B: c0 -> c1\nmessage C: c0 -> c1\n\
+             message D: c0 -> c1\nprogram c0 { W(A) W(B) W(C) W(D) }\n\
+             program c1 { R(A) R(B) R(C) R(D) }\n",
+        )
+        .unwrap();
+        assert!(invalid(&data), "a plan short of the program's messages");
+        // An explicit lookahead table that misses messages.
+        let mut data = sample_data();
+        data.entries[0].config.lookahead =
+            Lookahead::Explicit(LookaheadLimits::from_table(vec![Some(4)]));
+        assert!(invalid(&data), "a lookahead table short of messages");
+        // A record holds exactly one outcome.
+        let data = sample_data();
+        let entry = &data.entries[0];
+        for outcomes in [0, 2] {
+            let mut record = FieldWriter::default();
+            record.put_u128(1, entry.fingerprint);
+            record.put_nested(2, &entry.program);
+            record.put_nested(3, &entry.topology);
+            record.put_nested(4, &entry.config);
+            if outcomes == 2 {
+                record.put_nested(5, certified(entry));
+                record.put_nested(
+                    6,
+                    &Rejection {
+                        error: ServiceError::Panicked("boom".to_owned()),
+                        diagnostics: Vec::new(),
+                    },
+                );
+            }
+            assert!(
+                matches!(
+                    codec::decode_from_slice::<SnapshotEntry>(&record.into_bytes()),
+                    Err(CodecError::Invalid(_))
+                ),
+                "a record with {outcomes} outcomes"
+            );
+        }
     }
 
     // ---- corrupt-input corpus -------------------------------------------
@@ -684,17 +668,18 @@ mod tests {
     }
 
     #[test]
-    fn future_version_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        write_uvarint(&mut bytes, SNAPSHOT_VERSION + 1);
-        write_uvarint(&mut bytes, 0);
-        match read_snapshot(&bytes) {
-            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, SNAPSHOT_VERSION + 1);
-                assert_eq!(supported, SNAPSHOT_VERSION);
+    fn only_version_2_is_read() {
+        for version in [0, 1, SNAPSHOT_VERSION + 1] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+            write_uvarint(&mut bytes, version);
+            write_uvarint(&mut bytes, 0);
+            match read_snapshot(&bytes) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, 2));
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
@@ -718,7 +703,7 @@ mod tests {
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         write_uvarint(&mut bytes, SNAPSHOT_VERSION);
         write_uvarint(&mut bytes, 1); // one section
-        write_uvarint(&mut bytes, SECTION_PLANS);
+        write_uvarint(&mut bytes, SECTION_ENTRIES);
         write_uvarint(&mut bytes, 1 << 50); // declared length >> file size
         bytes.extend_from_slice(&[0u8; 16]); // hash placeholder
         match read_snapshot(&bytes) {
@@ -756,21 +741,11 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         write_uvarint(&mut bytes, SNAPSHOT_VERSION);
-        write_uvarint(&mut bytes, 3);
+        write_uvarint(&mut bytes, 2);
         // A section kind from the future, first in the table.
         push_section(&mut bytes, 77, b"opaque payload from a future build");
-        push_section(
-            &mut bytes,
-            SECTION_PLANS,
-            &encode_to_vec(&Section(data.plans.clone())),
-        );
-        push_section(
-            &mut bytes,
-            SECTION_SEEDS,
-            &encode_to_vec(&Section(data.seeds.clone())),
-        );
+        push_section(&mut bytes, SECTION_ENTRIES, &encode_to_vec(&data));
         let back = read_snapshot(&bytes).expect("unknown section skipped");
-        assert_eq!(back.plans.len(), 1);
-        assert_eq!(back.seeds.len(), 1);
+        assert_eq!(back.entries.len(), 1);
     }
 }

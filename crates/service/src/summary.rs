@@ -120,7 +120,6 @@ pub fn summary_table(snapshot: &RegistrySnapshot, budget: ArenaBudget, run: &Run
         row("snapshot loads", &loads);
         for (label, name) in [
             ("snapshot plans restored", names::SNAPSHOT_LOADED_PLANS),
-            ("snapshot seeds restored", names::SNAPSHOT_LOADED_SEEDS),
             ("snapshot entries dropped", names::SNAPSHOT_DROPPED),
             ("snapshot loads rejected", names::SNAPSHOT_LOAD_REJECTED),
             ("snapshot saves", names::SNAPSHOT_SAVES),
@@ -177,7 +176,6 @@ pub fn summary_json(snapshot: &RegistrySnapshot, run: &RunTotals) -> Vec<(String
         members.push(("snapshot_loads", loads as f64));
         for (key, name) in [
             ("snapshot_plans_restored", names::SNAPSHOT_LOADED_PLANS),
-            ("snapshot_seeds_restored", names::SNAPSHOT_LOADED_SEEDS),
             ("snapshot_dropped", names::SNAPSHOT_DROPPED),
             ("snapshot_loads_rejected", names::SNAPSHOT_LOAD_REJECTED),
             ("snapshot_saves", names::SNAPSHOT_SAVES),
@@ -271,7 +269,6 @@ pub(crate) mod tests {
             (names::INCREMENTAL_HITS, 1),
             (names::INCREMENTAL_DIRTY_CELLS, 5),
             (names::SNAPSHOT_LOADED_PLANS, 5),
-            (names::SNAPSHOT_LOADED_SEEDS, 5),
             (names::SNAPSHOT_LOAD_REJECTED, 1),
             (names::SNAPSHOT_SAVES, 1),
             (names::SNAPSHOT_WARM_HITS, 7),
@@ -292,7 +289,7 @@ pub(crate) mod tests {
         for (name, reason, value) in [
             (names::INCREMENTAL_FALLBACKS, "dirty-ratio", 1),
             (names::INCREMENTAL_FALLBACKS, "topology", 1),
-            (names::SNAPSHOT_DROPPED, "config-skew", 1),
+            (names::SNAPSHOT_DROPPED, "refingerprint", 1),
             (names::SNAPSHOT_DROPPED, "export-missing-seed", 2),
         ] {
             registry
@@ -356,7 +353,6 @@ incremental sessions           1
 incremental session evictions  0
 snapshot loads                 2
 snapshot plans restored        5
-snapshot seeds restored        5
 snapshot entries dropped       3
 snapshot loads rejected        1
 snapshot saves                 1
@@ -387,7 +383,7 @@ invalid lines                  1
                 r#""latency_mean_us":12,"latency_p50_us":3,"latency_p99_us":40,"#,
                 r#""latency_max_us":40,"arena_hits":3,"arena_misses":1,"arena_evictions":0,"#,
                 r#""hw_threads":2,"scheduler_fanouts":2,"scheduler_items":4,"snapshot_loads":2,"#,
-                r#""snapshot_plans_restored":5,"snapshot_seeds_restored":5,"snapshot_dropped":3,"#,
+                r#""snapshot_plans_restored":5,"snapshot_dropped":3,"#,
                 r#""snapshot_loads_rejected":1,"snapshot_saves":1,"snapshot_warm_hits":7}"#,
             )
         );
@@ -412,8 +408,8 @@ invalid lines                  1
             (names::ARENA_CACHE_MISSES, (5, 0)),
             (names::SCHED_FANOUTS, (3, 2)),
             (names::INCREMENTAL_EDITS, (6, 0)),
-            (names::SNAPSHOT_SAVES, (8, 7)),
-            (names::SNAPSHOT_LOAD_REJECTED, (8, 7)),
+            (names::SNAPSHOT_SAVES, (7, 6)),
+            (names::SNAPSHOT_LOAD_REJECTED, (7, 6)),
         ] {
             let registry = Registry::new();
             registry.counter(series).inc();

@@ -35,10 +35,10 @@
 //! and answered with one `status: "metrics"` object dumping the whole
 //! metrics registry. A control line `{"op": "snapshot"}` persists the
 //! daemon's warm state to its configured `--snapshot-save` path and
-//! answers with a `status: "snapshot"` object (`plans`, `seeds`, `bytes`,
-//! `micros`), or `status: "rejected"` with `error_kind: "snapshot"` when
-//! no save path is configured. Every response shape is rendered by the
-//! one [`WireResponse::to_json`] entry point.
+//! answers with a `status: "snapshot"` object (`plans`, `bytes`, `micros`),
+//! or `status: "rejected"` with `error_kind: "snapshot"` when no save path
+//! is configured. Every response shape is rendered by the one
+//! [`WireResponse::to_json`] entry point.
 //!
 //! An edit line reanalyzes a previously submitted program incrementally
 //! (dirty-tracked stage reuse instead of a from-scratch run):
@@ -211,15 +211,10 @@ fn request_from_json(value: &Json, line_number: usize) -> Result<AnalysisRequest
     );
     request.config.queues_per_interval = queues;
     request.config.lookahead = parse_lookahead(value.get("lookahead"))?;
-    if let Lookahead::Explicit(limits) = &request.config.lookahead {
-        if limits.len() != request.program.num_messages() {
-            return Err(WireError::Field(format!(
-                "lookahead array has {} entries but the program declares {} messages",
-                limits.len(),
-                request.program.num_messages()
-            )));
-        }
-    }
+    request
+        .config
+        .check_covers(&request.program)
+        .map_err(WireError::Field)?;
     Ok(request)
 }
 
@@ -456,7 +451,6 @@ impl WireResponse<'_> {
                 ("id".to_owned(), Json::Str((*name).to_owned())),
                 ("status".to_owned(), Json::Str("snapshot".to_owned())),
                 ("plans".to_owned(), Json::Num(report.plans as f64)),
-                ("seeds".to_owned(), Json::Num(report.seeds as f64)),
                 ("bytes".to_owned(), Json::Num(report.bytes as f64)),
                 ("micros".to_owned(), Json::Num(report.micros as f64)),
             ]),
@@ -1176,7 +1170,6 @@ mod tests {
             name: "s1",
             report: crate::SnapshotReport {
                 plans: 5,
-                seeds: 5,
                 dropped: 0,
                 bytes: 1234,
                 micros: 99,
@@ -1185,7 +1178,7 @@ mod tests {
         .to_json();
         assert_eq!(
             done.to_string(),
-            r#"{"id":"s1","status":"snapshot","plans":5,"seeds":5,"bytes":1234,"micros":99}"#
+            r#"{"id":"s1","status":"snapshot","plans":5,"bytes":1234,"micros":99}"#
         );
         let rejected = WireResponse::SnapshotRejected {
             name: "s2",

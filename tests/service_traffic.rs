@@ -1,13 +1,17 @@
 //! End-to-end service test: ≥ 500 mixed workload requests through the
 //! sharded, cached analysis service, cross-checked against direct
-//! `Analyzer` runs.
+//! `Analyzer` runs, and a snapshot-warmed restart checked against the
+//! cold run's wire answers.
 
 use std::collections::HashMap;
 
 use systolic::core::{request_fingerprint, Analyzer};
+use systolic::model::{parse_program, Topology};
 use systolic::obs::names;
+use systolic::service::wire::WireResponse;
 use systolic::service::{
-    AnalysisRequest, AnalysisResponse, AnalysisService, CacheConfig, CacheProvenance, ServiceConfig,
+    AnalysisRequest, AnalysisResponse, AnalysisService, CacheConfig, CacheProvenance, Json,
+    ServiceConfig,
 };
 use systolic::workloads::{traffic, TrafficConfig};
 
@@ -135,4 +139,83 @@ fn tiny_cache_evicts_under_mixed_traffic() {
         "8 total slots must evict under mixed traffic"
     );
     assert!(service.cache_entries() <= 8);
+}
+
+/// A response's wire JSON without the members a restart may change: the
+/// provenance, the serving time and the trace id.
+fn restart_stable_json(response: &AnalysisResponse) -> String {
+    let Json::Obj(members) = WireResponse::Analysis(response).to_json() else {
+        panic!("an analysis response renders as an object");
+    };
+    let stable = members
+        .into_iter()
+        .filter(|(key, _)| !matches!(key.as_str(), "cache" | "micros" | "trace"))
+        .collect();
+    Json::Obj(stable).to_string()
+}
+
+#[test]
+fn warm_restart_answers_what_the_cold_run_answered() {
+    let mut requests: Vec<AnalysisRequest> = traffic(&TrafficConfig::default(), 20_261_017, 120)
+        .iter()
+        .map(AnalysisRequest::from_traffic)
+        .collect();
+    // A deadlocked exchange: a cached rejection with an E-DEADLOCK
+    // diagnostic.
+    let deadlocked = parse_program(
+        "cells 2\nmessage A: c0 -> c1\nmessage B: c1 -> c0\n\
+         program c0 { R(B) W(A) }\nprogram c1 { R(A) W(B) }\n",
+    )
+    .unwrap();
+    requests.push(AnalysisRequest::new(
+        "deadlock",
+        deadlocked,
+        Topology::linear(2),
+    ));
+    // The 6-cell witness on which the Section 6 scheme wedges: certified
+    // by the constraint solver, with a fallback warning.
+    let witness = parse_program(
+        "cells 6\n\
+         message M0: c5 -> c2\nmessage M1: c1 -> c4\nmessage M2: c3 -> c0\n\
+         message M3: c0 -> c4\nmessage M4: c4 -> c2\nmessage M5: c0 -> c4\n\
+         message M6: c2 -> c1\nmessage M7: c4 -> c2\nmessage M8: c2 -> c3\n\
+         program c0 { W(M5) W(M5) R(M2) W(M3) }\n\
+         program c1 { R(M6) R(M6) W(M1) W(M1) }\n\
+         program c2 { R(M4) R(M4) W(M6) W(M6) W(M8) R(M7) R(M7) R(M0) R(M0) }\n\
+         program c3 { R(M8) W(M2) }\n\
+         program c4 { W(M4) W(M4) R(M5) R(M5) R(M1) R(M3) R(M1) W(M7) W(M7) }\n\
+         program c5 { W(M0) W(M0) }\n",
+    )
+    .unwrap();
+    let mut witness = AnalysisRequest::new("witness", witness, Topology::linear(6));
+    witness.config.queues_per_interval = 4;
+    requests.push(witness);
+
+    let config = ServiceConfig {
+        verify: true,
+        ..Default::default()
+    };
+    let cold = AnalysisService::new(config);
+    let originals = cold.run_batch(requests.clone());
+    let rendered: Vec<String> = originals.iter().map(restart_stable_json).collect();
+    let deadlock = &rendered[rendered.len() - 2];
+    assert!(deadlock.contains(r#""code":"E-DEADLOCK""#), "{deadlock}");
+    let witness = &rendered[rendered.len() - 1];
+    assert!(witness.contains(r#""status":"certified""#), "{witness}");
+    assert!(
+        witness.contains(r#""code":"W-SECTION6-FALLBACK""#),
+        "{witness}"
+    );
+
+    let restarted = AnalysisService::new(config);
+    let report = restarted
+        .import_snapshot(&cold.export_snapshot())
+        .expect("the snapshot loads");
+    assert_eq!(report.plans as usize, cold.cache_entries());
+    assert_eq!(report.dropped, 0);
+    let replayed = restarted.run_batch(requests);
+    for (original, replay) in rendered.iter().zip(&replayed) {
+        assert_eq!(replay.provenance, CacheProvenance::Warm, "{}", replay.name);
+        assert_eq!(&restart_stable_json(replay), original);
+    }
 }
