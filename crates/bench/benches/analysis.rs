@@ -1,10 +1,12 @@
 //! Criterion benches for the compile-time analysis passes (E1):
-//! crossing-off classification, lookahead, labeling, and the full pipeline.
+//! crossing-off classification, lookahead, labeling, the full pipeline, and
+//! the `chain` scaling probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use systolic_core::{
     classify, classify_with, label_messages, AnalysisConfig, Analyzer, LookaheadLimits,
 };
+use systolic_model::{Program, ProgramBuilder};
 use systolic_workloads as wl;
 
 fn bench_classify(c: &mut Criterion) {
@@ -94,11 +96,42 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` one-word messages that `c0` writes and `c1` reads in the same order.
+/// Every message shares both cells, so a procedure that re-examines every
+/// message per crossed word is quadratic here; the ready set is linear.
+fn chain(n: usize) -> Program {
+    let mut b = ProgramBuilder::new(2);
+    for i in 0..n {
+        let name = format!("M{i}");
+        b.message(name.as_str(), 0u32, 1u32).expect("fresh name");
+        b.write(0u32, &name).expect("declared");
+        b.read(1u32, &name).expect("declared");
+    }
+    b.build().expect("valid chain")
+}
+
+fn bench_chain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chain");
+    group.sample_size(10);
+    for n in [1024usize, 2048, 4096, 8192] {
+        let program = chain(n);
+        let limits = LookaheadLimits::disabled(&program);
+        group.bench_with_input(BenchmarkId::new("classify", n), &program, |b, p| {
+            b.iter(|| classify(std::hint::black_box(p)).is_deadlock_free());
+        });
+        group.bench_with_input(BenchmarkId::new("label", n), &program, |b, p| {
+            b.iter(|| label_messages(std::hint::black_box(p), &limits).expect("labels"));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_classify,
     bench_lookahead,
     bench_labeling,
-    bench_pipeline
+    bench_pipeline,
+    bench_chain
 );
 criterion_main!(benches);

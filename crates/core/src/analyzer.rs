@@ -562,9 +562,9 @@ impl<'a> AnalyzerSession<'a> {
                 }
                 let limits = self.limits()?;
                 // The incremental path substitutes the early-stopping
-                // Section 6 driver: identical labels, errors and
+                // Section 6 driver: an identical report, errors and
                 // diagnostics (the program is already proven
-                // deadlock-free above), truncated trace.
+                // deadlock-free above) from fewer crossed pairs.
                 let section6 = if self.fast_labeling {
                     label_messages_assignments_only(self.program, limits)
                 } else {

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use systolic_model::{CellId, MessageId, Op, Program};
 
-use crate::LookaheadLimits;
+use crate::{Label, LookaheadLimits};
 
 /// One crossed-off executable pair.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -62,11 +62,6 @@ impl Trace {
     #[must_use]
     pub fn steps(&self) -> &[Step] {
         &self.steps
-    }
-
-    /// Appends a step (used by the labeling scheme's pair-at-a-time driver).
-    pub(crate) fn push_step(&mut self, step: Step) {
-        self.steps.push(step);
     }
 
     /// Total number of pairs crossed off.
@@ -246,12 +241,16 @@ pub(crate) fn classify_resume(
 
 /// Drives a machine until no pair is executable, then packages the verdict
 /// and the end-state snapshot.
+///
+/// Each step takes the whole ready set, so its pairs (skip counts
+/// included) all describe the state before the step, in ascending
+/// message-id order; they are then crossed together.
 fn run_to_completion(
     mut machine: Machine<'_>,
     mut trace: Trace,
 ) -> (Classification, MachineSnapshot) {
     loop {
-        let pairs = machine.executable_pairs();
+        let pairs = machine.take_ready();
         if pairs.is_empty() {
             break;
         }
@@ -273,16 +272,41 @@ fn run_to_completion(
     (classification, snapshot)
 }
 
-/// The portable end state of a crossing-off run: everything a [`Machine`]
-/// tracks, detached from the program borrow, so an extended program can
-/// resume where the base run finished instead of re-crossing every pair.
+/// The portable end state of a crossing-off run, detached from the program
+/// borrow, so an extended program can resume where the base run finished
+/// instead of re-crossing every pair.
+///
+/// A cell's program holds only writes or only reads of a given message,
+/// and each cross takes that message's first uncrossed op in both of its
+/// cells, so the crossed ops are exactly each message's first
+/// `words_done` ops in its sender and in its receiver.
 #[derive(Clone, Debug)]
 pub(crate) struct MachineSnapshot {
-    crossed: Vec<Vec<bool>>,
-    front: Vec<usize>,
     words_done: Vec<usize>,
-    uncrossed_per_cell: Vec<BTreeMap<MessageId, usize>>,
-    remaining_ops: usize,
+}
+
+/// Orders the ready set: labeled messages first, by label, then unlabeled
+/// ones; message id breaks ties. While nothing is labeled this is plain
+/// message-id order.
+type ReadyKey = (bool, Option<Label>, MessageId);
+
+/// A maximal stretch of one repeated op in a cell program. Its crossed ops
+/// are a prefix of it, so one step over a run covers all of its ops.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    op: Op,
+    /// Position of the run's first op.
+    start: usize,
+    len: usize,
+    /// How many ops of the same message precede the run in this cell.
+    ordinal: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs visited by [`Machine::scan`] on this thread: the deterministic
+    /// work counter the complexity tests read.
+    pub(crate) static RUNS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Working state of one crossing-off run.
@@ -290,19 +314,41 @@ pub(crate) struct MachineSnapshot {
 /// Shared between [`classify_with`] (which crosses maximal pair sets per
 /// step) and the labeling scheme (which crosses one pair at a time so labels
 /// are assigned in the order Section 6 prescribes).
+///
+/// The machine keeps the executable pairs in an ordered *ready set*.
+/// Whether a message is executable depends only on its sender's and its
+/// receiver's programs, and a cell can locate an op only inside its
+/// *window*: the uncrossed ops from its front up to the first read, or up
+/// to the write whose skip would exceed its message's R2 budget (both
+/// inclusive). Crossing an op only ever extends a window. So after a cross
+/// the ready set is stale only for the crossed message and for the
+/// messages with an op in a touched cell's window, and the next read of
+/// the set re-examines exactly those. Windows are walked a run of repeated
+/// ops at a time; with lookahead off a window is the front op alone, which
+/// makes the whole procedure linear in the op count.
 pub(crate) struct Machine<'p> {
     program: &'p Program,
     limits: &'p LookaheadLimits,
-    /// Per cell, per op position: crossed off yet?
-    crossed: Vec<Vec<bool>>,
-    /// Per cell: index of the first op not yet crossed.
+    /// Per cell: its program as runs of one repeated op.
+    runs: Vec<Vec<Run>>,
+    /// Per cell: index of the first run with an uncrossed op.
     front: Vec<usize>,
     /// Per message: number of words crossed so far.
     words_done: Vec<usize>,
-    /// Per cell: remaining (un-crossed) op count per message, for fast
-    /// "will this cell still access message X?" queries.
-    uncrossed_per_cell: Vec<BTreeMap<MessageId, usize>>,
     remaining_ops: usize,
+    /// Every executable pair, current as of the last refresh.
+    ready: BTreeMap<ReadyKey, Pair>,
+    /// Per message: the label it is ranked by in the ready set.
+    rank: Vec<Option<Label>>,
+    /// Messages to re-examine at the next refresh.
+    stale: Vec<MessageId>,
+    /// Cells crossed in since the last refresh.
+    touched: Vec<CellId>,
+    /// Per message and per cell: already queued for the next refresh?
+    stale_mark: Vec<bool>,
+    touched_mark: Vec<bool>,
+    /// Scratch: the messages of one window's runs.
+    window: Vec<MessageId>,
 }
 
 /// Result of scanning one cell program for a target operation.
@@ -313,85 +359,82 @@ struct Located {
 
 impl<'p> Machine<'p> {
     pub(crate) fn new(program: &'p Program, limits: &'p LookaheadLimits) -> Self {
-        let mut uncrossed_per_cell: Vec<BTreeMap<MessageId, usize>> =
-            vec![BTreeMap::new(); program.num_cells()];
-        for cell in program.cell_ids() {
-            for op in program.cell(cell).iter() {
-                *uncrossed_per_cell[cell.index()]
-                    .entry(op.message())
-                    .or_insert(0) += 1;
-            }
-        }
-        Machine {
-            program,
-            limits,
-            crossed: program
-                .cells()
-                .iter()
-                .map(|cp| vec![false; cp.len()])
-                .collect(),
-            front: vec![0; program.num_cells()],
+        let snapshot = MachineSnapshot {
             words_done: vec![0; program.num_messages()],
-            uncrossed_per_cell,
-            remaining_ops: program.total_ops(),
-        }
+        };
+        Self::from_snapshot(program, limits, snapshot)
     }
 
     /// Rebuilds a machine over `program` from a previous run's end state.
     ///
     /// `program` must extend the snapshot's program by appending operations
     /// at cell-program tails only: same cells, same message declarations,
-    /// and each cell's op list an extension of what the snapshot saw.
+    /// and each cell's op list an extension of what the snapshot saw, so
+    /// every crossed op keeps its place among its message's ops. Every
+    /// message is examined once for the first read of the ready set.
     pub(crate) fn from_snapshot(
         program: &'p Program,
         limits: &'p LookaheadLimits,
         snapshot: MachineSnapshot,
     ) -> Self {
-        let MachineSnapshot {
-            mut crossed,
-            front,
-            words_done,
-            mut uncrossed_per_cell,
-            mut remaining_ops,
-        } = snapshot;
-        debug_assert_eq!(crossed.len(), program.num_cells(), "cell count is fixed");
+        let MachineSnapshot { words_done } = snapshot;
         debug_assert_eq!(
             words_done.len(),
             program.num_messages(),
             "messages are fixed"
         );
-        for cell in program.cell_ids() {
-            let ops = program.cell(cell);
-            let flags = &mut crossed[cell.index()];
-            debug_assert!(flags.len() <= ops.len(), "ops are appended, never removed");
-            for pos in flags.len()..ops.len() {
-                let op = ops.get(pos).expect("position in range");
-                *uncrossed_per_cell[cell.index()]
-                    .entry(op.message())
-                    .or_insert(0) += 1;
-                remaining_ops += 1;
-            }
-            flags.resize(ops.len(), false);
-        }
-        Machine {
+        let messages = program.num_messages();
+        // A message's writes all sit in its sender and its reads all in its
+        // receiver, so counting per (kind, message) across the whole
+        // program counts within the one cell that holds them.
+        let mut seen = [vec![0; messages], vec![0; messages]];
+        let runs: Vec<Vec<Run>> = program
+            .cells()
+            .iter()
+            .map(|cp| {
+                let mut runs: Vec<Run> = Vec::new();
+                for (pos, op) in cp.iter().enumerate() {
+                    let ordinal = &mut seen[usize::from(op.is_read())][op.message().index()];
+                    match runs.last_mut() {
+                        Some(run) if run.op == op => run.len += 1,
+                        _ => runs.push(Run {
+                            op,
+                            start: pos,
+                            len: 1,
+                            ordinal: *ordinal,
+                        }),
+                    }
+                    *ordinal += 1;
+                }
+                runs
+            })
+            .collect();
+        let crossed_ops: usize = words_done.iter().sum::<usize>() * 2;
+        let mut machine = Machine {
             program,
             limits,
-            crossed,
-            front,
+            front: vec![0; runs.len()],
+            runs,
             words_done,
-            uncrossed_per_cell,
-            remaining_ops,
+            remaining_ops: program.total_ops() - crossed_ops,
+            ready: BTreeMap::new(),
+            rank: vec![None; messages],
+            stale: program.message_ids().collect(),
+            touched: Vec::new(),
+            stale_mark: vec![true; messages],
+            touched_mark: vec![false; program.num_cells()],
+            window: Vec::new(),
+        };
+        for cell in program.cell_ids() {
+            machine.advance_front(cell);
         }
+        machine
     }
 
     /// Consumes the machine into its portable end state.
     pub(crate) fn into_snapshot(self) -> MachineSnapshot {
         MachineSnapshot {
-            crossed: self.crossed,
-            front: self.front,
             words_done: self.words_done,
-            uncrossed_per_cell: self.uncrossed_per_cell,
-            remaining_ops: self.remaining_ops,
         }
     }
 
@@ -405,8 +448,8 @@ impl<'p> Machine<'p> {
                 .program
                 .cell_ids()
                 .map(|c| {
-                    let f = self.front[c.index()];
-                    self.program.cell(c).get(f).map(|op| (f, op))
+                    let run = self.runs[c.index()].get(self.front[c.index()])?;
+                    Some((run.start + self.crossed_in(run), run.op))
                 })
                 .collect(),
             remaining_ops: self.remaining_ops,
@@ -414,97 +457,182 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Remaining (un-crossed) accesses of `message` in `cell`'s program.
-    pub(crate) fn uncrossed_in_cell(&self, cell: CellId) -> &BTreeMap<MessageId, usize> {
-        &self.uncrossed_per_cell[cell.index()]
+    /// Words of `message` not yet crossed. `Program::new` admits writes only
+    /// in a message's sender and reads only in its receiver, in equal
+    /// numbers, so this is also its uncrossed op count in either endpoint.
+    pub(crate) fn pending(&self, message: MessageId) -> usize {
+        self.program.word_count(message) - self.words_done[message.index()]
     }
 
-    /// Finds every message whose next word's write *and* read are currently
-    /// locatable, in ascending message-id order.
-    pub(crate) fn executable_pairs(&self) -> Vec<Pair> {
-        let mut out = Vec::new();
-        for m in self.program.message_ids() {
-            if self.words_done[m.index()] >= self.program.word_count(m) {
-                continue;
-            }
-            let decl = self.program.message(m);
-            let Some(w) = self.locate(decl.sender(), Op::write(m)) else {
-                continue;
-            };
-            let Some(r) = self.locate(decl.receiver(), Op::read(m)) else {
-                continue;
-            };
-            let mut skipped = w.skipped;
-            for (msg, n) in r.skipped {
-                *skipped.entry(msg).or_insert(0) += n;
-            }
-            out.push(Pair {
-                message: m,
-                word: self.words_done[m.index()],
-                write_pos: w.pos,
-                read_pos: r.pos,
-                skipped,
-            });
+    /// Ranks `message` by `label` in the ready set from now on (labeling
+    /// order: smallest label first, unlabeled messages last).
+    pub(crate) fn rank(&mut self, message: MessageId, label: Label) {
+        let ready = self.ready.remove(&self.key(message));
+        self.rank[message.index()] = Some(label);
+        if let Some(pair) = ready {
+            self.ready.insert(self.key(message), pair);
         }
-        out
+    }
+
+    /// Removes and returns every executable pair, in ready-set order.
+    pub(crate) fn take_ready(&mut self) -> Vec<Pair> {
+        self.refresh();
+        let mut pairs = Vec::with_capacity(self.ready.len());
+        // Popping keeps the map's root node for the next step.
+        while let Some((_, pair)) = self.ready.pop_first() {
+            pairs.push(pair);
+        }
+        pairs
+    }
+
+    /// Removes and returns the first executable pair in ready-set order.
+    pub(crate) fn take_first_ready(&mut self) -> Option<Pair> {
+        self.refresh();
+        self.ready.pop_first().map(|(_, pair)| pair)
+    }
+
+    fn key(&self, message: MessageId) -> ReadyKey {
+        let label = self.rank[message.index()];
+        (label.is_none(), label, message)
+    }
+
+    /// How many of `run`'s ops are crossed: its message's crossed ops in
+    /// this cell are the first `words_done` of them.
+    fn crossed_in(&self, run: &Run) -> usize {
+        self.words_done[run.op.message().index()]
+            .saturating_sub(run.ordinal)
+            .min(run.len)
+    }
+
+    /// Re-examines every stale message: the ones crossed and the ones with
+    /// an op in a touched cell's window.
+    fn refresh(&mut self) {
+        for i in 0..self.touched.len() {
+            let cell = self.touched[i];
+            self.touched_mark[cell.index()] = false;
+            let mut window = std::mem::take(&mut self.window);
+            self.scan(cell, |op| {
+                window.push(op.message());
+                false
+            });
+            for &m in &window {
+                self.mark_stale(m);
+            }
+            window.clear();
+            self.window = window;
+        }
+        self.touched.clear();
+        for i in 0..self.stale.len() {
+            let m = self.stale[i];
+            self.stale_mark[m.index()] = false;
+            let key = self.key(m);
+            match self.executable_pair(m) {
+                Some(pair) => self.ready.insert(key, pair),
+                None => self.ready.remove(&key),
+            };
+        }
+        self.stale.clear();
+    }
+
+    fn mark_stale(&mut self, message: MessageId) {
+        if !std::mem::replace(&mut self.stale_mark[message.index()], true) {
+            self.stale.push(message);
+        }
+    }
+
+    /// `message`'s next word as a pair, if its write and its read can both
+    /// be located now.
+    fn executable_pair(&self, m: MessageId) -> Option<Pair> {
+        if self.pending(m) == 0 {
+            return None;
+        }
+        let decl = self.program.message(m);
+        // The read must end the receiver's window, so most probes fail on
+        // this side first.
+        let r = self.locate(decl.receiver(), Op::read(m))?;
+        let w = self.locate(decl.sender(), Op::write(m))?;
+        let mut skipped = w.skipped;
+        for (msg, n) in r.skipped {
+            *skipped.entry(msg).or_insert(0) += n;
+        }
+        Some(Pair {
+            message: m,
+            word: self.words_done[m.index()],
+            write_pos: w.pos,
+            read_pos: r.pos,
+            skipped,
+        })
     }
 
     /// Scans `cell`'s program from its front for `target`, skipping only
     /// un-crossed *write* operations (rule R1) within the per-message budget
     /// (rule R2). Returns the position and the skip counts, or `None`.
     fn locate(&self, cell: CellId, target: Op) -> Option<Located> {
-        let ops = self.program.cell(cell);
-        let crossed = &self.crossed[cell.index()];
+        self.scan(cell, |op| op == target)
+    }
+
+    /// Walks `cell`'s window in program order, offering each run's op to
+    /// `hit` (a run's uncrossed ops are all that op). Returns the first
+    /// uncrossed position of the run `hit` accepted, with the writes
+    /// skipped before it, or `None` once the window ends.
+    fn scan(&self, cell: CellId, mut hit: impl FnMut(Op) -> bool) -> Option<Located> {
         let mut skipped: BTreeMap<MessageId, usize> = BTreeMap::new();
-        let front = self.front[cell.index()];
-        for (pos, &is_crossed) in crossed.iter().enumerate().take(ops.len()).skip(front) {
-            if is_crossed {
+        for run in &self.runs[cell.index()][self.front[cell.index()]..] {
+            #[cfg(test)]
+            RUNS_VISITED.with(|v| v.set(v.get() + 1));
+            let crossed = self.crossed_in(run);
+            if crossed == run.len {
                 continue;
             }
-            let op = ops.get(pos).expect("position in range");
-            if op == target {
-                return Some(Located { pos, skipped });
+            if hit(run.op) {
+                return Some(Located {
+                    pos: run.start + crossed,
+                    skipped,
+                });
             }
-            if op.is_read() {
+            if run.op.is_read() {
                 // R1: only write operations may be skipped. If skipping reads
                 // were allowed, program P3 of Fig. 5 would be misclassified —
                 // a skipped read may feed the very write we are looking for.
                 return None;
             }
-            let count = skipped.entry(op.message()).or_insert(0);
-            *count += 1;
-            if !self.limits.allows(op.message(), *count) {
-                // R2: budget exhausted for this message.
+            let message = run.op.message();
+            let count = skipped.get(&message).copied().unwrap_or(0) + run.len - crossed;
+            if !self.limits.allows(message, count) {
+                // R2: budget exhausted for this message, somewhere in this
+                // run. Checked before the count is recorded, so a rejected
+                // probe allocates nothing.
                 return None;
             }
+            skipped.insert(message, count);
         }
         None
     }
 
+    /// Moves `cell`'s front past runs whose ops are all crossed.
+    fn advance_front(&mut self, cell: CellId) {
+        let runs = &self.runs[cell.index()];
+        let mut f = self.front[cell.index()];
+        while f < runs.len() && self.crossed_in(&runs[f]) == runs[f].len {
+            f += 1;
+        }
+        self.front[cell.index()] = f;
+    }
+
+    /// Crosses `pair` off and queues what it can change — the pair's
+    /// message and both of its cells' windows — for the next refresh.
     pub(crate) fn cross(&mut self, pair: &Pair) {
         let decl = self.program.message(pair.message);
-        for (cell, pos) in [
-            (decl.sender(), pair.write_pos),
-            (decl.receiver(), pair.read_pos),
-        ] {
-            let flags = &mut self.crossed[cell.index()];
-            debug_assert!(!flags[pos], "op crossed twice");
-            flags[pos] = true;
-            self.remaining_ops -= 1;
-            let remaining = self.uncrossed_per_cell[cell.index()]
-                .get_mut(&pair.message)
-                .expect("crossed message is tracked");
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.uncrossed_per_cell[cell.index()].remove(&pair.message);
-            }
-            // Advance the front past crossed ops.
-            let f = &mut self.front[cell.index()];
-            while *f < flags.len() && flags[*f] {
-                *f += 1;
+        debug_assert!(self.pending(pair.message) > 0, "word crossed twice");
+        self.words_done[pair.message.index()] += 1;
+        self.remaining_ops -= 2;
+        for cell in [decl.sender(), decl.receiver()] {
+            self.advance_front(cell);
+            if !std::mem::replace(&mut self.touched_mark[cell.index()], true) {
+                self.touched.push(cell);
             }
         }
-        self.words_done[pair.message.index()] += 1;
+        self.mark_stale(pair.message);
     }
 }
 
@@ -725,6 +853,54 @@ mod tests {
             let (pos, op) = front.expect("both cells have remaining ops");
             assert_eq!(pos, 0);
             assert!(op.is_read());
+        }
+    }
+
+    /// `n` one-word messages that `c0` writes and `c1` reads in the same
+    /// order: every message shares both cells, the worst case for a
+    /// procedure that re-examines every message after each cross.
+    fn chain(n: usize) -> Program {
+        let mut b = ProgramBuilder::new(2);
+        for i in 0..n {
+            let name = format!("M{i}");
+            b.message(name.as_str(), 0u32, 1u32).unwrap();
+            b.write(0u32, &name).unwrap();
+            b.read(1u32, &name).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Runs visited by [`Machine::scan`] while `f` runs on this thread.
+    fn runs_visited(f: impl FnOnce()) -> usize {
+        let before = RUNS_VISITED.with(std::cell::Cell::get);
+        f();
+        RUNS_VISITED.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn chain_work_is_linear_in_messages() {
+        for n in [1024, 8192] {
+            let p = chain(n);
+            let limits = LookaheadLimits::disabled(&p);
+            let classify_runs = runs_visited(|| {
+                let c = classify(&p);
+                assert!(c.is_deadlock_free());
+                assert_eq!(c.trace().steps().len(), n, "one message per step");
+            });
+            let label_runs = runs_visited(|| {
+                crate::label_messages(&p, &limits).unwrap();
+            });
+            // Each cross re-examines the crossed message and the one new
+            // front op per cell (every run here is a single op); a per-step
+            // scan of every message would visit on the order of n * n.
+            assert!(
+                classify_runs <= 6 * n,
+                "classify visited {classify_runs} runs for {n}"
+            );
+            assert!(
+                label_runs <= 6 * n,
+                "labeling visited {label_runs} runs for {n}"
+            );
         }
     }
 

@@ -17,10 +17,11 @@
 //! 4. **(d)** with lookahead, messages whose writes were skipped over while
 //!    locating the pair receive the pair's label (Section 8.2).
 
-use systolic_model::{MessageId, Program};
+use std::collections::BTreeMap;
 
-use crate::crossing_off::Step;
-use crate::{CoreError, Label, LookaheadLimits, Machine, RelatedMessages, Trace};
+use systolic_model::{CellId, MessageId, Program};
+
+use crate::{CoreError, Label, LookaheadLimits, Machine, RelatedMessages};
 
 /// A complete label assignment for a program's messages.
 ///
@@ -140,7 +141,6 @@ pub enum LabelRule {
 pub struct LabelingReport {
     labeling: Labeling,
     assignment_order: Vec<(MessageId, Label, LabelRule)>,
-    trace: Trace,
 }
 
 impl LabelingReport {
@@ -160,12 +160,6 @@ impl LabelingReport {
     #[must_use]
     pub fn assignment_order(&self) -> &[(MessageId, Label, LabelRule)] {
         &self.assignment_order
-    }
-
-    /// The crossing-off trace that drove the scheme (one pair per step).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 }
 
@@ -209,12 +203,90 @@ pub fn label_messages(
 /// none remain with words — so it can raise no `LabelConflict`, while
 /// confluence of the crossing-off procedure rules out a late stall. The
 /// `Unused` backfill and the final consistency check operate on the same
-/// finished label table either way; only the report's trace is truncated.
+/// finished label table either way, so the report is identical.
 pub(crate) fn label_messages_assignments_only(
     program: &Program,
     limits: &LookaheadLimits,
 ) -> Result<LabelingReport, CoreError> {
     label_messages_mode(program, limits, true)
+}
+
+/// The labels assigned so far, in assignment order, plus per cell the
+/// multiset (label → count) of the labels of labeled messages that still
+/// have words pending there, so rule 1b's smallest labeled future access
+/// is a first key.
+struct LabelTable<'p> {
+    program: &'p Program,
+    labels: Vec<Option<Label>>,
+    pending: Vec<BTreeMap<Label, usize>>,
+    order: Vec<(MessageId, Label, LabelRule)>,
+    /// Messages still unlabeled that carry words: once this hits zero no
+    /// further pair can assign a label, so early-stop mode may break.
+    unlabeled_with_words: usize,
+}
+
+impl<'p> LabelTable<'p> {
+    fn new(program: &'p Program) -> Self {
+        LabelTable {
+            program,
+            labels: vec![None; program.num_messages()],
+            pending: vec![BTreeMap::new(); program.num_cells()],
+            order: Vec::new(),
+            unlabeled_with_words: program
+                .message_ids()
+                .filter(|&m| program.word_count(m) > 0)
+                .count(),
+        }
+    }
+
+    fn get(&self, m: MessageId) -> Option<Label> {
+        self.labels[m.index()]
+    }
+
+    fn endpoints(&self, m: MessageId) -> [CellId; 2] {
+        let decl = self.program.message(m);
+        [decl.sender(), decl.receiver()]
+    }
+
+    /// Labels the still-unlabeled `m` and ranks it by `label` in
+    /// `machine`'s ready set. No word of an unlabeled message has crossed,
+    /// so all of its words are pending.
+    fn assign(&mut self, machine: &mut Machine<'_>, m: MessageId, label: Label, rule: LabelRule) {
+        self.labels[m.index()] = Some(label);
+        self.order.push((m, label, rule));
+        machine.rank(m, label);
+        if self.program.word_count(m) > 0 {
+            self.unlabeled_with_words -= 1;
+            for cell in self.endpoints(m) {
+                *self.pending[cell.index()].entry(label).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// The smallest label among messages still pending in `cells`.
+    fn future_min(&self, cells: [CellId; 2]) -> Option<Label> {
+        cells
+            .into_iter()
+            .filter_map(|c| self.pending[c.index()].keys().next().copied())
+            .min()
+    }
+
+    /// Notes that a word of the labeled `m` crossed: after its last word,
+    /// its label leaves both cells' multisets.
+    fn crossed(&mut self, machine: &Machine<'_>, m: MessageId) {
+        if machine.pending(m) > 0 {
+            return;
+        }
+        let label = self.get(m).expect("a crossed message is labeled");
+        for cell in self.endpoints(m) {
+            let set = &mut self.pending[cell.index()];
+            let count = set.get_mut(&label).expect("a pending label is tracked");
+            *count -= 1;
+            if *count == 0 {
+                set.remove(&label);
+            }
+        }
+    }
 }
 
 fn label_messages_mode(
@@ -224,73 +296,40 @@ fn label_messages_mode(
 ) -> Result<LabelingReport, CoreError> {
     let related = RelatedMessages::of(program);
     let mut machine = Machine::new(program, limits);
-    let mut labels: Vec<Option<Label>> = vec![None; program.num_messages()];
-    let mut assignment_order = Vec::new();
-    let mut trace = Trace::default();
+    let mut table = LabelTable::new(program);
     // Per cell: the largest label among already-crossed (past) accesses.
     let mut cell_past_max: Vec<Option<Label>> = vec![None; program.num_cells()];
     let mut max_in_use: Option<Label> = None;
     let mut crossed_words = 0usize;
-    // Messages still unlabeled that carry words: once this hits zero no
-    // further pair can assign a label, so early-stop mode may break.
-    let mut unlabeled_with_words = program
-        .message_ids()
-        .filter(|&m| program.word_count(m) > 0)
-        .count();
     let mut stopped_early = false;
 
     loop {
-        if early_stop && unlabeled_with_words == 0 {
+        if early_stop && table.unlabeled_with_words == 0 {
             stopped_early = true;
             break;
         }
-        let pairs = machine.executable_pairs();
-        // Pick one pair at a time. Among executable pairs, prefer the one
-        // whose message already has the SMALLEST label (ties by message
-        // id), and only then unlabeled messages. This mirrors the order of
-        // Theorem 1's proof — the smallest-label transfer proceeds first —
-        // and it matters: under lookahead, rule 1d can pre-label a message
-        // (small label) that is still executable while an unlabeled message
-        // is about to receive a fresh larger label; crossing the fresh one
-        // first would push a cell's "past maximum" above the pre-assigned
-        // label and wedge rule 1b. (The paper leaves the pick open — "how
-        // to pick an 'optimal' one in some sense is an issue".)
-        let Some(pair) = pairs.into_iter().min_by(|a, b| {
-            let key = |p: &crate::Pair| {
-                (
-                    labels[p.message.index()].is_none(),
-                    labels[p.message.index()],
-                    p.message,
-                )
-            };
-            // `None` labels sort last thanks to the leading bool; among
-            // labeled ones Option's ordering (None < Some) is irrelevant
-            // because the bool already separates the groups.
-            key(a).cmp(&key(b))
-        }) else {
+        // Pick one pair at a time: the first in the machine's ready-set
+        // order, which prefers the pair whose message already has the
+        // SMALLEST label (ties by message id), and only then unlabeled
+        // messages by id. This mirrors the order of Theorem 1's proof —
+        // the smallest-label transfer proceeds first — and it matters:
+        // under lookahead, rule 1d can pre-label a message (small label)
+        // that is still executable while an unlabeled message is about to
+        // receive a fresh larger label; crossing the fresh one first would
+        // push a cell's "past maximum" above the pre-assigned label and
+        // wedge rule 1b. (The paper leaves the pick open — "how to pick an
+        // 'optimal' one in some sense is an issue".)
+        let Some(pair) = machine.take_first_ready() else {
             break;
         };
         let m = pair.message;
-        let decl = program.message(m);
+        let cells = table.endpoints(m);
 
-        if labels[m.index()].is_none() {
-            // Labeled messages that the sender or receiver will still access
-            // (uncrossed ops other than the pair being crossed, which is m's).
-            let mut future_min: Option<Label> = None;
-            for cell in [decl.sender(), decl.receiver()] {
-                for &msg in machine.uncrossed_in_cell(cell).keys() {
-                    if msg == m {
-                        continue;
-                    }
-                    if let Some(l) = labels[msg.index()] {
-                        future_min = Some(match future_min {
-                            Some(cur) if cur <= l => cur,
-                            _ => l,
-                        });
-                    }
-                }
-            }
-            let past_max = [decl.sender(), decl.receiver()]
+        if table.get(m).is_none() {
+            // The smallest label among messages the sender or receiver will
+            // still access (m itself is unlabeled, so not among them).
+            let future_min = table.future_min(cells);
+            let past_max = cells
                 .into_iter()
                 .filter_map(|c| cell_past_max[c.index()])
                 .max();
@@ -317,30 +356,24 @@ fn label_messages_mode(
                     }
                 },
             };
-            labels[m.index()] = Some(label);
-            assignment_order.push((m, label, rule));
-            unlabeled_with_words -= 1;
+            table.assign(&mut machine, m, label, rule);
             max_in_use = Some(match max_in_use {
                 Some(cur) if cur >= label => cur,
                 _ => label,
             });
             // Rule 1c: the whole related class shares the label.
-            for other in related.class(m) {
-                if labels[other.index()].is_none() {
-                    labels[other.index()] = Some(label);
-                    assignment_order.push((other, label, LabelRule::RelatedClass));
-                    unlabeled_with_words -= 1;
+            for &other in related.class(m) {
+                if table.get(other).is_none() {
+                    table.assign(&mut machine, other, label, LabelRule::RelatedClass);
                 }
             }
         }
 
         // Rule 1d (Section 8.2): skipped-over messages share the label.
-        let pair_label = labels[m.index()].expect("just labeled");
+        let pair_label = table.get(m).expect("just labeled");
         for &skipped in pair.skipped.keys() {
-            if labels[skipped.index()].is_none() {
-                labels[skipped.index()] = Some(pair_label);
-                assignment_order.push((skipped, pair_label, LabelRule::SkippedCoLabel));
-                unlabeled_with_words -= 1;
+            if table.get(skipped).is_none() {
+                table.assign(&mut machine, skipped, pair_label, LabelRule::SkippedCoLabel);
                 max_in_use = Some(match max_in_use {
                     Some(cur) if cur >= pair_label => cur,
                     _ => pair_label,
@@ -348,7 +381,7 @@ fn label_messages_mode(
             }
         }
 
-        for cell in [decl.sender(), decl.receiver()] {
+        for cell in cells {
             let slot = &mut cell_past_max[cell.index()];
             *slot = Some(match *slot {
                 Some(cur) if cur >= pair_label => cur,
@@ -358,7 +391,7 @@ fn label_messages_mode(
 
         machine.cross(&pair);
         crossed_words += 1;
-        trace.push_step(Step { pairs: vec![pair] });
+        table.crossed(&machine, m);
     }
 
     if !stopped_early && machine.remaining_ops() != 0 {
@@ -370,7 +403,9 @@ fn label_messages_mode(
 
     // Declared-but-unused messages never compete for queues; give them the
     // conventional label 1.
-    let labels: Vec<Label> = labels
+    let mut assignment_order = table.order;
+    let labels: Vec<Label> = table
+        .labels
         .into_iter()
         .enumerate()
         .map(|(i, l)| {
@@ -398,7 +433,6 @@ fn label_messages_mode(
     Ok(LabelingReport {
         labeling,
         assignment_order,
-        trace,
     })
 }
 
@@ -587,14 +621,5 @@ mod tests {
         assert!(t.iter().all(|(_, l)| l == Label::integer(1)));
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn labeling_trace_crosses_every_word() {
-        let p = fig7();
-        let report = label_messages(&p, &LookaheadLimits::disabled(&p)).unwrap();
-        assert_eq!(report.trace().total_pairs(), p.total_words());
-        // One pair per step in labeling mode.
-        assert!(report.trace().steps().iter().all(|s| s.pairs.len() == 1));
     }
 }

@@ -27,12 +27,13 @@ impl UnionFind {
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// The root of `x`'s set, halving the path on the way up.
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
@@ -80,9 +81,10 @@ impl UnionFind {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RelatedMessages {
-    /// Canonical representative per message.
+    /// Per message: the index of its class in `classes`.
     class_of: Vec<usize>,
-    num_messages: usize,
+    /// The classes, each sorted, ordered by smallest member.
+    classes: Vec<Vec<MessageId>>,
 }
 
 impl RelatedMessages {
@@ -96,12 +98,13 @@ impl RelatedMessages {
     pub fn of(program: &Program) -> Self {
         let n = program.num_messages();
         let mut uf = UnionFind::new(n);
+        // prev[kind][message] = position of the previous access of that
+        // kind in the current cell, if any. Allocated once; after each cell
+        // only the entries it touched are reset.
+        let mut prev_read = vec![None; n];
+        let mut prev_write = vec![None; n];
         for cell in program.cell_ids() {
             let ops = program.cell(cell);
-            // prev[kind][message] = position of the previous access of that
-            // kind, if any.
-            let mut prev_read = vec![None; n];
-            let mut prev_write = vec![None; n];
             for (pos, op) in ops.iter().enumerate() {
                 let m = op.message().index();
                 let prev = if op.is_read() {
@@ -121,12 +124,25 @@ impl RelatedMessages {
                 }
                 prev[m] = Some(pos);
             }
+            for op in ops.iter() {
+                let m = op.message().index();
+                prev_read[m] = None;
+                prev_write[m] = None;
+            }
         }
-        let class_of = (0..n).map(|i| uf.find(i)).collect();
-        Self {
-            class_of,
-            num_messages: n,
+        let mut class_of = vec![0; n];
+        let mut class_of_root: Vec<Option<usize>> = vec![None; n];
+        let mut classes: Vec<Vec<MessageId>> = Vec::new();
+        for (i, slot) in class_of.iter_mut().enumerate() {
+            let root = uf.find(i);
+            let class = *class_of_root[root].get_or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[class].push(MessageId::new(i as u32));
+            *slot = class;
         }
+        Self { class_of, classes }
     }
 
     /// `true` if `a` and `b` are in the same equivalence class.
@@ -139,47 +155,33 @@ impl RelatedMessages {
         self.class_of[a.index()] == self.class_of[b.index()]
     }
 
-    /// All messages in `m`'s equivalence class, including `m` itself.
+    /// All messages in `m`'s equivalence class, including `m` itself, in
+    /// ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
     #[must_use]
-    pub fn class(&self, m: MessageId) -> Vec<MessageId> {
-        let root = self.class_of[m.index()];
-        (0..self.num_messages)
-            .filter(|&i| self.class_of[i] == root)
-            .map(|i| MessageId::new(i as u32))
-            .collect()
+    pub fn class(&self, m: MessageId) -> &[MessageId] {
+        &self.classes[self.class_of[m.index()]]
     }
 
     /// The equivalence classes, each sorted, ordered by smallest member.
     #[must_use]
-    pub fn classes(&self) -> Vec<Vec<MessageId>> {
-        let mut seen = vec![false; self.num_messages];
-        let mut out = Vec::new();
-        for i in 0..self.num_messages {
-            if !seen[i] {
-                let class = self.class(MessageId::new(i as u32));
-                for m in &class {
-                    seen[m.index()] = true;
-                }
-                out.push(class);
-            }
-        }
-        out
+    pub fn classes(&self) -> &[Vec<MessageId>] {
+        &self.classes
     }
 
     /// Number of messages covered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.num_messages
+        self.class_of.len()
     }
 
     /// `true` if the program declared no messages.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.num_messages == 0
+        self.class_of.is_empty()
     }
 }
 

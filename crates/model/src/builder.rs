@@ -1,6 +1,7 @@
 //! Fluent construction of [`Program`]s (C-BUILDER).
 
-use crate::{CellId, CellProgram, MessageDecl, MessageId, ModelError, Op, Program};
+use crate::hash::NameMap;
+use crate::{CellId, CellProgram, MessageDecl, MessageId, ModelError, Op, Program, SizeLimit};
 
 /// A value that can name a cell while building: a [`CellId`], a raw index,
 /// or a cell name string.
@@ -36,10 +37,9 @@ impl CellRef for u32 {
 impl CellRef for &str {
     fn resolve(&self, builder: &ProgramBuilder) -> Result<CellId, ModelError> {
         builder
-            .cells
-            .iter()
-            .position(|(n, _)| n == self)
-            .map(|i| CellId::new(i as u32))
+            .cell_ids
+            .get(*self)
+            .copied()
             .ok_or_else(|| ModelError::UnknownCell {
                 name: (*self).to_owned(),
             })
@@ -52,7 +52,9 @@ impl CellRef for &str {
 /// renamed); messages are declared with [`ProgramBuilder::message`]; ops are
 /// appended with [`ProgramBuilder::write`] / [`ProgramBuilder::read`] (or
 /// their `*_n` repetition variants, handy for the paper's `W(X)…` sequences).
-/// [`ProgramBuilder::build`] runs full [`Program`] validation.
+/// [`ProgramBuilder::build`] runs full [`Program`] validation. Names
+/// resolve through hash tables, and every size is checked against its
+/// [`SizeLimit`] before anything is allocated for it.
 ///
 /// # Examples
 ///
@@ -79,19 +81,53 @@ impl CellRef for &str {
 #[derive(Clone, Debug)]
 pub struct ProgramBuilder {
     cells: Vec<(String, Vec<Op>)>,
+    /// Cell name → id; the first of two equal names wins, as
+    /// [`Program::new`] rejects the pair anyway.
+    cell_ids: NameMap<CellId>,
     messages: Vec<MessageDecl>,
+    /// Message name → id.
+    message_ids: NameMap<MessageId>,
+    /// Ops appended so far, over all cells.
+    ops: usize,
 }
 
 impl ProgramBuilder {
     /// Creates a builder for an array of `num_cells` cells named
     /// `c0`…`c{n-1}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_cells` exceeds [`SizeLimit::Cells`]; check it first
+    /// when the count comes from untrusted input.
     #[must_use]
     pub fn new(num_cells: usize) -> Self {
-        ProgramBuilder {
-            cells: (0..num_cells)
-                .map(|i| (format!("c{i}"), Vec::new()))
-                .collect(),
+        if let Err(error) = SizeLimit::Cells.check(num_cells) {
+            panic!("{error}");
+        }
+        Self::named((0..num_cells).map(|i| format!("c{i}")))
+    }
+
+    /// A builder whose cells carry `names`, indexed once; the caller has
+    /// checked their count against [`SizeLimit::Cells`].
+    pub(crate) fn named(names: impl IntoIterator<Item = String>) -> Self {
+        let mut builder = ProgramBuilder {
+            cells: names.into_iter().map(|name| (name, Vec::new())).collect(),
+            cell_ids: NameMap::default(),
             messages: Vec::new(),
+            message_ids: NameMap::default(),
+            ops: 0,
+        };
+        builder.index_cells();
+        builder
+    }
+
+    fn index_cells(&mut self) {
+        self.cell_ids.clear();
+        self.cell_ids.reserve(self.cells.len());
+        for (i, (name, _)) in self.cells.iter().enumerate() {
+            self.cell_ids
+                .entry(name.clone())
+                .or_insert(CellId::new(i as u32));
         }
     }
 
@@ -110,6 +146,7 @@ impl ProgramBuilder {
         for (slot, name) in self.cells.iter_mut().zip(names) {
             slot.0 = name;
         }
+        self.index_cells();
         self
     }
 
@@ -123,8 +160,9 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if `sender`/`receiver` do not resolve, if they are equal, or if
-    /// `name` is already declared.
+    /// Fails if `sender`/`receiver` do not resolve, if they are equal, if
+    /// `name` is already declared, or if the program already declares
+    /// [`SizeLimit::Messages`] messages.
     pub fn message(
         &mut self,
         name: impl Into<String>,
@@ -132,23 +170,23 @@ impl ProgramBuilder {
         receiver: impl CellRef,
     ) -> Result<MessageId, ModelError> {
         let name = name.into();
-        if self.messages.iter().any(|m| m.name() == name) {
+        if self.message_ids.contains_key(&name) {
             return Err(ModelError::DuplicateMessage { name });
         }
         let s = sender.resolve(self)?;
         let r = receiver.resolve(self)?;
-        let decl = MessageDecl::new(name, s, r)?;
+        SizeLimit::Messages.check(self.messages.len() + 1)?;
+        let decl = MessageDecl::new(name.clone(), s, r)?;
+        let id = MessageId::new(self.messages.len() as u32);
         self.messages.push(decl);
-        Ok(MessageId::new((self.messages.len() - 1) as u32))
+        self.message_ids.insert(name, id);
+        Ok(id)
     }
 
     /// Looks up a previously declared message by name.
     #[must_use]
     pub fn message_id(&self, name: &str) -> Option<MessageId> {
-        self.messages
-            .iter()
-            .position(|m| m.name() == name)
-            .map(|i| MessageId::new(i as u32))
+        self.message_ids.get(name).copied()
     }
 
     fn resolve_message(&self, name: &str) -> Result<MessageId, ModelError> {
@@ -181,7 +219,9 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if the cell or message does not resolve.
+    /// Fails if the cell or message does not resolve, if `n` exceeds
+    /// [`SizeLimit::Repeat`], or if the program would exceed
+    /// [`SizeLimit::Ops`].
     pub fn write_n(
         &mut self,
         cell: impl CellRef,
@@ -190,17 +230,16 @@ impl ProgramBuilder {
     ) -> Result<&mut Self, ModelError> {
         let c = cell.resolve(self)?;
         let m = self.resolve_message(message)?;
-        self.cells[c.index()]
-            .1
-            .extend(std::iter::repeat_n(Op::write(m), n));
-        Ok(self)
+        self.push_n(c, Op::write(m), n)
     }
 
     /// Appends `n` consecutive `R(message)` ops.
     ///
     /// # Errors
     ///
-    /// Fails if the cell or message does not resolve.
+    /// Fails if the cell or message does not resolve, if `n` exceeds
+    /// [`SizeLimit::Repeat`], or if the program would exceed
+    /// [`SizeLimit::Ops`].
     pub fn read_n(
         &mut self,
         cell: impl CellRef,
@@ -209,21 +248,27 @@ impl ProgramBuilder {
     ) -> Result<&mut Self, ModelError> {
         let c = cell.resolve(self)?;
         let m = self.resolve_message(message)?;
-        self.cells[c.index()]
-            .1
-            .extend(std::iter::repeat_n(Op::read(m), n));
-        Ok(self)
+        self.push_n(c, Op::read(m), n)
     }
 
     /// Appends an already-constructed op to `cell`'s program.
     ///
     /// # Errors
     ///
-    /// Fails if the cell does not resolve. (The op's message is validated at
+    /// Fails if the cell does not resolve or if the program would exceed
+    /// [`SizeLimit::Ops`]. (The op's message is validated at
     /// [`ProgramBuilder::build`] time.)
     pub fn push_op(&mut self, cell: impl CellRef, op: Op) -> Result<&mut Self, ModelError> {
         let c = cell.resolve(self)?;
-        self.cells[c.index()].1.push(op);
+        self.push_n(c, op, 1)
+    }
+
+    /// Appends `n` copies of `op` to cell `c`, bounds checked first.
+    fn push_n(&mut self, c: CellId, op: Op, n: usize) -> Result<&mut Self, ModelError> {
+        SizeLimit::Repeat.check(n)?;
+        SizeLimit::Ops.check(self.ops + n)?;
+        self.ops += n;
+        self.cells[c.index()].1.extend(std::iter::repeat_n(op, n));
         Ok(self)
     }
 
@@ -233,13 +278,25 @@ impl ProgramBuilder {
     ///
     /// Propagates every [`Program::new`] validation error.
     pub fn build(&self) -> Result<Program, ModelError> {
-        let (names, ops): (Vec<String>, Vec<Vec<Op>>) = self.cells.iter().cloned().unzip();
-        Program::new(
-            names,
-            self.messages.clone(),
-            ops.into_iter().map(CellProgram::new).collect(),
-        )
+        assemble(self.cells.clone(), self.messages.clone())
     }
+
+    /// [`ProgramBuilder::build`] without copying the cells and messages.
+    pub(crate) fn into_program(self) -> Result<Program, ModelError> {
+        assemble(self.cells, self.messages)
+    }
+}
+
+fn assemble(
+    cells: Vec<(String, Vec<Op>)>,
+    messages: Vec<MessageDecl>,
+) -> Result<Program, ModelError> {
+    let (names, ops): (Vec<String>, Vec<Vec<Op>>) = cells.into_iter().unzip();
+    Program::new(
+        names,
+        messages,
+        ops.into_iter().map(CellProgram::new).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -299,6 +356,49 @@ mod tests {
         // missing the matching read
         let err = b.build().unwrap_err();
         assert!(matches!(err, ModelError::WordCountMismatch { .. }));
+    }
+
+    #[test]
+    fn sizes_are_checked_before_allocating() {
+        let mut b = ProgramBuilder::new(2);
+        b.message("A", 0u32, 1u32).unwrap();
+        let err = b.write_n(0u32, "A", 10_000_000_000).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::TooLarge {
+                limit: SizeLimit::Repeat,
+                size: 10_000_000_000
+            }
+        );
+        let repeat = SizeLimit::Repeat.max();
+        b.write_n(0u32, "A", repeat).unwrap();
+        let err = b.read_n(1u32, "A", repeat).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelError::TooLarge {
+                limit: SizeLimit::Ops,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "program too large: cells 65537 exceeds the limit of 65536")]
+    fn too_many_cells_panics() {
+        let _ = ProgramBuilder::new(SizeLimit::Cells.max() + 1);
+    }
+
+    #[test]
+    fn renamed_cells_resolve_by_new_name() {
+        let mut b = ProgramBuilder::new(2);
+        b.name_cells(["host", "c0"]);
+        b.message("A", "host", "c0").unwrap();
+        assert!(matches!(
+            b.message("B", "c1", "host").unwrap_err(),
+            ModelError::UnknownCell { .. }
+        ));
+        let p = b.build().unwrap();
+        assert_eq!(p.message(MessageId::new(0)).receiver(), CellId::new(1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{CellId, MessageId};
+use crate::{CellId, MessageId, SizeLimit};
 
 /// Errors produced while constructing or validating a
 /// [`Program`](crate::Program) or while routing messages over a
@@ -105,6 +105,13 @@ pub enum ModelError {
         /// What was wrong with it.
         message: String,
     },
+    /// A program (or one repetition in it) exceeds a [`SizeLimit`].
+    TooLarge {
+        /// The bound exceeded.
+        limit: SizeLimit,
+        /// The size asked for.
+        size: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -171,6 +178,12 @@ impl fmt::Display for ModelError {
                     "topology spec error at byte {offset} (`{token}`): {message}"
                 )
             }
+            ModelError::TooLarge { limit, size } => write!(
+                f,
+                "program too large: {} {size} exceeds the limit of {}",
+                limit.name(),
+                limit.max()
+            ),
         }
     }
 }
@@ -243,6 +256,10 @@ mod tests {
                 token: "torus".into(),
                 offset: 0,
                 message: "unknown topology kind".into(),
+            },
+            ModelError::TooLarge {
+                limit: SizeLimit::Ops,
+                size: SizeLimit::Ops.max() + 1,
             },
         ];
         for e in samples {

@@ -19,6 +19,9 @@
 //! linear array hashes differently from [`Topology::linear`]
 //! (crate::Topology::linear), mirroring `PartialEq` on `Topology`.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+
 use crate::{CellProgram, OpKind, Program, Topology};
 
 const OFFSET_LO: u64 = 0xcbf2_9ce4_8422_2325;
@@ -109,6 +112,46 @@ impl ContentHasher {
         (u128::from(self.hi) << 64) | u128::from(self.lo)
     }
 }
+
+/// 64-bit FNV-1a as a [`BuildHasher`], for the name tables that
+/// [`ProgramBuilder`](crate::ProgramBuilder) and [`Program::new`] consult
+/// once per name: names are a few bytes long, where the default SipHash's
+/// set-up costs more than the lookup. It takes no per-process seed, so a
+/// client can craft colliding names; that costs at worst the quadratic
+/// lookups the tables replaced, within the [`SizeLimit`](crate::SizeLimit)
+/// bounds.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct FnvBuildHasher;
+
+/// The running state of one [`FnvBuildHasher`] hash.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FnvHasher(u64);
+
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl BuildHasher for FnvBuildHasher {
+    type Hasher = FnvHasher;
+
+    fn build_hasher(&self) -> FnvHasher {
+        FnvHasher(OFFSET_LO)
+    }
+}
+
+/// A name-keyed table hashed with [`FnvBuildHasher`].
+pub(crate) type NameMap<V> = HashMap<String, V, FnvBuildHasher>;
+
+/// A set of borrowed names hashed with [`FnvBuildHasher`].
+pub(crate) type NameSet<'a> = HashSet<&'a str, FnvBuildHasher>;
 
 /// Types with a canonical, process-independent content encoding.
 ///

@@ -60,6 +60,7 @@ mod op;
 mod parse;
 mod program;
 mod route;
+mod size;
 mod topology;
 
 pub use builder::{CellRef, ProgramBuilder};
@@ -72,4 +73,5 @@ pub use op::{Op, OpKind};
 pub use parse::parse_program;
 pub use program::{CellProgram, Program};
 pub use route::{MessageRoutes, Route};
+pub use size::SizeLimit;
 pub use topology::{Topology, MAX_SPEC_CELLS};

@@ -15,14 +15,17 @@
 //! `OP(MSG)*N` repeats an operation `N` times — the paper's `W(X)…`
 //! sequence notation from Fig. 7.
 
-use crate::{ModelError, Program, ProgramBuilder};
+use crate::{CellId, CellRef, ModelError, Program, ProgramBuilder, SizeLimit};
 
 /// Parses a program from the text format above.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Parse`] (with a 1-based line number) for syntax
-/// errors, and any [`Program`] validation error for semantic ones.
+/// errors, [`ModelError::TooLarge`] for a cell count, an `*N` repetition
+/// or an op total beyond its [`SizeLimit`] (checked before anything is
+/// allocated for it), and any [`Program`] validation error for semantic
+/// ones.
 ///
 /// # Examples
 ///
@@ -87,7 +90,7 @@ impl<'a> Parser<'a> {
                 ));
             }
         }
-        builder.build()
+        builder.into_program()
     }
 
     fn parse_cells(&mut self) -> Result<ProgramBuilder, ModelError> {
@@ -107,12 +110,12 @@ impl<'a> Parser<'a> {
                 if n == 0 {
                     return Err(Self::err(line, "an array needs at least one cell"));
                 }
+                SizeLimit::Cells.check(n)?;
                 return Ok(ProgramBuilder::new(n));
             }
         }
-        let mut b = ProgramBuilder::new(tokens.len());
-        b.name_cells(tokens);
-        Ok(b)
+        SizeLimit::Cells.check(tokens.len())?;
+        Ok(ProgramBuilder::named(tokens.into_iter().map(str::to_owned)))
     }
 
     fn parse_message(
@@ -183,8 +186,11 @@ impl<'a> Parser<'a> {
             }
         }
 
+        // Resolved at the first op that reaches the builder, so a bad
+        // token, or an empty block, reports what it did before.
+        let mut cell: Option<CellId> = None;
         for token in body.split_whitespace() {
-            Self::parse_op_token(builder, &cell_name, first_line, token)?;
+            Self::parse_op_token(builder, &mut cell, &cell_name, first_line, token)?;
         }
         Ok(())
     }
@@ -192,7 +198,8 @@ impl<'a> Parser<'a> {
     /// Parses a single `W(MSG)`, `R(MSG)` or `OP(MSG)*N` token.
     fn parse_op_token(
         builder: &mut ProgramBuilder,
-        cell: &str,
+        cell: &mut Option<CellId>,
+        cell_name: &str,
         line: usize,
         token: &str,
     ) -> Result<(), ModelError> {
@@ -210,9 +217,9 @@ impl<'a> Parser<'a> {
             .and_then(|s| s.split_once('('))
             .ok_or_else(|| Self::err(line, format!("bad op token `{token}`")))?;
         let msg = msg.trim();
-        match kind.trim() {
-            "W" => builder.write_n(cell, msg, count)?,
-            "R" => builder.read_n(cell, msg, count)?,
+        let write = match kind.trim() {
+            "W" => true,
+            "R" => false,
             other => {
                 return Err(Self::err(
                     line,
@@ -220,6 +227,17 @@ impl<'a> Parser<'a> {
                 ));
             }
         };
+        let cell = match *cell {
+            Some(id) => id,
+            None => *cell.insert(cell_name.resolve(builder)?),
+        };
+        // The builder checks `count` against its bound before it reserves
+        // anything.
+        if write {
+            builder.write_n(cell, msg, count)?;
+        } else {
+            builder.read_n(cell, msg, count)?;
+        }
         Ok(())
     }
 }
@@ -325,6 +343,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ModelError::WordCountMismatch { .. }));
+    }
+
+    #[test]
+    fn block_cell_resolves_at_its_first_op() {
+        // An empty block never names its cell to the builder...
+        let p = parse_program(
+            "cells 2\nmessage A: c0 -> c1\nprogram nosuch { }\n\
+             program c0 { W(A) }\nprogram c1 { R(A) }\n",
+        )
+        .unwrap();
+        assert_eq!(p.total_ops(), 2);
+        // ...and a bad token is reported before the unknown cell is.
+        let err =
+            parse_program("cells 2\nmessage A: c0 -> c1\nprogram nosuch { X(A) }\n").unwrap_err();
+        assert!(
+            matches!(&err, ModelError::Parse { message, .. } if message.contains("unknown op `X`")),
+            "{err:?}"
+        );
+        let err =
+            parse_program("cells 2\nmessage A: c0 -> c1\nprogram nosuch { W(A) }\n").unwrap_err();
+        assert!(matches!(err, ModelError::UnknownCell { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        let too_large = |text: &str| match parse_program(text).unwrap_err() {
+            ModelError::TooLarge { limit, size } => (limit, size),
+            other => panic!("expected TooLarge, got {other:?}"),
+        };
+        assert_eq!(
+            too_large("cells 10000000000\n"),
+            (SizeLimit::Cells, 10_000_000_000)
+        );
+        assert_eq!(
+            too_large(
+                "cells 2\nmessage A: c0 -> c1\n\
+                 program c0 { W(A)*10000000000 }\nprogram c1 { R(A)*10000000000 }\n"
+            ),
+            (SizeLimit::Repeat, 10_000_000_000)
+        );
+        let (limit, _) = too_large(&format!(
+            "cells 2\nmessage A: c0 -> c1\nprogram c0 {{ W(A)*{n} W(A) }}\n",
+            n = SizeLimit::Ops.max()
+        ));
+        assert_eq!(limit, SizeLimit::Ops);
     }
 
     #[test]

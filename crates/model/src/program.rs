@@ -3,7 +3,8 @@
 
 use core::fmt;
 
-use crate::{CellId, MessageDecl, MessageId, ModelError, Op, OpKind};
+use crate::hash::NameSet;
+use crate::{CellId, MessageDecl, MessageId, ModelError, Op, OpKind, SizeLimit};
 
 /// The statement sequence of a single cell, restricted to `R`/`W` operations.
 ///
@@ -108,6 +109,8 @@ impl Program {
     ///
     /// # Errors
     ///
+    /// * [`ModelError::TooLarge`] if the cells, messages or ops exceed their
+    ///   [`SizeLimit`];
     /// * [`ModelError::DuplicateCell`] / [`ModelError::DuplicateMessage`] for
     ///   name collisions;
     /// * [`ModelError::CellOutOfRange`] if a declaration references a cell
@@ -130,14 +133,21 @@ impl Program {
             "cell_names and cells must describe the same number of cells"
         );
         let num_cells = cells.len();
+        SizeLimit::Cells.check(num_cells)?;
+        SizeLimit::Messages.check(messages.len())?;
+        SizeLimit::Ops.check(cells.iter().map(CellProgram::len).sum())?;
 
-        for (i, name) in cell_names.iter().enumerate() {
-            if cell_names[..i].iter().any(|n| n == name) {
+        let mut seen = NameSet::default();
+        seen.reserve(num_cells);
+        for name in &cell_names {
+            if !seen.insert(name.as_str()) {
                 return Err(ModelError::DuplicateCell { name: name.clone() });
             }
         }
+        let mut seen = NameSet::default();
+        seen.reserve(messages.len());
         for (i, decl) in messages.iter().enumerate() {
-            if messages[..i].iter().any(|d| d.name() == decl.name()) {
+            if !seen.insert(decl.name()) {
                 return Err(ModelError::DuplicateMessage {
                     name: decl.name().to_owned(),
                 });
@@ -371,6 +381,30 @@ mod tests {
         assert_eq!(p.message_id("A"), Some(m));
         assert_eq!(p.cell_id("c1"), Some(CellId::new(1)));
         assert_eq!(p.cell_id("nope"), None);
+    }
+
+    #[test]
+    fn rejects_programs_beyond_the_size_limits() {
+        // Every construction path, edits included, ends here, so a program
+        // grown past a bound is refused even when no single step was.
+        let m = MessageId::new(0);
+        let words = SizeLimit::Ops.max() / 2 + 1;
+        let err = Program::new(
+            two_cell_names(),
+            vec![decl("A", 0, 1)],
+            vec![
+                CellProgram::new(vec![Op::write(m); words]),
+                CellProgram::new(vec![Op::read(m); words]),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::TooLarge {
+                limit: SizeLimit::Ops,
+                size: 2 * words
+            }
+        );
     }
 
     #[test]

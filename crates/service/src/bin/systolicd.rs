@@ -56,7 +56,11 @@
 //! log (one JSON object per finished span, `trace` ids matching the
 //! `trace` field of wire responses) as JSONL on exit. A request line
 //! `{"op": "metrics"}` dumps the registry as one JSON response mid-stream
-//! after flushing every prior request. Exit
+//! after flushing every prior request. A line longer than
+//! `wire::MAX_LINE_BYTES` (1 MiB) is skipped without being buffered, and
+//! a program beyond a `SizeLimit` is refused before it is built; both are
+//! answered `status: "invalid"` like any malformed line, and serving goes
+//! on. Exit
 //! status is 0 when every line was a well-formed request (rejected
 //! analyses still count as served), 2 on usage errors, 1 when some lines
 //! were malformed.
@@ -71,13 +75,13 @@
 //!     > responses2.jsonl   # instant warm cache, responses say "warm"
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::time::Instant;
 
 use systolic_service::daemon::{DaemonCommand, GenOptions, OptionsError, ServeOptions, USAGE};
 use systolic_service::summary::{summary_json, summary_table, RunTotals};
-use systolic_service::wire::{parse_line, WireRequest, WireResponse};
+use systolic_service::wire::{parse_line, BoundedLines, WireRequest, WireResponse};
 use systolic_service::{AnalysisService, Json, Ticket};
 use systolic_workloads::traffic;
 
@@ -200,16 +204,20 @@ fn serve_main(options: &ServeOptions) {
         }
     };
 
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
+    // A line longer than `MAX_LINE_BYTES` is skipped without being
+    // buffered and answered `invalid` below, like any malformed line.
+    for (i, line) in BoundedLines::new(BufReader::new(reader)).enumerate() {
         let line = line.unwrap_or_else(|e| {
             eprintln!("systolicd: read error: {e}");
             std::process::exit(2);
         });
-        if line.trim().is_empty() {
-            continue;
-        }
         let line_number = i + 1;
-        match parse_line(&line, line_number) {
+        let request = match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => parse_line(&text, line_number),
+            Err(error) => Err(error),
+        };
+        match request {
             Ok(WireRequest::Analysis(request)) => {
                 if inflight.len() >= inflight_limit {
                     drain_one(&mut inflight, &mut out);

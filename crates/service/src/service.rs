@@ -246,6 +246,11 @@ pub enum ServiceError {
     /// The analysis panicked; the worker caught the panic so one bad
     /// request cannot take down the pool or the daemon.
     Panicked(String),
+    /// The request's configuration does not cover its program
+    /// ([`AnalysisConfig::check_covers`](systolic_core::AnalysisConfig::check_covers)):
+    /// an explicit lookahead table of the wrong length. Refused before
+    /// analysis and never cached.
+    InvalidConfig(String),
 }
 
 impl ServiceError {
@@ -254,7 +259,7 @@ impl ServiceError {
     pub fn as_analysis(&self) -> Option<&CoreError> {
         match self {
             ServiceError::Analysis(e) => Some(e),
-            ServiceError::Panicked(_) => None,
+            ServiceError::Panicked(_) | ServiceError::InvalidConfig(_) => None,
         }
     }
 }
@@ -264,6 +269,7 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Analysis(e) => write!(f, "{e}"),
             ServiceError::Panicked(msg) => write!(f, "analysis panicked: {msg}"),
+            ServiceError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -1321,13 +1327,24 @@ fn handle(
     let span = tracer.start(tracer.new_trace(), None, "request");
     let ctx = span.ctx();
     let fingerprint = request_fingerprint(&request.program, &request.topology, &request.config);
-    let (outcome, provenance) = match inner.cache.get(fingerprint) {
-        Some(entry) if entry.restored => {
+    let covered = request.config.check_covers(&request.program);
+    let (outcome, provenance) = match covered.map(|()| inner.cache.get(fingerprint)) {
+        // A table that does not cover the program would panic the
+        // analysis, and a cached panic would keep inputs that panic the
+        // first edit on them: refuse it, without touching the cache.
+        Err(message) => (
+            Arc::new(Err(Rejection {
+                error: ServiceError::InvalidConfig(message),
+                diagnostics: Vec::new(),
+            })),
+            CacheProvenance::Miss,
+        ),
+        Ok(Some(entry)) if entry.restored => {
             inner.metrics.snapshot_warm_hits.inc();
             (entry.outcome, CacheProvenance::Warm)
         }
-        Some(entry) => (entry.outcome, CacheProvenance::Hit),
-        None => {
+        Ok(Some(entry)) => (entry.outcome, CacheProvenance::Hit),
+        Ok(None) => {
             // catch_unwind so a panic in the analysis of one (possibly
             // hostile) request rejects that request instead of killing
             // the worker and, via the dropped reply channel, the client.
@@ -2002,9 +2019,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_survives_a_panicked_request_and_keeps_serving() {
-        // A poisoned request panics in *analysis* (never reaching the
-        // chase); the worker's warm arenas must survive it and keep
+    fn arena_survives_a_refused_request_and_keeps_serving() {
+        // A request the worker refuses before analysis (never reaching
+        // the chase); the worker's warm arenas must survive it and keep
         // hitting for healthy same-topology traffic.
         let config = ServiceConfig {
             verify: true,
@@ -2028,7 +2045,7 @@ mod tests {
         let response = service.submit(poisoned).wait();
         assert!(matches!(
             response.outcome.as_ref(),
-            Err(r) if matches!(r.error, ServiceError::Panicked(_))
+            Err(r) if matches!(r.error, ServiceError::InvalidConfig(_))
         ));
 
         let after = service
@@ -2200,26 +2217,48 @@ mod tests {
     }
 
     #[test]
-    fn analysis_panics_are_contained_to_one_request() {
-        // An explicit lookahead table shorter than the message count makes
-        // the analysis index out of bounds as soon as crossing-off skips
-        // the uncovered message — the worker must catch the panic, answer
-        // this request as rejected, and keep serving.
+    fn a_short_lookahead_table_is_refused_uncached() {
+        // An explicit lookahead table shorter than the message count would
+        // make the analysis index out of bounds as soon as crossing-off
+        // skips the uncovered message. The worker refuses it with a typed
+        // error instead, caches nothing, and keeps serving; an edit naming
+        // the refused request finds no base rather than panicking on the
+        // calling thread.
         let program = parse_program(
             "cells 2\nmessage A: c0 -> c1\nmessage B: c0 -> c1\n\
              program c0 { W(B) W(A) }\nprogram c1 { R(A) R(B) }\n",
         )
         .unwrap();
-        let mut poisoned = AnalysisRequest::new("poison", program, Topology::linear(2));
-        poisoned.config.lookahead =
+        let mut short = AnalysisRequest::new("short", program, Topology::linear(2));
+        short.config.lookahead =
             Lookahead::Explicit(systolic_core::LookaheadLimits::from_table(vec![None]));
         let service = AnalysisService::new(ServiceConfig::default());
-        let response = service.submit(poisoned).wait();
+        let response = service.submit(short).wait();
+        let Err(rejection) = response.outcome.as_ref() else {
+            panic!("a short table must be refused");
+        };
+        assert_eq!(
+            rejection.error,
+            ServiceError::InvalidConfig(
+                "lookahead array has 1 entries but the program declares 2 messages".to_owned()
+            )
+        );
+        assert_eq!(service.cache_entries(), 0, "the refusal is never cached");
+        assert_eq!(service.cache_stats().misses, 0, "nor is the cache probed");
+        let edit = service.apply_edit(
+            "e1",
+            response.fingerprint,
+            &[NamedEditOp::Append {
+                cell: "c0".to_owned(),
+                write: true,
+                message: "A".to_owned(),
+            }],
+        );
         assert!(matches!(
-            response.outcome.as_ref(),
-            Err(r) if matches!(r.error, ServiceError::Panicked(_))
+            edit,
+            Err(EditRequestError::UnknownBase { base }) if base == response.fingerprint
         ));
-        // The pool survives and serves later requests normally.
+        // The pool serves later requests normally.
         let healthy = service.submit(fig7_request()).wait();
         assert!(healthy.is_certified());
     }

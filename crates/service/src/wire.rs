@@ -75,6 +75,8 @@
 //! `cells` are the offending message/cell ids (declaration order indexes),
 //! present only when non-empty.
 
+use std::io::BufRead;
+
 use systolic_core::{codec, Diagnostic, Lookahead, LookaheadLimits};
 use systolic_model::{parse_program, program_to_text, ModelError, Topology};
 use systolic_obs::RegistrySnapshot;
@@ -94,6 +96,8 @@ pub enum WireError {
     Model(ModelError),
     /// A field is missing or has the wrong shape.
     Field(String),
+    /// The line is longer than [`MAX_LINE_BYTES`]; it was skipped unread.
+    LineTooLong,
 }
 
 impl core::fmt::Display for WireError {
@@ -102,7 +106,84 @@ impl core::fmt::Display for WireError {
             WireError::Json(e) => write!(f, "{e}"),
             WireError::Model(e) => write!(f, "{e}"),
             WireError::Field(msg) => write!(f, "{msg}"),
+            WireError::LineTooLong => {
+                write!(f, "line longer than the limit of {MAX_LINE_BYTES} bytes")
+            }
         }
+    }
+}
+
+/// The longest request line read, in bytes, without its line ending.
+/// Program sizes have their own bounds
+/// ([`SizeLimit`](systolic_model::SizeLimit)); this one caps what a reader
+/// buffers before it can parse anything.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The lines of a request stream, each read into memory only up to
+/// [`MAX_LINE_BYTES`]: a longer line is consumed to its end, unstored, and
+/// yields [`WireError::LineTooLong`]. Line endings are stripped as by
+/// [`BufRead::lines`].
+#[derive(Debug)]
+pub struct BoundedLines<R> {
+    reader: R,
+}
+
+impl<R: BufRead> BoundedLines<R> {
+    /// Reads lines from `reader`.
+    pub fn new(reader: R) -> Self {
+        BoundedLines { reader }
+    }
+}
+
+impl<R: BufRead> Iterator for BoundedLines<R> {
+    /// An I/O failure (including a line that is not UTF-8), or the line.
+    type Item = std::io::Result<Result<String, WireError>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut line = Vec::new();
+        let mut too_long = false;
+        let mut terminated = false;
+        let mut read_any = false;
+        while !terminated {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(e)),
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            read_any = true;
+            let (part, used) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    terminated = true;
+                    (&chunk[..i], i + 1)
+                }
+                None => (chunk, chunk.len()),
+            };
+            if !too_long && line.len() + part.len() > MAX_LINE_BYTES {
+                too_long = true;
+                line = Vec::new();
+            }
+            if !too_long {
+                line.extend_from_slice(part);
+            }
+            self.reader.consume(used);
+        }
+        if !read_any {
+            return None;
+        }
+        if too_long {
+            return Some(Ok(Err(WireError::LineTooLong)));
+        }
+        if terminated && line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Some(
+            String::from_utf8(line)
+                .map(Ok)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+        )
     }
 }
 
@@ -704,11 +785,13 @@ fn diagnostics_to_json(diagnostics: &[Diagnostic]) -> Json {
 }
 
 /// The stable `error_kind` vocabulary: `"internal"` for contained panics,
+/// `"config"` for a configuration that does not cover its program,
 /// otherwise the [`codec::core_error_kind`] string — the same one the
 /// binary snapshot format commits to, so wire and disk agree.
 fn error_kind(error: &ServiceError) -> &'static str {
     match error {
         ServiceError::Panicked(_) => "internal",
+        ServiceError::InvalidConfig(_) => "config",
         ServiceError::Analysis(error) => codec::core_error_kind(error),
     }
 }
@@ -739,6 +822,33 @@ fn render_traffic(id: &str, item: &TrafficItem) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounded_lines_strip_endings_and_skip_long_lines() {
+        let long = "x".repeat(MAX_LINE_BYTES + 1);
+        let fits = "y".repeat(MAX_LINE_BYTES);
+        let input = format!("a\r\n\n{long}\n{fits}\nb\r");
+        // A one-byte buffer makes every line span many reads.
+        let reader = std::io::BufReader::with_capacity(1, input.as_bytes());
+        let lines: Vec<Result<String, WireError>> = BoundedLines::new(reader)
+            .map(|line| line.expect("in-memory reads succeed"))
+            .collect();
+        assert_eq!(
+            lines,
+            vec![
+                Ok("a".to_owned()),
+                Ok(String::new()),
+                Err(WireError::LineTooLong),
+                Ok(fits),
+                Ok("b\r".to_owned()),
+            ]
+        );
+        let invalid = BoundedLines::new(&b"\xff\n"[..]).next().unwrap();
+        assert!(
+            invalid.is_err(),
+            "non-UTF-8 is an I/O error, as for `lines()`"
+        );
+    }
     use crate::{AnalysisService, ServiceConfig};
     use systolic_core::AnalysisConfig;
     use systolic_workloads::{traffic, TrafficConfig};
