@@ -1327,50 +1327,51 @@ fn handle(
     let span = tracer.start(tracer.new_trace(), None, "request");
     let ctx = span.ctx();
     let fingerprint = request_fingerprint(&request.program, &request.topology, &request.config);
-    let covered = request.config.check_covers(&request.program);
-    let (outcome, provenance) = match covered.map(|()| inner.cache.get(fingerprint)) {
-        // A table that does not cover the program would panic the
-        // analysis, and a cached panic would keep inputs that panic the
-        // first edit on them: refuse it, without touching the cache.
-        Err(message) => (
-            Arc::new(Err(Rejection {
-                error: ServiceError::InvalidConfig(message),
-                diagnostics: Vec::new(),
-            })),
-            CacheProvenance::Miss,
-        ),
-        Ok(Some(entry)) if entry.restored => {
+    let (outcome, provenance) = match inner.cache.get(fingerprint) {
+        Some(entry) if entry.restored => {
             inner.metrics.snapshot_warm_hits.inc();
             (entry.outcome, CacheProvenance::Warm)
         }
-        Ok(Some(entry)) => (entry.outcome, CacheProvenance::Hit),
-        Ok(None) => {
-            // catch_unwind so a panic in the analysis of one (possibly
-            // hostile) request rejects that request instead of killing
-            // the worker and, via the dropped reply channel, the client.
-            // (Replay panics are already contained — and their arena
-            // dropped — inside the verify scheduler.)
-            let mut seed = None;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                compute(inner, &request, verifier, ctx, &mut seed)
-            }));
-            let outcome: ServiceOutcome = Arc::new(match result {
-                Ok(outcome) => outcome,
-                Err(panic) => Err(Rejection {
-                    error: ServiceError::Panicked(panic_message(&panic)),
+        Some(entry) => (entry.outcome, CacheProvenance::Hit),
+        None => match request.config.check_covers(&request.program) {
+            // A table that does not cover the program would panic the
+            // analysis, and a cached panic would keep inputs that panic
+            // the first edit on them: refuse it, and cache nothing.
+            Err(message) => (
+                Arc::new(Err(Rejection {
+                    error: ServiceError::InvalidConfig(message),
                     diagnostics: Vec::new(),
-                }),
-            });
-            let entry = CacheEntry {
-                outcome,
-                seed,
-                restored: false,
-            };
-            // First writer wins: racing workers converge on one entry and
-            // one shared outcome.
-            let (winner, _inserted) = inner.cache.insert(fingerprint, entry);
-            (winner.outcome, CacheProvenance::Miss)
-        }
+                })),
+                CacheProvenance::Miss,
+            ),
+            Ok(()) => {
+                // catch_unwind so a panic in the analysis of one (possibly
+                // hostile) request rejects that request instead of killing
+                // the worker and, via the dropped reply channel, the
+                // client. (Replay panics are already contained — and their
+                // arena dropped — inside the verify scheduler.)
+                let mut seed = None;
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    compute(inner, &request, verifier, ctx, &mut seed)
+                }));
+                let outcome: ServiceOutcome = Arc::new(match result {
+                    Ok(outcome) => outcome,
+                    Err(panic) => Err(Rejection {
+                        error: ServiceError::Panicked(panic_message(&*panic)),
+                        diagnostics: Vec::new(),
+                    }),
+                });
+                let entry = CacheEntry {
+                    outcome,
+                    seed,
+                    restored: false,
+                };
+                // First writer wins: racing workers converge on one entry
+                // and one shared outcome.
+                let (winner, _inserted) = inner.cache.insert(fingerprint, entry);
+                (winner.outcome, CacheProvenance::Miss)
+            }
+        },
     };
     let handle_micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
     let trace_id = ctx.trace.0;
@@ -1482,6 +1483,12 @@ fn compiled_for(
     }
 }
 
+/// The request name that makes [`compute`] panic in unit tests, after the
+/// topology compiled: no known input panics the analysis, and the
+/// worker's panic containment still needs a trigger.
+#[cfg(test)]
+const PANIC_SENTINEL: &str = "panic-sentinel";
+
 /// Analyzes (and, with `verify` on, chases) one plan-cache miss. The
 /// request inputs go to `seed` as soon as the topology compiled, so the
 /// cache entry keeps them even if the analysis panics later: an `edit`
@@ -1499,6 +1506,10 @@ fn compute(
         program: request.program.clone(),
         compiled: Arc::clone(&compiled),
     }));
+    #[cfg(test)]
+    if request.name == PANIC_SENTINEL {
+        panic!("sentinel request");
+    }
     let analyzer = Analyzer::new(Arc::clone(&compiled)).with_obs(Arc::clone(&inner.obs));
     let outcome = analyzer.diagnose_in(&request.program, Some(ctx));
     conclude(
@@ -2019,9 +2030,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_survives_a_refused_request_and_keeps_serving() {
-        // A request the worker refuses before analysis (never reaching
-        // the chase); the worker's warm arenas must survive it and keep
+    fn arena_survives_a_panicked_request_and_keeps_serving() {
+        // A poisoned request panics in *analysis* (never reaching the
+        // chase); the worker's warm arenas must survive it and keep
         // hitting for healthy same-topology traffic.
         let config = ServiceConfig {
             verify: true,
@@ -2034,19 +2045,12 @@ mod tests {
             .wait()
             .is_certified());
 
-        let program = parse_program(
-            "cells 2\nmessage A: c0 -> c1\nmessage B: c0 -> c1\n\
-             program c0 { W(B) W(A) }\nprogram c1 { R(A) R(B) }\n",
-        )
-        .unwrap();
-        let mut poisoned = AnalysisRequest::new("poison", program, Topology::linear(2));
-        poisoned.config.lookahead =
-            Lookahead::Explicit(systolic_core::LookaheadLimits::from_table(vec![None]));
+        let poisoned = AnalysisRequest::new(PANIC_SENTINEL, fig7(4), fig7_topology());
         let response = service.submit(poisoned).wait();
-        assert!(matches!(
-            response.outcome.as_ref(),
-            Err(r) if matches!(r.error, ServiceError::InvalidConfig(_))
-        ));
+        assert_eq!(
+            response.outcome.as_ref().as_ref().err().map(|r| &r.error),
+            Some(&ServiceError::Panicked("sentinel request".to_owned()))
+        );
 
         let after = service
             .submit(AnalysisRequest::new("healthy", fig7(3), fig7_topology()))
@@ -2217,6 +2221,23 @@ mod tests {
     }
 
     #[test]
+    fn analysis_panics_are_contained_to_one_request() {
+        // The sentinel request panics inside the analysis — the worker must
+        // catch the panic, answer this request as rejected, and keep
+        // serving.
+        let poisoned = AnalysisRequest::new(PANIC_SENTINEL, fig7(2), fig7_topology());
+        let service = AnalysisService::new(ServiceConfig::default());
+        let response = service.submit(poisoned).wait();
+        assert_eq!(
+            response.outcome.as_ref().as_ref().err().map(|r| &r.error),
+            Some(&ServiceError::Panicked("sentinel request".to_owned()))
+        );
+        // The pool survives and serves later requests normally.
+        let healthy = service.submit(fig7_request()).wait();
+        assert!(healthy.is_certified());
+    }
+
+    #[test]
     fn a_short_lookahead_table_is_refused_uncached() {
         // An explicit lookahead table shorter than the message count would
         // make the analysis index out of bounds as soon as crossing-off
@@ -2244,7 +2265,7 @@ mod tests {
             )
         );
         assert_eq!(service.cache_entries(), 0, "the refusal is never cached");
-        assert_eq!(service.cache_stats().misses, 0, "nor is the cache probed");
+        assert_eq!(service.cache_stats().misses, 1, "it is a probed miss");
         let edit = service.apply_edit(
             "e1",
             response.fingerprint,

@@ -290,10 +290,9 @@ impl Encode for ServiceError {
                 w.put_u64(1, 1);
                 w.put_str(2, message);
             }
-            ServiceError::InvalidConfig(message) => {
-                w.put_u64(1, 2);
-                w.put_str(2, message);
-            }
+            // Never cached, so never exported: it has no on-disk tag, and
+            // the empty record it would leave fails to decode.
+            ServiceError::InvalidConfig(_) => {}
         }
     }
 }
@@ -303,7 +302,6 @@ impl Decode for ServiceError {
         Ok(match decode_u64(r.req(1)?)? {
             0 => ServiceError::Analysis(decode_nested::<CoreError>(r.req(2)?)?),
             1 => ServiceError::Panicked(decode_str(r.req(2)?)?.to_owned()),
-            2 => ServiceError::InvalidConfig(decode_str(r.req(2)?)?.to_owned()),
             other => {
                 return Err(CodecError::Invalid(format!(
                     "unrecognised service error variant {other}"

@@ -386,7 +386,7 @@ fn verify_one(
         }
         Err(panic) => {
             lru.remove(task.key);
-            Err(VerifyTaskError::Panicked(panic_message(&panic)))
+            Err(VerifyTaskError::Panicked(panic_message(&*panic)))
         }
     }
 }
@@ -629,6 +629,31 @@ mod tests {
             outcomes.iter().filter(|o| o.is_ok()).count(),
             4,
             "healthy items still report"
+        );
+    }
+
+    #[test]
+    fn replay_panics_report_their_message() {
+        // A one-message plan replayed against a two-message program trips
+        // the engine's route-coverage assertion inside the replay.
+        let batch = mixed_batch(&[Topology::linear(3)], 1);
+        let (_, compiled, plan) = &batch[0];
+        let mut builder = ProgramBuilder::new(3);
+        builder.message("A", 0u32, 1u32).unwrap();
+        builder.message("B", 1u32, 2u32).unwrap();
+        builder.write(0u32, "A").unwrap();
+        builder.read(1u32, "A").unwrap();
+        builder.write(1u32, "B").unwrap();
+        builder.read(2u32, "B").unwrap();
+        let program = builder.build().unwrap();
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 1, ArenaBudget::Auto);
+        let outcomes = scheduler.verify_batch_outcomes([(&program, compiled, plan)]);
+        let Err(VerifyTaskError::Panicked(message)) = &outcomes[0] else {
+            panic!("the replay must panic: {:?}", outcomes[0]);
+        };
+        assert!(
+            message.contains("routes must cover exactly the program's messages"),
+            "{message}"
         );
     }
 
