@@ -5,14 +5,14 @@
 //!    (`verify_plan` in a loop, which routes every message and builds
 //!    fresh queue pools per call) by ≥ 1.5×.
 //! 2. **Parallel pool**: fanning a one-topology 256-plan batch over a
-//!    4-worker [`VerifyScheduler`] holding one arena per worker
-//!    (`ArenaBudget::Fixed(1)`) must beat the sequential
-//!    `verify_batch_compiled` by ≥ 2× — on hardware with ≥ 4 cores. The
-//!    asserted floor scales down with `available_parallelism` (a 1-core
-//!    runner can only assert that the pool's coordination overhead is
-//!    bounded), and the actual core count is recorded alongside the
-//!    ratio.
+//!    4-worker [`VerifyScheduler`] holding one arena per worker must beat
+//!    the sequential `verify_batch_compiled` by ≥ 2× — on hardware with
+//!    ≥ 4 cores. The asserted floor scales down with
+//!    `available_parallelism` (a 1-core runner can only assert that the
+//!    pool's coordination overhead is bounded), and the actual core count
+//!    is recorded alongside the ratio.
 //! 3. **Mixed-topology scheduler**: one persistent [`VerifyScheduler`]
+//!    holding two arenas per worker (one per topology) and
 //!    fanning an interleaved mesh+torus 256-plan batch out in a single
 //!    heterogeneous dispatch must at least match splitting the batch by
 //!    topology and building a fresh one-arena-per-worker scheduler per
@@ -34,9 +34,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use systolic_core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology};
 use systolic_model::{CellId, Program, ProgramBuilder, Topology};
-use systolic_sim::{
-    verify_batch_compiled, verify_plan, ArenaBudget, SimConfig, VerifyReport, VerifyScheduler,
-};
+use systolic_sim::{verify_batch_compiled, verify_plan, SimConfig, VerifyReport, VerifyScheduler};
 
 const BATCH: usize = 64;
 const PARALLEL_BATCH: usize = 256;
@@ -45,6 +43,8 @@ const CELLS: usize = 256;
 const MESSAGES: usize = 8;
 const MIXED_BATCH: usize = 256;
 const MIXED_THREADS: usize = 4;
+/// Arenas per mixed-scheduler worker: one per topology in the mixed batch.
+const MIXED_ARENAS: usize = 2;
 /// Mesh/torus side for the mixed-topology batch (8×8 = 64 cells each).
 const MIXED_SIDE: usize = 8;
 
@@ -233,7 +233,7 @@ fn run_per_topology_pools(batch: &MixedBatch) -> Vec<VerifyReport> {
     }
     let mut reports: Vec<Option<VerifyReport>> = (0..batch.items.len()).map(|_| None).collect();
     for (_, indices) in &groups {
-        let mut pool = VerifyScheduler::new(batch.sim, MIXED_THREADS, ArenaBudget::Fixed(1));
+        let mut pool = VerifyScheduler::new(batch.sim, MIXED_THREADS, 1);
         let group_reports = pool
             .verify_batch(indices.iter().map(|&i| {
                 let (program, compiled, plan) = &batch.items[i];
@@ -272,7 +272,7 @@ fn bench_verify(c: &mut Criterion) {
 
 fn bench_parallel_verify(c: &mut Criterion) {
     let batch = certified_batch(PARALLEL_BATCH);
-    let mut pool = VerifyScheduler::new(batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
+    let mut pool = VerifyScheduler::new(batch.sim, PARALLEL_THREADS, 1);
     let mut group = c.benchmark_group("parallel_verify");
     group.sample_size(10);
     group.bench_function(format!("sequential_arena_batch{PARALLEL_BATCH}"), |b| {
@@ -289,7 +289,7 @@ fn bench_parallel_verify(c: &mut Criterion) {
 
 fn bench_mixed_verify(c: &mut Criterion) {
     let batch = mixed_batch(MIXED_BATCH);
-    let mut scheduler = VerifyScheduler::new(batch.sim, MIXED_THREADS, ArenaBudget::Auto);
+    let mut scheduler = VerifyScheduler::new(batch.sim, MIXED_THREADS, MIXED_ARENAS);
     let mut group = c.benchmark_group("mixed_topology_verify");
     group.sample_size(10);
     group.bench_function(
@@ -361,8 +361,7 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
         (false, hw) if hw >= 4 => 2.0,
         (false, _) => 1.2,
     };
-    let mut pool =
-        VerifyScheduler::new(parallel_batch.sim, PARALLEL_THREADS, ArenaBudget::Fixed(1));
+    let mut pool = VerifyScheduler::new(parallel_batch.sim, PARALLEL_THREADS, 1);
 
     // Parity again: the pool must be byte-identical to the sequential
     // path, reports in input order.
@@ -390,7 +389,7 @@ fn verify_acceptance_ratios(_c: &mut Criterion) {
     // full multi-core run must show the scheduler at least breaking even.
     let mixed = mixed_batch(MIXED_BATCH);
     let mixed_target = if quick || hw_threads == 1 { 0.8 } else { 1.0 };
-    let mut scheduler = VerifyScheduler::new(mixed.sim, MIXED_THREADS, ArenaBudget::Auto);
+    let mut scheduler = VerifyScheduler::new(mixed.sim, MIXED_THREADS, MIXED_ARENAS);
 
     // Parity: the heterogeneous fan-out must be byte-identical to the
     // split-by-topology reference, reports in input order.

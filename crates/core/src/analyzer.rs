@@ -60,10 +60,10 @@ use systolic_obs::{names, Obs, SpanCtx};
 use crate::crossing_off::{classify_with_snapshot, MachineSnapshot};
 use crate::labeling::label_messages_assignments_only;
 use crate::{
-    check_consistency, classify_with, label_messages, label_messages_robust, Analysis,
-    AnalysisConfig, Classification, CommPlan, CompetingSets, CompiledTopology,
-    ConsistencyViolation, CoreError, Diagnostic, DiagnosticCode, Diagnostics, Labeling,
-    LabelingMethod, LabelingReport, Lookahead, LookaheadLimits, QueueRequirements,
+    check_consistency, classify_with, label_messages_robust, Analysis, AnalysisConfig,
+    Classification, CommPlan, CompetingSets, CompiledTopology, ConsistencyViolation, CoreError,
+    Diagnostic, DiagnosticCode, Diagnostics, Labeling, LabelingMethod, LabelingReport, Lookahead,
+    LookaheadLimits, QueueRequirements,
 };
 
 /// Precomputed artifacts the incremental path injects into a session so
@@ -77,10 +77,6 @@ pub(crate) struct SessionSeeds {
     pub routes: Option<MessageRoutes>,
     pub classification: Option<Classification>,
     pub competing: Option<CompetingSets>,
-    /// Use the assignments-only (early-stopping) Section 6 driver. Sound
-    /// only because the labeling stage runs strictly after classification
-    /// has proven the program deadlock-free.
-    pub fast_labeling: bool,
     /// Capture the crossing-off machine's end state for later resumption.
     pub capture_snapshot: bool,
 }
@@ -199,7 +195,6 @@ impl Analyzer {
             limits: OnceCell::new(),
             classification: OnceCell::new(),
             seeded_classification: RefCell::new(seeds.classification),
-            fast_labeling: seeds.fast_labeling,
             capture_snapshot: seeds.capture_snapshot,
             snapshot: RefCell::new(None),
             labeling: OnceCell::new(),
@@ -327,10 +322,6 @@ pub struct AnalyzerSession<'a> {
     /// by the classification stage in place of running the crossing-off
     /// procedure, so the stage's diagnostics are still emitted uniformly.
     seeded_classification: RefCell<Option<Classification>>,
-    /// Use the assignments-only Section 6 driver (incremental path; sound
-    /// because labeling runs only after classification proves the program
-    /// deadlock-free).
-    fast_labeling: bool,
     /// Capture the crossing-off end state into `snapshot`.
     capture_snapshot: bool,
     snapshot: RefCell<Option<MachineSnapshot>>,
@@ -561,16 +552,10 @@ impl<'a> AnalyzerSession<'a> {
                     return Err(error);
                 }
                 let limits = self.limits()?;
-                // The incremental path substitutes the early-stopping
-                // Section 6 driver: an identical report, errors and
-                // diagnostics (the program is already proven
-                // deadlock-free above) from fewer crossed pairs.
-                let section6 = if self.fast_labeling {
-                    label_messages_assignments_only(self.program, limits)
-                } else {
-                    label_messages(self.program, limits)
-                };
-                match section6 {
+                // The program is proven deadlock-free above, so the
+                // early-stopping Section 6 driver gives the full driver's
+                // report, errors and diagnostics from fewer crossed pairs.
+                match label_messages_assignments_only(self.program, limits) {
                     Ok(report) => Ok(LabelingOutcome {
                         labeling: report.labeling().clone(),
                         method: LabelingMethod::Section6,
@@ -886,6 +871,7 @@ impl<'a> AnalyzerSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label_messages;
     use systolic_model::parse_program;
 
     fn fig7_text() -> &'static str {

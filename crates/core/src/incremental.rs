@@ -650,10 +650,7 @@ impl IncrementalSession {
         let lookahead_disabled = matches!(lookahead, Lookahead::Disabled);
         let capacity_lookahead = matches!(lookahead, Lookahead::PerQueueCapacity(_));
 
-        let mut seeds = SessionSeeds {
-            fast_labeling: true,
-            ..SessionSeeds::default()
-        };
+        let mut seeds = SessionSeeds::default();
         let mut report = ReuseReport {
             dirty_cells: dirty.count(),
             total_cells: self.program.num_cells(),

@@ -196,9 +196,11 @@ pub fn label_messages(
 /// [`label_messages`] that stops crossing pairs as soon as every message
 /// with a nonzero word count has a label.
 ///
-/// Sound **only for programs already known deadlock-free** (the incremental
-/// path runs it after the classification stage): up to the stop point this
-/// is the identical algorithm, and past it the full run assigns no further
+/// Sound **only for programs already known deadlock-free**, which is why
+/// the [`AnalyzerSession`](crate::AnalyzerSession) labeling stage calls it
+/// only after its classification stage has proven that, and standalone
+/// callers get the full driver: up to the stop point this is the
+/// identical algorithm, and past it the full run assigns no further
 /// labels — every rule (1a–1d) only ever labels unlabeled messages, and
 /// none remain with words — so it can raise no `LabelConflict`, while
 /// confluence of the crossing-off procedure rules out a late stall. The

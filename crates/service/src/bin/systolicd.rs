@@ -4,7 +4,7 @@
 //! systolicd gen   --count 1000 [--seed 42] [--hot-percent 50]
 //! systolicd serve [FILE] [--workers 4] [--shards 8] [--capacity 256]
 //!                 [--queue-depth 64] [--verify] [--verify-threads N]
-//!                 [--arena-cache-cap N] [--arena-mem-budget BYTES]
+//!                 [--arena-cache-cap N]
 //!                 [--session-cap N] [--incremental-fallback-ratio R]
 //!                 [--snapshot-load PATH] [--snapshot-save PATH]
 //!                 [--snapshot-every N]
@@ -21,12 +21,13 @@
 //! miss with a simulator replay, and `--verify-threads N` coalesces those
 //! chases into batched fan-outs through a cross-topology verify scheduler
 //! with `N` workers instead of running them on the analysis workers'
-//! threads. Warm-arena caches (one per analysis worker, or per scheduler
-//! worker) are sized by `--arena-cache-cap N` (arenas per cache; `0`
-//! sizes automatically from the number of distinct topologies observed)
-//! or `--arena-mem-budget BYTES` (approximate bytes per cache, which
-//! takes precedence); `--summary` prints a throughput/latency/cache table
-//! — including arena-cache counters, scheduler fan-out depths, and a
+//! threads. Each warm-arena cache (one per analysis worker, or per
+//! scheduler worker) keeps at most `--arena-cache-cap N` arenas (default
+//! 4; `0` means 1, as `--workers 0` does) and evicts the least recently
+//! used one past that. This count is the one residency setting: the
+//! per-cache byte budget flag was removed, and passing it is a usage
+//! error. `--summary` prints a throughput/latency/cache table —
+//! including arena-cache counters, scheduler fan-out depths, and a
 //! per-topology verified/blocked breakdown — to stderr, rendered from the
 //! same registry snapshot `--metrics-file` exports.
 //!

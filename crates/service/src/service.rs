@@ -34,7 +34,7 @@ use systolic_core::{
 };
 use systolic_model::{Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
-use systolic_sim::{ArenaBudget, SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError};
+use systolic_sim::{SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
@@ -44,6 +44,13 @@ use crate::{BoundedQueue, CacheConfig, CacheStats, ShardedCache};
 /// enough that a handful of interleaved topologies stop thrashing, small
 /// enough that a fleet of workers stays cheap.
 const DEFAULT_ARENA_CACHE_CAPACITY: usize = 4;
+
+/// Shape of the shared topology-compilation cache: one
+/// [`CompiledTopology`] per distinct `(topology, config)`.
+const COMPILATION_CACHE: CacheConfig = CacheConfig {
+    shards: 4,
+    capacity_per_shard: 64,
+};
 
 /// Default bound on the incremental session table
 /// ([`ServiceConfig::session_capacity`]) — one warm session per active
@@ -69,28 +76,16 @@ pub struct ServiceConfig {
     /// routes chases to one shared cross-topology scheduler, which
     /// coalesces the chases queued within a batch window into one
     /// `N`-worker fan-out — so arena residency scales with
-    /// `verify_threads ×` the arena budget, not `workers ×` budget, and
+    /// `verify_threads ×` the arena count, not `workers ×` the count, and
     /// verification CPU is capped independently of the analysis pool.
     /// Ignored unless `verify` is set.
     pub verify_threads: usize,
     /// Arenas each chasing thread keeps warm in its
-    /// [`ArenaLru`](systolic_sim::ArenaLru) ([`ArenaBudget::Fixed`]). `0`
-    /// sizes the LRUs automatically from the distinct-topology
-    /// cardinality each thread actually observes ([`ArenaBudget::Auto`]).
-    /// Overridden by [`arena_mem_budget`](ServiceConfig::arena_mem_budget)
-    /// when set.
+    /// [`ArenaLru`](systolic_sim::ArenaLru), evicting the least recently
+    /// used one past this count. `0` means 1.
     pub arena_cache_capacity: usize,
-    /// Optional byte budget per chasing thread's
-    /// [`ArenaLru`](systolic_sim::ArenaLru) ([`ArenaBudget::MemBytes`]):
-    /// arenas stay resident while their combined estimated footprint
-    /// fits. Takes precedence over
-    /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity).
-    pub arena_mem_budget: Option<usize>,
     /// Simulator configuration for verification runs.
     pub sim: SimConfig,
-    /// Shape of the shared topology-compilation cache
-    /// ([`CompiledTopology`] per distinct `(topology, config)`).
-    pub compilation_cache: CacheConfig,
     /// Bound on the incremental session table: warm
     /// [`IncrementalSession`]s kept resident for `edit` requests, keyed by
     /// their current request fingerprint. Least-recently-edited sessions
@@ -106,17 +101,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The [`ArenaBudget`] every chasing thread's
-    /// [`ArenaLru`](systolic_sim::ArenaLru) enforces, resolved from
-    /// [`arena_mem_budget`](ServiceConfig::arena_mem_budget) /
-    /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity).
+    /// The arenas every chasing thread's
+    /// [`ArenaLru`](systolic_sim::ArenaLru) keeps:
+    /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity),
+    /// at least 1.
     #[must_use]
-    pub fn arena_budget(&self) -> ArenaBudget {
-        match (self.arena_mem_budget, self.arena_cache_capacity) {
-            (Some(bytes), _) => ArenaBudget::MemBytes(bytes),
-            (None, 0) => ArenaBudget::Auto,
-            (None, capacity) => ArenaBudget::Fixed(capacity),
-        }
+    pub fn arena_budget(&self) -> usize {
+        self.arena_cache_capacity.max(1)
     }
 }
 
@@ -129,12 +120,7 @@ impl Default for ServiceConfig {
             verify: false,
             verify_threads: 0,
             arena_cache_capacity: DEFAULT_ARENA_CACHE_CAPACITY,
-            arena_mem_budget: None,
             sim: SimConfig::default(),
-            compilation_cache: CacheConfig {
-                shards: 4,
-                capacity_per_shard: 64,
-            },
             session_capacity: DEFAULT_SESSION_CAPACITY,
             incremental_fallback_ratio: 0.5,
         }
@@ -755,7 +741,7 @@ impl AnalysisService {
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedCache::new(config.cache),
-            compilations: ShardedCache::new(config.compilation_cache),
+            compilations: ShardedCache::new(COMPILATION_CACHE),
             // Deeper than the fan-out so chases pile up into a coalescing
             // window while the previous fan-out runs, without letting
             // analysis workers race unboundedly ahead of verification.
@@ -1896,74 +1882,6 @@ mod tests {
         assert!(local
             .iter()
             .any(|line| line.contains(r#""code":"E-DEADLOCK""#)));
-    }
-
-    #[test]
-    fn arena_budget_resolves_capacity_and_mem_flags() {
-        let fixed = ServiceConfig::default();
-        assert_eq!(fixed.arena_budget(), ArenaBudget::Fixed(4));
-        let auto = ServiceConfig {
-            arena_cache_capacity: 0,
-            ..Default::default()
-        };
-        assert_eq!(auto.arena_budget(), ArenaBudget::Auto);
-        let bytes = ServiceConfig {
-            arena_cache_capacity: 0,
-            arena_mem_budget: Some(1 << 20),
-            ..Default::default()
-        };
-        assert_eq!(
-            bytes.arena_budget(),
-            ArenaBudget::MemBytes(1 << 20),
-            "a byte budget takes precedence over capacity"
-        );
-    }
-
-    #[test]
-    fn auto_budget_serves_mixed_topologies_inline() {
-        // `--arena-cache-cap 0`: inline chases size their LRUs from the
-        // observed distinct-topology cardinality instead of a fixed 4.
-        let config = ServiceConfig {
-            verify: true,
-            workers: 1,
-            arena_cache_capacity: 0,
-            ..Default::default()
-        };
-        let service = AnalysisService::new(config);
-        let mut requests = Vec::new();
-        for round in 1..=3 {
-            // Distinct programs, identical configs: every request misses
-            // the plan cache (so it chases) while the two topologies keep
-            // stable compiled fingerprints (so arenas can stay warm).
-            requests.push(AnalysisRequest::new(
-                format!("fig7x{round}"),
-                fig7(round),
-                fig7_topology(),
-            ));
-            let transfer = parse_program(&format!(
-                "cells 2\nmessage A: c0 -> c1\nprogram c0 {{ W(A)*{round} }}\n\
-                 program c1 {{ R(A)*{round} }}\n",
-            ))
-            .unwrap();
-            requests.push(AnalysisRequest::new(
-                format!("linear#{round}"),
-                transfer,
-                Topology::linear(2),
-            ));
-        }
-        let responses = service.run_batch(requests);
-        assert!(responses.iter().all(AnalysisResponse::is_certified));
-        let arenas = service.arena_cache_stats();
-        assert_eq!(arenas.misses, 2, "one build per topology: {arenas:?}");
-        assert_eq!(arenas.hits, 4, "later chases stay warm: {arenas:?}");
-        assert_eq!(
-            arenas.evictions, 0,
-            "auto budget keeps both warm: {arenas:?}"
-        );
-        assert_summary(
-            &service,
-            &["arena cache budget = auto (observed topologies)"],
-        );
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 
 use systolic_obs::{names, RegistrySnapshot};
 use systolic_report::Table;
-use systolic_sim::ArenaBudget;
 
 use crate::{ArenaCacheStats, CacheStats, Json};
 
@@ -34,10 +33,10 @@ pub struct RunTotals {
 }
 
 /// Renders the summary as a two-column `metric`/`value` table, with the
-/// run totals last. `budget` is the arena residency budget, a config
-/// value the registry does not hold either.
+/// run totals last. `budget` is the arena count per chasing thread, a
+/// config value the registry does not hold either.
 #[must_use]
-pub fn summary_table(snapshot: &RegistrySnapshot, budget: ArenaBudget, run: &RunTotals) -> Table {
+pub fn summary_table(snapshot: &RegistrySnapshot, budget: usize, run: &RunTotals) -> Table {
     let count = |name| snapshot.counter_total(name);
     let gauge = |name| gauge(snapshot, name);
     let latency = snapshot.histogram_value(names::SERVICE_HANDLE_DURATION, &[]);
@@ -65,7 +64,7 @@ pub fn summary_table(snapshot: &RegistrySnapshot, budget: ArenaBudget, run: &Run
         row("arena cache misses", &arenas.misses);
         row("arena cache evictions", &arenas.evictions);
         row("arena hit rate", &percent(arenas.hit_rate()));
-        row("arena cache budget", &budget_label(budget));
+        row("arena cache budget", &format!("{budget} arenas/thread"));
     }
 
     let fanouts = count(names::SCHED_FANOUTS);
@@ -220,14 +219,6 @@ fn gauge(snapshot: &RegistrySnapshot, name: &str) -> u64 {
     u64::try_from(snapshot.gauge_value(name, &[])).unwrap_or(0)
 }
 
-fn budget_label(budget: ArenaBudget) -> String {
-    match budget {
-        ArenaBudget::Fixed(n) => format!("{n} arenas/thread"),
-        ArenaBudget::Auto => "auto (observed topologies)".to_owned(),
-        ArenaBudget::MemBytes(bytes) => format!("{bytes} bytes/thread"),
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -318,7 +309,7 @@ pub(crate) mod tests {
     #[test]
     fn every_block_renders_from_its_series_in_order() {
         let snapshot = populated().snapshot();
-        let table = summary_table(&snapshot, ArenaBudget::Fixed(4), &RUN);
+        let table = summary_table(&snapshot, 4, &RUN);
         assert_eq!(
             table.to_text(),
             "\
@@ -363,13 +354,6 @@ throughput (req/s)             3
 invalid lines                  1
 "
         );
-        for (budget, label) in [
-            (ArenaBudget::Auto, "auto (observed topologies)"),
-            (ArenaBudget::MemBytes(1 << 20), "1048576 bytes/thread"),
-        ] {
-            let row = format!("arena cache budget = {label}");
-            assert!(rows(&summary_table(&snapshot, budget, &RUN)).contains(&row));
-        }
     }
 
     #[test]
@@ -400,7 +384,7 @@ invalid lines                  1
         let _ = registry.histogram(names::SNAPSHOT_LOAD_DURATION);
         let sizes = |registry: &Registry| {
             let snapshot = registry.snapshot();
-            let table = summary_table(&snapshot, ArenaBudget::Auto, &RUN);
+            let table = summary_table(&snapshot, 1, &RUN);
             (rows(&table).len(), summary_json(&snapshot, &RUN).len())
         };
         assert_eq!(sizes(&registry), (13, 15));

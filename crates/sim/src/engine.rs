@@ -323,31 +323,6 @@ impl SimArena {
         self.pools.ensure_queues_per_interval(queues_per_interval);
     }
 
-    /// A coarse estimate of this arena's resident memory, in bytes —
-    /// dominated by the queue pool (one pool per directed interval of the
-    /// fabric) plus the flattened run-state tables. The estimate is what
-    /// [`ArenaLru`](crate::ArenaLru) uses to enforce an
-    /// [`ArenaBudget::MemBytes`](crate::ArenaBudget) residency budget; it
-    /// grows as the pool grows ([`ensure_queues`](SimArena::ensure_queues))
-    /// and as larger programs stretch the per-hop tables.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let per_queue_words = self.world.config().queue.capacity.max(1);
-        let queue_bytes = self
-            .pools
-            .num_queues()
-            .saturating_mul(per_queue_words * std::mem::size_of::<Word>() + 96);
-        let cell_bytes = (self.pc.capacity() + self.active.capacity()) * 8
-            + self.state.capacity() * std::mem::size_of::<CellState>();
-        let hop_bytes = self.hops.capacity() * std::mem::size_of::<Hop>()
-            + (self.hop_off.capacity() + self.hop_iv.capacity() + self.departed.capacity()) * 8
-            + self.request_born.capacity() * 8;
-        let scratch_bytes = (self.avail.capacity() + self.consumed.capacity()) * 16
-            + self.needs.capacity() * std::mem::size_of::<(MessageId, Hop)>()
-            + self.requests.capacity() * std::mem::size_of::<Request>();
-        1024 + queue_bytes + cell_bytes + hop_bytes + scratch_bytes
-    }
-
     /// Routes `program` and replays it under `policy`, resetting the
     /// arena's run state in place.
     ///

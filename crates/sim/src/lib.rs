@@ -39,13 +39,13 @@
 //! byte-identical to the sequential path run per topology group. One
 //! scheduler spans **all** topologies: a heterogeneous mesh/torus/line
 //! batch verifies in a single fan-out, workers switching worlds by warm
-//! LRU lookup instead of rebuild, with residency governed by an
-//! [`ArenaBudget`] (fixed count, observed-cardinality auto sizing, or a
-//! byte budget against [`SimArena::approx_bytes`]). Pick `threads` ≈ the
-//! cores you can spare: replays are CPU-bound and share no mutable state,
-//! so throughput scales until the batch runs out of plans to steal. A
-//! one-worker scheduler replays on the calling thread, with no thread
-//! machinery at all — the shape a serving thread holds for its own
+//! LRU lookup instead of rebuild. Each LRU keeps at most a fixed number
+//! of arenas and evicts the least recently used one past it. Pick
+//! `threads` ≈ the cores you can spare: replays are CPU-bound and share no
+//! mutable state, so throughput scales until the batch runs out of plans
+//! to steal. Pick the arena count ≈ the distinct topologies each worker
+//! sees. A one-worker scheduler replays on the calling thread, with no
+//! thread machinery at all — the shape a serving thread holds for its own
 //! chases.
 //!
 //! ```
@@ -121,7 +121,7 @@ mod sched;
 mod stats;
 mod verify;
 
-pub use arena_lru::{ArenaBudget, ArenaLookup, ArenaLru, MAX_AUTO_ARENAS};
+pub use arena_lru::{ArenaLookup, ArenaLru};
 pub use cost::CostModel;
 pub use deadlock::{BlockReason, BlockedCell, DeadlockReport, QueueSnapshot};
 pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld, Simulation};
@@ -132,7 +132,4 @@ pub use pool::{PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
 pub use sched::{VerifyScheduler, VerifyTaskError};
 pub use stats::{AssignmentEvent, RunStats};
-pub use verify::{
-    verify_batch, verify_batch_compiled, verify_plan, verify_plan_compiled, ReplayDeadlock,
-    VerifyReport,
-};
+pub use verify::{verify_batch_compiled, verify_plan, ReplayDeadlock, VerifyReport};

@@ -13,8 +13,8 @@
 //!   one-worker scheduler skips the threads and replays on the caller;
 //! * **warm arenas across batches and topologies** — a worker that drew
 //!   a mesh plan after a torus plan switches worlds by LRU lookup, not by
-//!   rebuild; residency is governed by an [`ArenaBudget`] (fixed count,
-//!   observed-cardinality auto sizing, or a byte budget);
+//!   rebuild; each LRU keeps at most the scheduler's arena count and
+//!   evicts the least recently used arena past it;
 //! * **per-topology pre-growth** — every topology group's arenas grow to
 //!   that group's largest queue requirement before replay, so outcomes
 //!   are independent of stealing order and **byte-identical** to the
@@ -44,7 +44,7 @@ use systolic_core::{CommPlan, CompiledTopology};
 use systolic_model::{ModelError, Program};
 use systolic_obs::{names, Histogram, Obs};
 
-use crate::{ArenaBudget, ArenaLru, SimConfig, VerifyReport};
+use crate::{ArenaLru, SimConfig, VerifyReport};
 
 /// Why one scheduled replay produced no [`VerifyReport`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -103,7 +103,7 @@ struct Task<'a> {
 /// use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
 /// use systolic_model::{ProgramBuilder, Topology};
 /// use systolic_obs::{names, Obs};
-/// use systolic_sim::{ArenaBudget, SimConfig, VerifyScheduler};
+/// use systolic_sim::{SimConfig, VerifyScheduler};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let config = AnalysisConfig::default();
@@ -122,7 +122,8 @@ struct Task<'a> {
 ///         batch.push((program, compiled.clone(), plan));
 ///     }
 /// }
-/// let mut scheduler = VerifyScheduler::new(SimConfig::default(), 2, ArenaBudget::Auto);
+/// // Two arenas per worker: one per topology in the batch.
+/// let mut scheduler = VerifyScheduler::new(SimConfig::default(), 2, 2);
 /// let obs = Arc::new(Obs::new());
 /// scheduler.set_obs(Arc::clone(&obs));
 /// let reports =
@@ -145,11 +146,12 @@ pub struct VerifyScheduler {
 
 impl VerifyScheduler {
     /// A scheduler of `threads` workers (clamped to ≥ 1), each holding an
-    /// [`ArenaLru`] governed by `budget`, replaying under `sim`.
+    /// [`ArenaLru`] of at most `arenas` arenas (clamped to ≥ 1), replaying
+    /// under `sim`.
     #[must_use]
-    pub fn new(sim: SimConfig, threads: usize, budget: ArenaBudget) -> Self {
+    pub fn new(sim: SimConfig, threads: usize, arenas: usize) -> Self {
         let workers = (0..threads.max(1))
-            .map(|_| ArenaLru::with_budget(budget))
+            .map(|_| ArenaLru::with_budget(arenas))
             .collect();
         VerifyScheduler {
             sim,
@@ -178,18 +180,6 @@ impl VerifyScheduler {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The simulator configuration every replay runs under.
-    #[must_use]
-    pub fn sim(&self) -> SimConfig {
-        self.sim
-    }
-
-    /// The residency budget each worker's LRU enforces.
-    #[must_use]
-    pub fn budget(&self) -> ArenaBudget {
-        self.workers[0].budget()
     }
 
     /// Arenas currently resident across all workers.
@@ -473,8 +463,8 @@ mod tests {
     }
 
     /// A scheduler recording into a fresh registry of its own.
-    fn observed(threads: usize, budget: ArenaBudget) -> (VerifyScheduler, Arc<Obs>) {
-        let mut scheduler = VerifyScheduler::new(SimConfig::default(), threads, budget);
+    fn observed(threads: usize, arenas: usize) -> (VerifyScheduler, Arc<Obs>) {
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), threads, arenas);
         let obs = Arc::new(Obs::new());
         scheduler.set_obs(Arc::clone(&obs));
         (scheduler, obs)
@@ -523,7 +513,7 @@ mod tests {
         let sim = SimConfig::default();
         let sequential = sequential_reference(&batch, sim);
         for threads in [1, 2, 4] {
-            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Auto);
+            let mut scheduler = VerifyScheduler::new(sim, threads, 3);
             let reports = scheduler
                 .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
                 .unwrap();
@@ -538,7 +528,7 @@ mod tests {
         // so arena builds stay bounded by workers × topologies.
         let topologies = [Topology::mesh(4, 4), Topology::torus(4, 4)];
         let batch = mixed_batch(&topologies, 128);
-        let (mut scheduler, obs) = observed(4, ArenaBudget::Auto);
+        let (mut scheduler, obs) = observed(4, topologies.len());
         let reports = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap();
@@ -579,7 +569,7 @@ mod tests {
         // scheduler promises is that no worker ever builds an arena twice:
         // every build is still resident at the end.
         let batch = mixed_batch(&[Topology::mesh(2, 2), Topology::torus(2, 2)], 4);
-        let (mut scheduler, obs) = observed(2, ArenaBudget::Auto);
+        let (mut scheduler, obs) = observed(2, 2);
         let first = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap();
@@ -606,7 +596,7 @@ mod tests {
         let odd = mixed_batch(&[Topology::linear(3)], 1);
         batch[1].0 = odd[0].0.clone();
         batch[4].0 = odd[0].0.clone();
-        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 3, ArenaBudget::Auto);
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 3, 1);
         let error = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap_err();
@@ -646,7 +636,7 @@ mod tests {
         builder.write(1u32, "B").unwrap();
         builder.read(2u32, "B").unwrap();
         let program = builder.build().unwrap();
-        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 1, ArenaBudget::Auto);
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 1, 1);
         let outcomes = scheduler.verify_batch_outcomes([(&program, compiled, plan)]);
         let Err(VerifyTaskError::Panicked(message)) = &outcomes[0] else {
             panic!("the replay must panic: {:?}", outcomes[0]);
@@ -660,7 +650,7 @@ mod tests {
     #[test]
     fn threads_clamp_to_one() {
         let batch = mixed_batch(&[Topology::linear(3)], 3);
-        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 0, ArenaBudget::Fixed(1));
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 0, 1);
         assert_eq!(scheduler.threads(), 1);
         let reports = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
@@ -689,7 +679,7 @@ mod tests {
             .collect();
         let sim = SimConfig::default();
         let sequential = sequential_reference(&batch, sim);
-        let mut scheduler = VerifyScheduler::new(sim, 2, ArenaBudget::Fixed(1));
+        let mut scheduler = VerifyScheduler::new(sim, 2, 1);
         let parallel = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap();
@@ -699,7 +689,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let (mut scheduler, obs) = observed(2, ArenaBudget::Auto);
+        let (mut scheduler, obs) = observed(2, 1);
         let reports = scheduler.verify_batch(std::iter::empty()).unwrap();
         assert!(reports.is_empty());
         assert_eq!(scheduler.resident_arenas(), 0);
@@ -715,13 +705,13 @@ mod tests {
     fn fixed_budget_bounds_residency_per_worker() {
         let topologies: Vec<Topology> = (2..6).map(Topology::linear).collect();
         let batch = mixed_batch(&topologies, 2);
-        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 2, ArenaBudget::Fixed(2));
+        let mut scheduler = VerifyScheduler::new(SimConfig::default(), 2, 2);
         let reports = scheduler
             .verify_batch(batch.iter().map(|(p, c, plan)| (p, c, plan)))
             .unwrap();
         assert!(reports.iter().all(|r| r.completed));
         for lru in &scheduler.workers {
-            assert!(lru.len() <= 2, "Fixed(2) workers hold at most 2 arenas");
+            assert!(lru.len() <= 2, "two-arena workers hold at most 2 arenas");
         }
     }
 }

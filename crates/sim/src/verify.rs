@@ -203,43 +203,6 @@ pub fn verify_plan(
     )))
 }
 
-/// [`verify_plan`] for callers holding a [`CompiledTopology`] (the
-/// serving layer), so they need not carry the `&Topology` separately.
-/// Runs on a single-replay [`SimArena`]; for more than one plan, build
-/// the arena once and call [`SimArena::verify`] per plan (or use
-/// [`verify_batch_compiled`]).
-///
-/// # Errors
-///
-/// As [`verify_plan`].
-pub fn verify_plan_compiled(
-    program: &Program,
-    compiled: &Arc<CompiledTopology>,
-    plan: &Arc<CommPlan>,
-    config: SimConfig,
-) -> Result<VerifyReport, ModelError> {
-    let mut arena = SimArena::from_compiled(Arc::clone(compiled), config);
-    arena.verify(program, plan)
-}
-
-/// Replays every `(program, topology, plan)` triple in a batch. Each
-/// item may name a different topology, so each replay builds its own
-/// world; same-topology batches should use [`verify_batch_compiled`].
-///
-/// # Errors
-///
-/// Fails fast on the first setup error; per-run outcomes are in the
-/// reports.
-pub fn verify_batch<'a>(
-    batch: impl IntoIterator<Item = (&'a Program, &'a Topology, &'a Arc<CommPlan>)>,
-    config: SimConfig,
-) -> Result<Vec<VerifyReport>, ModelError> {
-    batch
-        .into_iter()
-        .map(|(program, topology, plan)| verify_plan(program, topology, plan, config))
-        .collect()
-}
-
 /// Replays a batch of `(program, plan)` pairs that all share one
 /// precompiled topology — the common shape of a service batch — through
 /// **one** [`SimArena`]. Queue pools and run-state vectors are built
@@ -301,21 +264,14 @@ mod tests {
         let analyzer = Analyzer::new(Arc::clone(&compiled));
         let plan = Arc::new(analyzer.analyze(&program).unwrap().into_plan());
         let direct = verify_plan(&program, &topology, &plan, SimConfig::default()).unwrap();
-        let via_compiled =
-            verify_plan_compiled(&program, &compiled, &plan, SimConfig::default()).unwrap();
-        assert_eq!(direct.completed, via_compiled.completed);
-        assert_eq!(direct.cycles, via_compiled.cycles);
-        assert_eq!(direct.words_delivered, via_compiled.words_delivered);
-
         let reports = verify_batch_compiled(
             [(&program, &plan), (&program, &plan)],
             &compiled,
             SimConfig::default(),
         )
         .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.completed));
-        assert!(reports.iter().all(|r| r.cycles == direct.cycles));
+        assert!(direct.completed);
+        assert_eq!(reports, [direct.clone(), direct]);
     }
 
     #[test]
@@ -333,28 +289,6 @@ mod tests {
         assert_eq!(plan.requirements().max_per_interval(), 2);
         let report = verify_plan(&program, &topology, &plan, SimConfig::default()).unwrap();
         assert!(report.completed);
-    }
-
-    #[test]
-    fn batch_reports_every_run() {
-        let p7 = fig7(3);
-        let t7 = fig7_topology();
-        let plan7 = plan_for(&p7, &t7, &AnalysisConfig::default());
-        let p9 = fig9();
-        let t9 = fig9_topology();
-        let c9 = AnalysisConfig {
-            queues_per_interval: 2,
-            ..Default::default()
-        };
-        let plan9 = plan_for(&p9, &t9, &c9);
-
-        let reports = verify_batch(
-            [(&p7, &t7, &plan7), (&p9, &t9, &plan9)],
-            SimConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.completed));
     }
 
     #[test]

@@ -68,9 +68,9 @@
 //! closure and certified plans travel as `Arc`s. On a multi-core node,
 //! [`sim::VerifyScheduler`] fans a **heterogeneous** batch — `(program,
 //! compiled topology, plan)` triples over any mix of fabrics — across N
-//! worker threads, each holding a budgeted LRU of warm arenas keyed by
-//! compiled-topology fingerprint ([`sim::ArenaBudget`]: fixed, auto, or
-//! bytes), with work-stealing and reports merged back into input order —
+//! worker threads, each holding an LRU of at most a fixed number of warm
+//! arenas keyed by compiled-topology fingerprint ([`sim::ArenaLru`]),
+//! with work-stealing and reports merged back into input order —
 //! byte-identical to the sequential path per topology group. It is the
 //! one replay engine: a one-topology batch is a batch whose items share
 //! one compiled topology, and a one-worker scheduler replays on the
@@ -80,7 +80,7 @@
 //! fan-out. Tuning: one scheduler thread
 //! per spare core — replays are CPU-bound and share no mutable state, so
 //! throughput scales until the batch runs out of plans to steal — and an
-//! arena budget matching the distinct topologies each worker sees.
+//! arena count matching the distinct topologies each worker sees.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -23,8 +23,7 @@ use proptest::prelude::*;
 use systolic::core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology, Lookahead};
 use systolic::model::{Program, Topology};
 use systolic::sim::{
-    verify_batch_compiled, verify_plan, ArenaBudget, QueueConfig, SimConfig, VerifyReport,
-    VerifyScheduler,
+    verify_batch_compiled, verify_plan, QueueConfig, SimConfig, VerifyReport, VerifyScheduler,
 };
 use systolic::workloads::{fig5_p2, fig7, fig7_topology, traffic, TrafficConfig, TrafficItem};
 
@@ -103,7 +102,7 @@ proptest! {
             // A fresh scheduler, then a second fan-out through the same
             // warm arenas: neither may drift (reset-in-place across
             // batches).
-            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
+            let mut scheduler = VerifyScheduler::new(sim, threads, 1);
             for round in 0..2 {
                 let parallel = scheduler
                     .verify_batch(
@@ -280,7 +279,7 @@ proptest! {
         };
         for sim in [SimConfig::default(), latch] {
             let expected = sequential_reference(&items, sim);
-            let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Auto);
+            let mut scheduler = VerifyScheduler::new(sim, threads, topologies.len());
             for round in 0..2 {
                 let got = scheduler
                     .verify_batch(items.iter().map(|(p, c, plan)| (p, c, plan)))
@@ -359,7 +358,7 @@ fn pool_merges_deadlock_details_identically() {
     assert_eq!(completed, 4, "every plain transfer completes");
 
     for threads in [2, 3, 4] {
-        let mut scheduler = VerifyScheduler::new(sim, threads, ArenaBudget::Fixed(1));
+        let mut scheduler = VerifyScheduler::new(sim, threads, 1);
         let parallel = scheduler
             .verify_batch(items.iter().map(|(p, plan)| (p, &compiled, plan)))
             .expect("scheduler setup succeeds");
