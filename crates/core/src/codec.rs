@@ -111,7 +111,10 @@ impl std::error::Error for CodecError {}
 // Varint primitives
 // ---------------------------------------------------------------------------
 
-fn write_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` to `buf` as an unsigned LEB128 varint: seven bits per
+/// byte, low bits first, the high bit set on every byte but the last (at
+/// most 10 bytes).
+pub fn write_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -123,7 +126,15 @@ fn write_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn read_uvarint(input: &mut &[u8]) -> Result<u64, CodecError> {
+/// Reads one unsigned LEB128 varint from the front of `input` and
+/// advances `input` past it.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] if `input` ends inside the varint;
+/// [`CodecError::VarintOverflow`] if it runs past 10 bytes or its 10th
+/// byte holds more than the final bit of a `u64`.
+pub fn read_uvarint(input: &mut &[u8]) -> Result<u64, CodecError> {
     let mut value: u64 = 0;
     for (i, &byte) in input.iter().enumerate() {
         if i == 10 {

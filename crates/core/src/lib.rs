@@ -79,7 +79,9 @@ mod requirements;
 pub(crate) use crossing_off::Machine;
 
 pub use analyzer::{AnalysisOutcome, Analyzer, AnalyzerSession};
-pub use codec::{CodecError, Decode, Encode, FieldReader, FieldWriter};
+pub use codec::{
+    read_uvarint, write_uvarint, CodecError, Decode, Encode, FieldReader, FieldWriter,
+};
 pub use competing::CompetingSets;
 pub use compiled::{CompiledTopology, RouteCacheStats, MAX_CLOSURE_CELLS, ROUTE_CACHE_CAPACITY};
 pub use consistency::{check_consistency, is_consistent, ConsistencyViolation};

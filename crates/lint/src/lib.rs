@@ -3,8 +3,9 @@
 //! The paper this workspace reproduces (Kung 1988) certifies
 //! communication programs *statically*: prove the queue acquisition order
 //! deadlock-free before running anything. The workspace itself has grown
-//! real hand-rolled concurrency — a work-stealing verify scheduler, a
-//! lock-free metrics registry, bounded-queue hand-offs — and this crate
+//! real hand-rolled concurrency — a worker pool, a pool of lent-out
+//! arena LRUs, a lock-free metrics registry, bounded-queue hand-offs —
+//! and this crate
 //! holds that code to the same standard. It is a dependency-free,
 //! token-level static-analysis engine with three rules:
 //!

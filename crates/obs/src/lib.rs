@@ -3,9 +3,9 @@
 //!
 //! The rest of the workspace shares **one** [`Obs`] bundle (an `Arc`'d pair
 //! of [`Registry`] + [`Tracer`]): the analyzer times its pipeline stages
-//! into per-stage histograms and counts diagnostics per code, the verify
-//! scheduler and arena LRU record fan-out sizes and build/replay timings,
-//! and the service exposes the whole registry as a Prometheus-style text
+//! into per-stage histograms and counts diagnostics per code, the arena
+//! LRUs record build and replay timings and replay outcomes, and the
+//! service exposes the whole registry as a Prometheus-style text
 //! exposition or a JSON object per wire request.
 //!
 //! # Instruments
@@ -79,20 +79,12 @@ pub mod names {
     pub const VERIFY_REPLAY_CYCLES: &str = "systolic_verify_replay_cycles";
     /// Counter: verify chase outcomes, labeled `topology` and `outcome`.
     pub const VERIFY_OUTCOMES: &str = "systolic_verify_outcomes_total";
-    /// Counter: scheduler fan-outs dispatched.
-    pub const SCHED_FANOUTS: &str = "systolic_scheduler_fanouts_total";
-    /// Counter: verify tasks fanned out across all batches.
-    pub const SCHED_ITEMS: &str = "systolic_scheduler_items_total";
-    /// Histogram: tasks per scheduler fan-out.
-    pub const SCHED_FANOUT_SIZE: &str = "systolic_scheduler_fanout_size";
     /// Counter: requests handled by the service.
     pub const SERVICE_REQUESTS: &str = "systolic_service_requests_total";
     /// Histogram: end-to-end `handle()` latency in microseconds.
     pub const SERVICE_HANDLE_DURATION: &str = "systolic_service_handle_duration_micros";
     /// Gauge: submitted-but-unclaimed requests in the worker queue.
     pub const SERVICE_QUEUE_DEPTH: &str = "systolic_service_queue_depth";
-    /// Gauge: size of the most recent coalesced verify window.
-    pub const SERVICE_COALESCED_WINDOW: &str = "systolic_service_coalesced_window";
     /// Gauge: plan-cache hits (mirrored from the sharded cache).
     pub const PLAN_CACHE_HITS: &str = "systolic_plan_cache_hits";
     /// Gauge: plan-cache misses (mirrored from the sharded cache).

@@ -18,17 +18,17 @@
 //! reads request lines from FILE (or stdin), drives them through the
 //! service with bounded backpressure, and streams one JSON response per
 //! line to stdout in request order; `--verify` chases every certified
-//! miss with a simulator replay, and `--verify-threads N` coalesces those
-//! chases into batched fan-outs through a cross-topology verify scheduler
-//! with `N` workers instead of running them on the analysis workers'
-//! threads. Each warm-arena cache (one per analysis worker, or per
-//! scheduler worker) keeps at most `--arena-cache-cap N` arenas (default
+//! miss with a simulator replay on the analysis worker that computed it,
+//! through a warm-arena cache borrowed from the verifier pool.
+//! `--verify-threads N` sets the pool size, which caps concurrent
+//! replays; `0` (the default) means one per analysis worker. Each
+//! warm-arena cache keeps at most `--arena-cache-cap N` arenas (default
 //! 4; `0` means 1, as `--workers 0` does) and evicts the least recently
 //! used one past that. This count is the one residency setting: the
 //! per-cache byte budget flag was removed, and passing it is a usage
 //! error. `--summary` prints a throughput/latency/cache table —
-//! including arena-cache counters, scheduler fan-out depths, and a
-//! per-topology verified/blocked breakdown — to stderr, rendered from the
+//! including arena-cache counters and a per-topology verified/blocked
+//! breakdown — to stderr, rendered from the
 //! same registry snapshot `--metrics-file` exports.
 //!
 //! Incremental edits: a request line `{"op": "edit", "base": "0x...",

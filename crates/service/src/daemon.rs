@@ -13,8 +13,9 @@
 //! (autosave cadence) is rejected without a `--snapshot-save` path to
 //! write to, and numeric clamps (`--workers 0` → 1, `--hot-percent 200`
 //! → 100) are applied during parsing so the returned options are always
-//! directly usable. `--arena-cache-cap 0` means one arena per chasing
-//! thread, as [`ServiceConfig::arena_budget`] reads it.
+//! directly usable. `--arena-cache-cap 0` means one arena per pooled
+//! arena LRU, as [`ServiceConfig::arena_budget`] reads it, and
+//! `--verify-threads 0` means one pooled LRU per analysis worker.
 
 use std::fmt;
 

@@ -16,21 +16,23 @@
 //!   serves hits from cache, computes misses (optionally chasing each
 //!   certified plan with a `systolic_sim` verification run) and returns
 //!   structured [`AnalysisResponse`]s with cache provenance and timings;
-//! * verification chasing — every replay runs through a
-//!   [`VerifyScheduler`](systolic_sim::VerifyScheduler) whose workers keep
-//!   warm arenas keyed by compiled topology (at most
-//!   [`ServiceConfig::arena_cache_capacity`] per thread, least recently
-//!   used evicted first). By default each analysis worker
-//!   holds a one-worker scheduler that replays on its own thread;
-//!   [`ServiceConfig::verify_threads`] instead coalesces the chases of a
-//!   batch window into one fan-out through a shared `N`-worker scheduler;
+//! * verification chasing — the thread that computed a certified plan
+//!   (an analysis worker, or the [`AnalysisService::apply_edit`] caller)
+//!   borrows an [`ArenaLru`](systolic_sim::ArenaLru) from the service's
+//!   verifier pool, replays the plan through its warm arena for the
+//!   plan's compiled topology ([`ArenaLru::replay`](systolic_sim::ArenaLru::replay)),
+//!   and hands it back. Each LRU keeps at most
+//!   [`ServiceConfig::arena_cache_capacity`] arenas, least recently used
+//!   evicted first; the pool holds one LRU per analysis worker, or
+//!   [`ServiceConfig::verify_threads`] of them, which caps concurrent
+//!   replays;
 //! * [`wire`] + [`Json`] — the JSONL request/response format of the
 //!   [`systolicd`](../systolicd/index.html) binary, which replays scripted
 //!   traffic files end to end;
 //! * observability — every service shares one
 //!   [`Obs`](systolic_obs::Obs) bundle
 //!   ([`AnalysisService::with_obs`]): analyzer stage timings, arena-cache
-//!   and scheduler counters, and request/verify spans all land in its
+//!   and replay series, and request/verify spans all land in its
 //!   registry/tracer, exported as a Prometheus text exposition
 //!   ([`AnalysisService::registry_snapshot`]), a `metrics` wire op
 //!   ([`wire::WireResponse::Metrics`]), the [`summary`] table and JSON

@@ -4,7 +4,9 @@
 //! that blocking *is* the service's admission control: a client replaying a
 //! huge JSONL file is slowed to the pace the worker pool can sustain
 //! instead of ballooning memory. Consumers block in
-//! [`BoundedQueue::pop`] until an item or shutdown arrives.
+//! [`BoundedQueue::pop`] until an item or shutdown arrives. The service's
+//! verifier pool is one too: a chase pops an arena LRU, waiting while all
+//! are lent out, and pushes it back when the replay is done.
 
 use std::collections::VecDeque;
 
@@ -104,33 +106,6 @@ impl<T> BoundedQueue<T> {
             }
             if state.closed {
                 return None;
-            }
-            self.not_empty.wait(&mut state);
-        }
-    }
-
-    /// Dequeues up to `max` items in one lock acquisition: blocks for the
-    /// first item (as [`pop`](BoundedQueue::pop)), then greedily drains
-    /// whatever else is already queued, without waiting for more. Returns
-    /// an empty vec once the queue is closed *and* drained.
-    ///
-    /// This is the verify scheduler's **coalescing window**: chases that
-    /// queued up while the previous fan-out ran are dispatched together
-    /// as one heterogeneous batch instead of one at a time.
-    #[must_use]
-    pub fn pop_many(&self, max: usize) -> Vec<T> {
-        let max = max.max(1);
-        let mut state = self.state.lock();
-        loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max);
-                let items: Vec<T> = state.items.drain(..take).collect();
-                // Everyone blocked on a full queue may now have room.
-                self.not_full.notify_all();
-                return items;
-            }
-            if state.closed {
-                return Vec::new();
             }
             self.not_empty.wait(&mut state);
         }
@@ -249,51 +224,5 @@ mod tests {
         let q = BoundedQueue::new(0);
         q.try_push(1).unwrap();
         assert!(q.try_push(2).is_err());
-    }
-
-    #[test]
-    fn pop_many_drains_whats_queued_without_waiting_for_more() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.pop_many(3), vec![0, 1, 2], "bounded by max");
-        assert_eq!(q.pop_many(8), vec![3, 4], "greedy but non-blocking past 1");
-        q.push(9).unwrap();
-        q.close();
-        assert_eq!(q.pop_many(8), vec![9], "drains after close");
-        assert!(q.pop_many(8).is_empty(), "closed and drained");
-    }
-
-    #[test]
-    fn pop_many_blocks_until_first_item() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || q2.pop_many(4));
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(7).unwrap();
-        let got = consumer.join().unwrap();
-        assert_eq!(got, vec![7]);
-    }
-
-    #[test]
-    fn pop_many_wakes_blocked_producers() {
-        let q = Arc::new(BoundedQueue::new(2));
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        let producers: Vec<_> = (3..5)
-            .map(|i| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || q.push(i))
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop_many(2), vec![1, 2]);
-        for p in producers {
-            p.join().unwrap().unwrap();
-        }
-        let mut rest = q.pop_many(2);
-        rest.sort_unstable();
-        assert_eq!(rest, vec![3, 4], "both blocked producers got in");
     }
 }

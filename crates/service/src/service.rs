@@ -6,11 +6,10 @@
 //! returns the shared `Arc`ed outcome immediately, a miss runs the staged
 //! [`Analyzer`](systolic_core::Analyzer) pipeline and publishes the
 //! outcome for every later identical request. With `verify` on, every
-//! miss's certified plan is *chased* by a simulation replay through a
-//! [`VerifyScheduler`]: the worker's own one-worker scheduler, which
-//! replays on the worker's thread, or — with `verify_threads ≥ 1` — one
-//! shared scheduler that coalesces the chases queued in a batch window
-//! and fans them out (mixed topologies and all) in one go.
+//! miss's certified plan is *chased* by a simulation replay on the thread
+//! that computed it, through an [`ArenaLru`] borrowed from the service's
+//! verifier pool and handed back after the replay; the pool's size
+//! bounds concurrent replays and resident arenas.
 //! Topology compilations are shared too: a second cache keyed by the
 //! [`CompiledTopology`] fingerprint means the misses of a batch that all
 //! name one topology compile it once and reuse the route closure.
@@ -34,7 +33,7 @@ use systolic_core::{
 };
 use systolic_model::{Op, Program, Topology};
 use systolic_obs::{names, Counter, Gauge, Histogram, Obs, RegistrySnapshot, SpanCtx};
-use systolic_sim::{SimConfig, VerifyReport, VerifyScheduler, VerifyTaskError};
+use systolic_sim::{ArenaLru, SimConfig, VerifyReport, VerifyTaskError};
 use systolic_workloads::TrafficItem;
 
 use crate::snapshot::{self, SnapshotError};
@@ -70,19 +69,15 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Chase every *miss* with a simulator run of the certified plan.
     pub verify: bool,
-    /// Dedicated verification parallelism for the chase. `0` (the
-    /// default) chases on the analysis worker that computed the plan,
-    /// through that worker's own one-worker [`VerifyScheduler`]; `N ≥ 1`
-    /// routes chases to one shared cross-topology scheduler, which
-    /// coalesces the chases queued within a batch window into one
-    /// `N`-worker fan-out — so arena residency scales with
-    /// `verify_threads ×` the arena count, not `workers ×` the count, and
-    /// verification CPU is capped independently of the analysis pool.
-    /// Ignored unless `verify` is set.
+    /// Size of the verifier pool: the [`ArenaLru`]s that chases borrow,
+    /// one per replay in flight. `0` (the default) means one per analysis
+    /// worker; `N ≥ 1` caps concurrent replays at `N` and resident arenas
+    /// at `N ×` the arena count, independently of the analysis pool. A
+    /// chase replays on the thread that computed the plan, waiting for a
+    /// free LRU when all are lent out. Ignored unless `verify` is set.
     pub verify_threads: usize,
-    /// Arenas each chasing thread keeps warm in its
-    /// [`ArenaLru`](systolic_sim::ArenaLru), evicting the least recently
-    /// used one past this count. `0` means 1.
+    /// Arenas each pooled [`ArenaLru`] keeps warm, evicting the least
+    /// recently used one past this count. `0` means 1.
     pub arena_cache_capacity: usize,
     /// Simulator configuration for verification runs.
     pub sim: SimConfig,
@@ -101,8 +96,7 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The arenas every chasing thread's
-    /// [`ArenaLru`](systolic_sim::ArenaLru) keeps:
+    /// The arenas every pooled [`ArenaLru`] keeps:
     /// [`arena_cache_capacity`](ServiceConfig::arena_cache_capacity),
     /// at least 1.
     #[must_use]
@@ -391,8 +385,8 @@ struct Job {
     reply: mpsc::Sender<AnalysisResponse>,
 }
 
-/// Counter snapshot of the workers' verification-arena LRUs, summed
-/// across all workers/verifier threads.
+/// Counter snapshot of the verifier pool's arena LRUs, summed across the
+/// pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ArenaCacheStats {
     /// Chases served by a resident (warm) arena.
@@ -405,7 +399,7 @@ pub struct ArenaCacheStats {
 
 impl ArenaCacheStats {
     /// The `systolic_arena_cache_*` series of a registry snapshot. The
-    /// arena LRUs are their single writers (every scheduler shares the one
+    /// arena LRUs are their single writers (every LRU shares the one
     /// registry), so the totals cover all chases without double counting.
     pub(crate) fn from_registry(snapshot: &RegistrySnapshot) -> Self {
         ArenaCacheStats {
@@ -430,10 +424,9 @@ impl ArenaCacheStats {
 /// Registry instruments the service's hot paths touch, resolved once at
 /// construction so per-request work is atomics only (no registry lock).
 ///
-/// Arena-cache counters are deliberately **absent**: the arena LRUs
-/// inside every verify scheduler (each worker's own, and the shared
-/// dispatcher's) are the single writers of the `systolic_arena_cache_*`
-/// series, so all chases sum in the registry without double counting.
+/// Arena-cache and replay series are deliberately **absent**: the
+/// pooled arena LRUs are their single writers, so all chases sum in the
+/// registry without double counting.
 #[derive(Debug)]
 struct ServiceMetrics {
     /// `systolic_service_requests_total`.
@@ -443,8 +436,6 @@ struct ServiceMetrics {
     handle_micros: Arc<Histogram>,
     /// `systolic_service_queue_depth`, maintained by `submit`/worker pop.
     queue_depth: Arc<Gauge>,
-    /// `systolic_service_coalesced_window`, set by the verify dispatcher.
-    coalesced_window: Arc<Gauge>,
     /// `systolic_service_incremental_sessions`, tracking the session
     /// table's live entry count.
     incremental_sessions: Arc<Gauge>,
@@ -463,20 +454,11 @@ impl ServiceMetrics {
             requests: registry.counter(names::SERVICE_REQUESTS),
             handle_micros: registry.histogram(names::SERVICE_HANDLE_DURATION),
             queue_depth: registry.gauge(names::SERVICE_QUEUE_DEPTH),
-            coalesced_window: registry.gauge(names::SERVICE_COALESCED_WINDOW),
             incremental_sessions: registry.gauge(names::INCREMENTAL_SESSIONS),
             session_evictions: registry.counter(names::INCREMENTAL_SESSION_EVICTIONS),
             snapshot_warm_hits: registry.counter(names::SNAPSHOT_WARM_HITS),
         }
     }
-}
-
-/// One chase dispatched to the verify scheduler's coalescing queue.
-struct VerifyJob {
-    program: Program,
-    plan: Arc<CommPlan>,
-    compiled: Arc<CompiledTopology>,
-    reply: mpsc::Sender<Result<VerifyReport, VerifyTaskError>>,
 }
 
 /// One edit operation with names instead of ids — the shape the JSONL
@@ -615,13 +597,11 @@ struct SessionSlot {
 }
 
 /// The incremental edit path's mutable state: the bounded session table
-/// plus the one-worker verify scheduler edit-path chases replay through
 /// (edits are serialized on this one lock — interactive edit traffic is
 /// per-client sequential anyway, and the table re-keys on every apply).
 struct EditState {
     sessions: HashMap<u128, SessionSlot>,
     tick: u64,
-    verifier: VerifyScheduler,
 }
 
 struct Inner {
@@ -631,31 +611,17 @@ struct Inner {
     /// misses of one batch (and across batches) compile each distinct
     /// topology once.
     compilations: ShardedCache<Arc<CompiledTopology>>,
-    /// Chase hand-off to the shared verify scheduler's dispatcher; `None`
-    /// when each analysis worker chases through its own one-worker
-    /// scheduler (`verify_threads == 0`).
-    verify_queue: Option<BoundedQueue<VerifyJob>>,
+    /// The verifier pool: every chase borrows one of these LRUs, replays
+    /// on its own thread, and hands it back ([`LruLoan`]).
+    verifiers: BoundedQueue<ArenaLru>,
     config: ServiceConfig,
     /// The shared observability bundle: every layer (analyzer stages,
-    /// arena LRUs, verify scheduler, service counters) writes into this
-    /// one registry/tracer pair.
+    /// arena LRUs, service counters) writes into this one registry/tracer
+    /// pair.
     obs: Arc<Obs>,
     metrics: ServiceMetrics,
-    /// The incremental edit path: session table + edit-chase scheduler.
+    /// The incremental edit path's session table.
     edit_state: Mutex<EditState>,
-}
-
-impl Inner {
-    fn tally_chase(&self, topology: &Topology, report: &VerifyReport) {
-        let outcome = if report.completed { "ok" } else { "blocked" };
-        self.obs
-            .registry()
-            .counter_with(
-                names::VERIFY_OUTCOMES,
-                &[("topology", &topology.spec()), ("outcome", outcome)],
-            )
-            .inc();
-    }
 }
 
 /// What one snapshot operation ([`AnalysisService::import_snapshot`] /
@@ -696,9 +662,6 @@ pub struct SnapshotReport {
 pub struct AnalysisService {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// The shared verify scheduler's dispatcher thread (empty when each
-    /// analysis worker chases through its own scheduler).
-    verifiers: Vec<JoinHandle<()>>,
     seq: AtomicU64,
 }
 
@@ -711,10 +674,9 @@ impl std::fmt::Debug for Inner {
 }
 
 impl AnalysisService {
-    /// Starts the worker pool (and, when `verify_threads ≥ 1` with
-    /// `verify` on, the shared verify scheduler) with a fresh private
-    /// observability bundle. Use [`AnalysisService::with_obs`] to share
-    /// one bundle with other components (or to read it back out).
+    /// Starts the worker pool with a fresh private observability bundle.
+    /// Use [`AnalysisService::with_obs`] to share one bundle with other
+    /// components (or to read it back out).
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_obs(config, Arc::new(Obs::new()))
@@ -723,11 +685,6 @@ impl AnalysisService {
     /// Starts the worker pool recording metrics and spans into `obs`.
     #[must_use]
     pub fn with_obs(config: ServiceConfig, obs: Arc<Obs>) -> Self {
-        let verify_threads = if config.verify {
-            config.verify_threads
-        } else {
-            0
-        };
         let metrics = ServiceMetrics::resolve(&obs);
         let hw_threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -735,25 +692,34 @@ impl AnalysisService {
         obs.registry()
             .gauge(names::HW_THREADS)
             .set(i64::try_from(hw_threads).unwrap_or(i64::MAX));
-        // The edit path's chase scheduler, shared across all sessions
-        // (edits are serialized, so one covers them all).
-        let edit_verifier = local_verifier(&config, &obs);
+        // One LRU per analysis worker unless `verify_threads` caps the
+        // pool. Without `verify` nothing borrows them, but they still
+        // register the arena-cache series the exposition always carries.
+        let pool = if config.verify && config.verify_threads > 0 {
+            config.verify_threads
+        } else {
+            config.workers.max(1)
+        };
+        let verifiers = BoundedQueue::new(pool);
+        for _ in 0..pool {
+            let mut lru = ArenaLru::with_budget(config.arena_budget());
+            lru.set_obs(&obs);
+            verifiers
+                .try_push(lru)
+                // lint: panic-ok(a fresh pool has room for every LRU it is built with)
+                .expect("the pool holds all its LRUs");
+        }
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_depth),
             cache: ShardedCache::new(config.cache),
             compilations: ShardedCache::new(COMPILATION_CACHE),
-            // Deeper than the fan-out so chases pile up into a coalescing
-            // window while the previous fan-out runs, without letting
-            // analysis workers race unboundedly ahead of verification.
-            verify_queue: (verify_threads > 0)
-                .then(|| BoundedQueue::new(verify_window(verify_threads))),
+            verifiers,
             config,
             obs,
             metrics,
             edit_state: Mutex::new(EditState {
                 sessions: HashMap::new(),
                 tick: 0,
-                verifier: edit_verifier,
             }),
         });
         let workers = (0..config.workers.max(1))
@@ -766,23 +732,9 @@ impl AnalysisService {
                     .expect("spawning a worker thread succeeds")
             })
             .collect();
-        // One dispatcher owns the scheduler; the scheduler itself fans
-        // each coalesced window out over `verify_threads` workers.
-        let verifiers = (verify_threads > 0)
-            .then(|| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("systolic-verify-scheduler".to_owned())
-                    .spawn(move || scheduler_loop(&inner))
-                    // lint: panic-ok(startup-time spawn; failing to build the pool is fatal by design)
-                    .expect("spawning the verify dispatcher succeeds")
-            })
-            .into_iter()
-            .collect();
         AnalysisService {
             inner,
             workers,
-            verifiers,
             seq: AtomicU64::new(0),
         }
     }
@@ -897,11 +849,10 @@ impl AnalysisService {
             }
         };
         let fingerprint = session.fingerprint();
-        // Certified edits are chased exactly like misses, through the
-        // edit path's own scheduler (or the shared one).
+        // Certified edits are chased exactly like misses, through an LRU
+        // borrowed from the verifier pool.
         let outcome = conclude(
             inner,
-            &mut state.verifier,
             ctx,
             start,
             session.analyzer().compiled(),
@@ -1014,10 +965,9 @@ impl AnalysisService {
         total
     }
 
-    /// Counter snapshot of the verification-arena LRUs, summed across all
-    /// chasing threads — every analysis worker's scheduler plus the
-    /// shared scheduler's workers. All-zero unless the service chases
-    /// plans (`verify` on).
+    /// Counter snapshot of the verification-arena LRUs, summed across the
+    /// verifier pool. All-zero unless the service chases plans (`verify`
+    /// on).
     #[must_use]
     pub fn arena_cache_stats(&self) -> ArenaCacheStats {
         ArenaCacheStats::from_registry(&self.inner.obs.registry().snapshot())
@@ -1178,132 +1128,63 @@ impl AnalysisService {
 
 impl Drop for AnalysisService {
     fn drop(&mut self) {
-        // Workers first (they may still be waiting on verifier replies),
-        // then the verify dispatcher once no chase can arrive anymore.
         self.inner.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        if let Some(verify_queue) = &self.inner.verify_queue {
-            verify_queue.close();
-        }
-        for verifier in self.verifiers.drain(..) {
-            let _ = verifier.join();
-        }
     }
 }
 
-/// A one-worker [`VerifyScheduler`] for chases replayed on the calling
-/// thread (an analysis worker, or the edit path): its arena LRU keeps
-/// topology-interleaved traffic warm, and it writes the same registry
-/// series as the shared scheduler. Stays empty when chases go to the
-/// shared scheduler instead.
-fn local_verifier(config: &ServiceConfig, obs: &Arc<Obs>) -> VerifyScheduler {
-    let mut verifier = VerifyScheduler::new(config.sim, 1, config.arena_budget());
-    verifier.set_obs(Arc::clone(obs));
-    verifier
-}
-
 fn worker_loop(inner: &Inner) {
-    let mut verifier = local_verifier(&inner.config, &inner.obs);
     while let Some(job) = inner.queue.pop() {
         inner.metrics.queue_depth.add(-1);
-        let response = handle(inner, job.seq, job.request, &mut verifier);
+        let response = handle(inner, job.seq, job.request);
         // A dropped Ticket just means the client stopped listening.
         let _ = job.reply.send(response);
     }
 }
 
-/// The coalescing window (and verify-queue depth) for `threads` scheduler
-/// workers: enough room that every worker can draw several plans per
-/// fan-out even when analysis outpaces verification.
-fn verify_window(threads: usize) -> usize {
-    (threads * 4).max(8)
+/// An [`ArenaLru`] borrowed from the verifier pool. Dropping the loan
+/// hands the LRU back on every path, unwinding included, so the pool
+/// never shrinks.
+struct LruLoan<'a> {
+    pool: &'a BoundedQueue<ArenaLru>,
+    lru: ArenaLru,
 }
 
-/// The verify dispatcher: drains the chase queue in coalesced windows and
-/// fans each heterogeneous window out through the cross-topology
-/// [`VerifyScheduler`] — one fan-out for however many chases (mixed
-/// topologies included) queued up while the previous window ran. Replay
-/// panics poison at most one arena ([`VerifyTaskError::Panicked`] per
-/// item), so the scheduler and its warm arenas outlive hostile requests.
-fn scheduler_loop(inner: &Inner) {
-    let Some(verify_queue) = &inner.verify_queue else {
-        return;
-    };
-    let threads = inner.config.verify_threads.max(1);
-    let window = verify_window(threads);
-    let mut scheduler =
-        VerifyScheduler::new(inner.config.sim, threads, inner.config.arena_budget());
-    // Scheduler workers' LRUs and fan-out counters write into the same
-    // registry as the analysis workers' own schedulers.
-    scheduler.set_obs(Arc::clone(&inner.obs));
-    loop {
-        let jobs = verify_queue.pop_many(window);
-        if jobs.is_empty() {
-            return; // closed and drained
-        }
-        inner
-            .metrics
-            .coalesced_window
-            .set(i64::try_from(jobs.len()).unwrap_or(i64::MAX));
-        let outcomes = scheduler.verify_batch_outcomes(
-            jobs.iter()
-                .map(|job| (&job.program, &job.compiled, &job.plan)),
-        );
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            // A dropped reply means the requesting worker is gone
-            // (shutdown).
-            let _ = job.reply.send(outcome);
-        }
+impl<'a> LruLoan<'a> {
+    /// Borrows an LRU, waiting while every one of them is lent out.
+    fn borrow(pool: &'a BoundedQueue<ArenaLru>) -> Self {
+        // lint: panic-ok(the verifier pool is never closed, so pop waits for a returned LRU)
+        let lru = pool.pop().expect("the verifier pool stays open");
+        LruLoan { pool, lru }
     }
 }
 
-/// One verification chase: queued to the shared scheduler's dispatcher
-/// when `verify_threads ≥ 1`, otherwise replayed on this thread through
-/// the caller's one-worker `verifier`. Either way the scheduler isolates
-/// a replay panic as [`VerifyTaskError::Panicked`] and drops the
-/// poisoned arena.
+impl Drop for LruLoan<'_> {
+    fn drop(&mut self) {
+        // An empty LRU allocates nothing; it only stands in for the one
+        // moved back. The push never waits: the pool has room for every
+        // LRU it lends.
+        let lru = std::mem::replace(&mut self.lru, ArenaLru::with_budget(1));
+        let _ = self.pool.push(lru);
+    }
+}
+
+/// One verification chase: borrows an LRU from the verifier pool and
+/// replays on this thread. [`ArenaLru::replay`] reports a replay panic as
+/// [`VerifyTaskError::Panicked`] and drops the poisoned arena.
 fn chase(
     inner: &Inner,
-    verifier: &mut VerifyScheduler,
     compiled: &Arc<CompiledTopology>,
     program: &Program,
     plan: &Arc<CommPlan>,
 ) -> Result<VerifyReport, VerifyTaskError> {
-    let Some(verify_queue) = &inner.verify_queue else {
-        return verifier
-            .verify_batch_outcomes([(program, compiled, plan)])
-            .pop()
-            // lint: panic-ok(a one-item batch yields exactly one outcome)
-            .expect("one outcome per batch item");
-    };
-    let (tx, rx) = mpsc::channel();
-    let job = VerifyJob {
-        program: program.clone(),
-        plan: Arc::clone(plan),
-        compiled: Arc::clone(compiled),
-        reply: tx,
-    };
-    if verify_queue.push(job).is_err() {
-        // Only possible mid-shutdown; reject rather than panic the worker.
-        return Err(VerifyTaskError::Panicked(
-            "verify scheduler shut down".to_owned(),
-        ));
-    }
-    rx.recv().unwrap_or_else(|_| {
-        Err(VerifyTaskError::Panicked(
-            "verify dispatcher died".to_owned(),
-        ))
-    })
+    let mut loan = LruLoan::borrow(&inner.verifiers);
+    loan.lru.replay(compiled, inner.config.sim, program, plan)
 }
 
-fn handle(
-    inner: &Inner,
-    seq: u64,
-    request: AnalysisRequest,
-    verifier: &mut VerifyScheduler,
-) -> AnalysisResponse {
+fn handle(inner: &Inner, seq: u64, request: AnalysisRequest) -> AnalysisResponse {
     let start = Instant::now();
     // Every request gets a trace: one "request" root span, with the
     // analyzer's stage spans (and the "verify" chase span) nested under
@@ -1335,10 +1216,10 @@ fn handle(
                 // hostile) request rejects that request instead of killing
                 // the worker and, via the dropped reply channel, the
                 // client. (Replay panics are already contained — and their
-                // arena dropped — inside the verify scheduler.)
+                // arena dropped — inside `ArenaLru::replay`.)
                 let mut seed = None;
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    compute(inner, &request, verifier, ctx, &mut seed)
+                    compute(inner, &request, ctx, &mut seed)
                 }));
                 let outcome: ServiceOutcome = Arc::new(match result {
                     Ok(outcome) => outcome,
@@ -1482,7 +1363,6 @@ const PANIC_SENTINEL: &str = "panic-sentinel";
 fn compute(
     inner: &Inner,
     request: &AnalysisRequest,
-    verifier: &mut VerifyScheduler,
     ctx: SpanCtx,
     seed: &mut Option<Arc<SeedInputs>>,
 ) -> Result<Certified, Rejection> {
@@ -1498,27 +1378,17 @@ fn compute(
     }
     let analyzer = Analyzer::new(Arc::clone(&compiled)).with_obs(Arc::clone(&inner.obs));
     let outcome = analyzer.diagnose_in(&request.program, Some(ctx));
-    conclude(
-        inner,
-        verifier,
-        ctx,
-        start,
-        &compiled,
-        &request.program,
-        &outcome,
-    )
+    conclude(inner, ctx, start, &compiled, &request.program, &outcome)
 }
 
 /// Turns an analyzer outcome into the served one, for misses and edits
 /// alike. A refusal becomes a rejection carrying the analyzer's
 /// diagnostics. With `verify` on, a certified plan is first chased by a
-/// simulator replay (through `verifier`, or the shared scheduler when
-/// `verify_threads` is set; the `verify` span covers the queueing too):
-/// a model error rejects it with the diagnostics, a replay panic without
-/// them. `analysis_micros` counts from `start`.
+/// simulator replay (the `verify` span covers the wait for a free pooled
+/// LRU too): a model error rejects it with the diagnostics, a replay
+/// panic without them. `analysis_micros` counts from `start`.
 fn conclude(
     inner: &Inner,
-    verifier: &mut VerifyScheduler,
     ctx: SpanCtx,
     start: Instant,
     compiled: &Arc<CompiledTopology>,
@@ -1539,13 +1409,10 @@ fn conclude(
     let verified = if inner.config.verify {
         let tracer = inner.obs.tracer();
         let chase_span = tracer.start(ctx.trace, Some(ctx.parent), "verify");
-        let chased = chase(inner, verifier, compiled, program, &plan);
+        let chased = chase(inner, compiled, program, &plan);
         tracer.finish(chase_span);
         match chased {
-            Ok(report) => {
-                inner.tally_chase(compiled.topology(), &report);
-                Some(report)
-            }
+            Ok(report) => Some(report),
             Err(VerifyTaskError::Model(error)) => {
                 return Err(Rejection {
                     error: ServiceError::Analysis(CoreError::Model(error)),
@@ -1753,53 +1620,34 @@ mod tests {
             7,
             "every miss was chased: {arenas:?}"
         );
-        // Two verifier threads and two topologies: at most one build per
-        // (thread, topology) pair.
+        // Two pooled LRUs and two topologies: at most one build per
+        // (LRU, topology) pair.
         assert!(arenas.misses <= 4, "{arenas:?}");
+        assert_summary(&service, &["arena cache budget = 4 arenas/thread"]);
     }
 
     #[test]
-    fn scheduler_reports_coalesced_mixed_topology_fanouts() {
-        // Mixed fig7/fig9 misses through the scheduler: every chase is
-        // accounted to a fan-out, and the summary grows the scheduler
-        // block.
-        let config = ServiceConfig {
-            verify: true,
-            verify_threads: 2,
-            ..Default::default()
-        };
-        let service = AnalysisService::new(config);
-        let mut requests = Vec::new();
-        for reps in 1..=4 {
-            requests.push(AnalysisRequest::new(
-                format!("fig7x{reps}"),
-                fig7(reps),
-                fig7_topology(),
-            ));
+    fn a_borrowed_lru_returns_to_the_pool_when_its_borrower_unwinds() {
+        let pool = BoundedQueue::new(2);
+        for _ in 0..2 {
+            pool.try_push(ArenaLru::with_budget(3)).unwrap();
         }
-        let mut nine = AnalysisRequest::new("fig9", fig9(), fig9_topology());
-        nine.config.queues_per_interval = 2;
-        requests.push(nine);
-        let responses = service.run_batch(requests);
-        assert!(responses.iter().all(AnalysisResponse::is_certified));
-
-        let fanouts = counter(&service, names::SCHED_FANOUTS);
-        assert!((1..=5).contains(&fanouts), "{fanouts} fan-outs");
-        assert_summary(
-            &service,
-            &[
-                &format!("scheduler fan-outs = {fanouts}"),
-                "scheduler coalesced jobs = 5",
-                "arena cache budget = 4 arenas/thread",
-            ],
-        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _loan = LruLoan::borrow(&pool);
+            assert_eq!(pool.len(), 1, "the loan holds one LRU");
+            panic!("borrower unwinds");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.len(), 2, "the unwinding loan handed its LRU back");
+        // The LRU that came back is a pooled one, not the placeholder.
+        assert!((0..2).all(|_| pool.pop().unwrap().capacity() == 3));
     }
 
     #[test]
     fn verify_threads_do_not_change_answers() {
-        // One mixed fig7/fig9/linear batch through the per-worker
-        // schedulers (`verify_threads` 0) and through the shared one (2):
-        // every wire field but the timings and trace ids must match —
+        // One mixed fig7/fig9/linear batch through a one-LRU pool
+        // (`verify_threads` 0, one worker) and a two-LRU pool (2): every
+        // wire field but the timings and trace ids must match —
         // status, labels, fingerprints, verified/verify_cycles, the
         // blocked-replay details and diagnostics. Latch queues make the
         // P2 replays deadlock, and one program is rejected outright.

@@ -50,7 +50,9 @@ use systolic_core::codec::{
     self, decode_nested, decode_str, decode_u128, decode_u64, encode_to_vec, labeling_method_str,
     Decode, Encode, FieldReader, FieldWriter,
 };
-use systolic_core::{AnalysisConfig, CodecError, CommPlan, CoreError, Diagnostic};
+use systolic_core::{
+    read_uvarint, write_uvarint, AnalysisConfig, CodecError, CommPlan, CoreError, Diagnostic,
+};
 use systolic_model::{CellId, ContentHasher, Program, Topology};
 use systolic_sim::{ReplayDeadlock, VerifyReport};
 
@@ -394,31 +396,13 @@ impl Decode for SnapshotData {
 // Container writer / reader
 // ---------------------------------------------------------------------------
 
-fn write_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn read_uvarint(input: &mut &[u8]) -> Result<u64, SnapshotError> {
-    let mut value: u64 = 0;
-    for (i, &byte) in input.iter().enumerate() {
-        if i >= 10 || (i == 9 && byte > 0x01) {
-            return Err(SnapshotError::Codec(CodecError::VarintOverflow));
-        }
-        value |= u64::from(byte & 0x7f) << (7 * i);
-        if byte & 0x80 == 0 {
-            *input = &input[i + 1..];
-            return Ok(value);
-        }
-    }
-    Err(SnapshotError::Truncated)
+/// A container varint ([`read_uvarint`]), with an input that ends inside
+/// it reported as the container's own [`SnapshotError::Truncated`].
+fn read_container_uvarint(input: &mut &[u8]) -> Result<u64, SnapshotError> {
+    read_uvarint(input).map_err(|error| match error {
+        CodecError::Truncated => SnapshotError::Truncated,
+        other => SnapshotError::Codec(other),
+    })
 }
 
 fn section_hash(payload: &[u8]) -> u128 {
@@ -461,18 +445,18 @@ pub(crate) fn read_snapshot(bytes: &[u8]) -> Result<SnapshotData, SnapshotError>
         return Err(SnapshotError::BadMagic);
     }
     input = rest;
-    let version = read_uvarint(&mut input)?;
+    let version = read_container_uvarint(&mut input)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let sections = read_uvarint(&mut input)?;
+    let sections = read_container_uvarint(&mut input)?;
     let mut data = SnapshotData::default();
     for _ in 0..sections {
-        let kind = read_uvarint(&mut input)?;
-        let len = read_uvarint(&mut input)?;
+        let kind = read_container_uvarint(&mut input)?;
+        let len = read_container_uvarint(&mut input)?;
         if input.len() < 16 {
             return Err(SnapshotError::Truncated);
         }

@@ -4,8 +4,7 @@
 //!
 //! The request, plan-cache, latency and run-total rows always appear.
 //! Every other block appears once its counters are non-zero: arena rows
-//! after the first chase, scheduler rows after the first fan-out (at any
-//! `--verify-threads`), one `verify[spec]` row per chased topology,
+//! after the first chase, one `verify[spec]` row per chased topology,
 //! incremental rows after the first edit, and snapshot rows after the
 //! first load, rejected load or save.
 //!
@@ -33,7 +32,7 @@ pub struct RunTotals {
 }
 
 /// Renders the summary as a two-column `metric`/`value` table, with the
-/// run totals last. `budget` is the arena count per chasing thread, a
+/// run totals last. `budget` is the arena count per pooled arena LRU, a
 /// config value the registry does not hold either.
 #[must_use]
 pub fn summary_table(snapshot: &RegistrySnapshot, budget: usize, run: &RunTotals) -> Table {
@@ -65,14 +64,6 @@ pub fn summary_table(snapshot: &RegistrySnapshot, budget: usize, run: &RunTotals
         row("arena cache evictions", &arenas.evictions);
         row("arena hit rate", &percent(arenas.hit_rate()));
         row("arena cache budget", &format!("{budget} arenas/thread"));
-    }
-
-    let fanouts = count(names::SCHED_FANOUTS);
-    if fanouts > 0 {
-        let sizes = snapshot.histogram_value(names::SCHED_FANOUT_SIZE, &[]);
-        row("scheduler fan-outs", &fanouts);
-        row("scheduler coalesced jobs", &count(names::SCHED_ITEMS));
-        row("scheduler queue depth (max)", &sizes.max);
     }
 
     // Spec → [ok, blocked], folded from the outcome-labeled series.
@@ -142,8 +133,7 @@ pub fn summary_table(snapshot: &RegistrySnapshot, budget: usize, run: &RunTotals
 
 /// The summary's JSON members, in a fixed order: `requests`, the run
 /// totals, the plan cache, latency, arena and `hw_threads` members, then
-/// the `scheduler_*` and `snapshot_*` members once their blocks are
-/// active.
+/// the `snapshot_*` members once their block is active.
 #[must_use]
 pub fn summary_json(snapshot: &RegistrySnapshot, run: &RunTotals) -> Vec<(String, Json)> {
     let count = |name| snapshot.counter_total(name) as f64;
@@ -167,10 +157,6 @@ pub fn summary_json(snapshot: &RegistrySnapshot, run: &RunTotals) -> Vec<(String
         ("arena_evictions", arenas.evictions as f64),
         ("hw_threads", gauge(snapshot, names::HW_THREADS) as f64),
     ];
-    if count(names::SCHED_FANOUTS) > 0.0 {
-        members.push(("scheduler_fanouts", count(names::SCHED_FANOUTS)));
-        members.push(("scheduler_items", count(names::SCHED_ITEMS)));
-    }
     if let Some(loads) = snapshot_loads(snapshot) {
         members.push(("snapshot_loads", loads as f64));
         for (key, name) in [
@@ -254,8 +240,6 @@ pub(crate) mod tests {
         for (name, value) in [
             (names::ARENA_CACHE_HITS, 3),
             (names::ARENA_CACHE_MISSES, 1),
-            (names::SCHED_FANOUTS, 2),
-            (names::SCHED_ITEMS, 4),
             (names::INCREMENTAL_EDITS, 2),
             (names::INCREMENTAL_HITS, 1),
             (names::INCREMENTAL_DIRTY_CELLS, 5),
@@ -289,7 +273,6 @@ pub(crate) mod tests {
         }
         for (name, samples) in [
             (names::SERVICE_HANDLE_DURATION, &[2, 3, 3, 40][..]),
-            (names::SCHED_FANOUT_SIZE, &[1, 3]),
             // `snapshot loads` counts load-duration samples.
             (names::SNAPSHOT_LOAD_DURATION, &[1_000, 20]),
         ] {
@@ -330,9 +313,6 @@ arena cache misses             1
 arena cache evictions          0
 arena hit rate                 75.0%
 arena cache budget             4 arenas/thread
-scheduler fan-outs             2
-scheduler coalesced jobs       4
-scheduler queue depth (max)    3
 verify[linear:2]               4 ok / 1 blocked
 verify[mesh:2x2]               1 ok / 0 blocked
 verify[ring:3]                 2 ok / 0 blocked
@@ -366,7 +346,7 @@ invalid lines                  1
                 r#""cache_hits":3,"cache_misses":1,"cache_hit_rate":0.75,"#,
                 r#""latency_mean_us":12,"latency_p50_us":3,"latency_p99_us":40,"#,
                 r#""latency_max_us":40,"arena_hits":3,"arena_misses":1,"arena_evictions":0,"#,
-                r#""hw_threads":2,"scheduler_fanouts":2,"scheduler_items":4,"snapshot_loads":2,"#,
+                r#""hw_threads":2,"snapshot_loads":2,"#,
                 r#""snapshot_plans_restored":5,"snapshot_dropped":3,"#,
                 r#""snapshot_loads_rejected":1,"snapshot_saves":1,"snapshot_warm_hits":7}"#,
             )
@@ -390,7 +370,6 @@ invalid lines                  1
         assert_eq!(sizes(&registry), (13, 15));
         for (series, block) in [
             (names::ARENA_CACHE_MISSES, (5, 0)),
-            (names::SCHED_FANOUTS, (3, 2)),
             (names::INCREMENTAL_EDITS, (6, 0)),
             (names::SNAPSHOT_SAVES, (7, 6)),
             (names::SNAPSHOT_LOAD_REJECTED, (7, 6)),

@@ -32,21 +32,16 @@
 //! the batch's largest requirement once. That is what lets a serving layer
 //! chase cached analyses with simulator replays at cache-hit throughput.
 //!
-//! Beyond one-arena batches, certified plans replay through the
-//! [`VerifyScheduler`]: N workers, each owning an [`ArenaLru`] of arenas
-//! keyed by compiled-topology fingerprint, a work-stealing cursor over
-//! the plan indices, and reports merged back into input order —
-//! byte-identical to the sequential path run per topology group. One
-//! scheduler spans **all** topologies: a heterogeneous mesh/torus/line
-//! batch verifies in a single fan-out, workers switching worlds by warm
-//! LRU lookup instead of rebuild. Each LRU keeps at most a fixed number
-//! of arenas and evicts the least recently used one past it. Pick
-//! `threads` ≈ the cores you can spare: replays are CPU-bound and share no
-//! mutable state, so throughput scales until the batch runs out of plans
-//! to steal. Pick the arena count ≈ the distinct topologies each worker
-//! sees. A one-worker scheduler replays on the calling thread, with no
-//! thread machinery at all — the shape a serving thread holds for its own
-//! chases.
+//! Beyond one-topology batches, certified plans replay one at a time
+//! through [`ArenaLru::replay`]: an LRU of arenas keyed by
+//! compiled-topology fingerprint, so topology-interleaved traffic
+//! switches worlds by warm lookup instead of rebuild. Each LRU keeps at
+//! most a fixed number of arenas and evicts the least recently used one
+//! past it; pick the count ≈ the distinct topologies its holder sees. A
+//! replay panic drops only the arena it ran in, and the report equals
+//! the sequential path's for the same plan. An LRU is owned outright
+//! while it replays, so a serving layer keeps a pool of them and lends
+//! one to each replaying thread.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -117,11 +112,10 @@ mod engine;
 mod policy;
 mod pool;
 mod queue;
-mod sched;
 mod stats;
 mod verify;
 
-pub use arena_lru::{ArenaLookup, ArenaLru};
+pub use arena_lru::{ArenaLookup, ArenaLru, VerifyTaskError};
 pub use cost::CostModel;
 pub use deadlock::{BlockReason, BlockedCell, DeadlockReport, QueueSnapshot};
 pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld, Simulation};
@@ -130,6 +124,5 @@ pub use policy::{
 };
 pub use pool::{PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
-pub use sched::{VerifyScheduler, VerifyTaskError};
 pub use stats::{AssignmentEvent, RunStats};
 pub use verify::{verify_batch_compiled, verify_plan, ReplayDeadlock, VerifyReport};

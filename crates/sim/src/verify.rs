@@ -74,9 +74,9 @@ impl std::fmt::Display for ReplayDeadlock {
 
 /// The result of replaying one plan through the simulator.
 ///
-/// Implements `PartialEq`/`Eq` so batch paths can be checked for
-/// byte-identical results (the parallel [`crate::VerifyScheduler`] must
-/// match the sequential [`verify_batch_compiled`] report-for-report).
+/// Implements `PartialEq`/`Eq` so replay paths can be checked for
+/// byte-identical results ([`crate::ArenaLru::replay`] must match the
+/// sequential [`verify_batch_compiled`] report-for-report).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VerifyReport {
     /// `true` if every cell completed its program — what Theorem 1

@@ -65,22 +65,16 @@
 //! Batch replays share one [`sim::SimArena`]: the immutable world
 //! (topology + config) is built once and the run state is reset in place
 //! per replay. With a precompiled topology, routes come from the shared
-//! closure and certified plans travel as `Arc`s. On a multi-core node,
-//! [`sim::VerifyScheduler`] fans a **heterogeneous** batch — `(program,
-//! compiled topology, plan)` triples over any mix of fabrics — across N
-//! worker threads, each holding an LRU of at most a fixed number of warm
-//! arenas keyed by compiled-topology fingerprint ([`sim::ArenaLru`]),
-//! with work-stealing and reports merged back into input order —
-//! byte-identical to the sequential path per topology group. It is the
-//! one replay engine: a one-topology batch is a batch whose items share
-//! one compiled topology, and a one-worker scheduler replays on the
-//! calling thread. The serving layer chases each plan through a
-//! per-worker one-worker scheduler, or (`ServiceConfig::verify_threads`)
-//! coalesces the chases of a batch window into one shared scheduler
-//! fan-out. Tuning: one scheduler thread
-//! per spare core — replays are CPU-bound and share no mutable state, so
-//! throughput scales until the batch runs out of plans to steal — and an
-//! arena count matching the distinct topologies each worker sees.
+//! closure and certified plans travel as `Arc`s. Plans over any mix of
+//! fabrics replay one at a time through [`sim::ArenaLru::replay`]: an
+//! LRU of at most a fixed number of warm arenas keyed by
+//! compiled-topology fingerprint, whose reports equal the sequential
+//! path's and which contains a replay panic to the one arena it ran in.
+//! The serving layer keeps a pool of these LRUs; the thread that
+//! computed a plan borrows one, replays, and hands it back, so the pool
+//! size (`ServiceConfig::verify_threads`, default one per analysis
+//! worker) caps concurrent replays and resident arenas. Tuning: an arena
+//! count matching the distinct topologies each LRU sees.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,7 +1,7 @@
 //! End-to-end observability: a 300-request mixed-topology batch through a
 //! verifying service must leave behind (a) a metrics exposition carrying
-//! analyzer per-stage duration histograms, scheduler fan-out counters, and
-//! arena-cache hit/miss counters, and (b) a span log whose stage spans
+//! analyzer per-stage duration histograms, the replay-duration histogram,
+//! and arena-cache hit/miss counters, and (b) a span log whose stage spans
 //! nest under request root spans with trace ids matching the wire
 //! responses.
 
@@ -59,7 +59,10 @@ fn mixed_topology_batch_exports_metrics_and_nested_spans() {
             "exposition carries the {stage} stage histogram:\n{text}"
         );
     }
-    assert!(text.contains("systolic_scheduler_fanouts_total"), "{text}");
+    assert!(
+        text.contains("systolic_verify_replay_duration_micros"),
+        "{text}"
+    );
     assert!(text.contains("systolic_arena_cache_hits_total"), "{text}");
     assert!(text.contains("systolic_arena_cache_misses_total"), "{text}");
     assert!(
@@ -79,7 +82,7 @@ fn mixed_topology_batch_exports_metrics_and_nested_spans() {
         BATCH as u64
     );
     // Every certified miss was chased (rejected misses never reach the
-    // simulator), and the scheduler fanned at least once.
+    // simulator), one replay-duration sample each.
     let misses = responses
         .iter()
         .filter(|r| r.provenance == CacheProvenance::Miss)
@@ -90,7 +93,12 @@ fn mixed_topology_batch_exports_metrics_and_nested_spans() {
         .count() as u64;
     assert!(misses > 0);
     assert!(chased > 0);
-    assert!(snapshot.counter_total(names::SCHED_FANOUTS) >= 1);
+    assert_eq!(
+        snapshot
+            .histogram_value(names::VERIFY_REPLAY_DURATION, &[])
+            .count,
+        chased
+    );
     assert_eq!(
         snapshot.counter_total(names::ARENA_CACHE_HITS)
             + snapshot.counter_total(names::ARENA_CACHE_MISSES),

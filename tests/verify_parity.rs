@@ -5,17 +5,17 @@
 //! Arena reuse (reset-in-place pools, plan-route reuse, queue-pool
 //! growth across a batch) must never leak state between replays.
 //!
-//! Property two: fanning the same one-topology batch over an N-thread
-//! `VerifyScheduler` is **byte-identical** to the sequential batch —
-//! every `VerifyReport` (including `ReplayDeadlock` details) equal, in
-//! input order — no matter the thread count or which worker stole which
-//! plan.
+//! Property two: replaying every certified plan of a generated stream,
+//! interleaved across topologies, one at a time through one `ArenaLru`
+//! (`ArenaLru::replay`, the service's chase path) is **byte-identical**
+//! to the sequential batch per topology — every `VerifyReport` equal —
+//! whatever the LRU's arena count, so whether its arenas stay warm or
+//! get evicted and rebuilt.
 //!
-//! Property three: one heterogeneous `VerifyScheduler` fan-out over an
-//! interleaved mesh/torus/linear batch is byte-identical to splitting the
-//! batch by compiled-topology fingerprint and running each group through
-//! sequential `verify_batch_compiled` — across thread counts, across
-//! reused scheduler instances, and for deadlocking latch replays too.
+//! Property three: the same holds for an interleaved mesh/torus/linear
+//! batch on both the default and the capacity-0 latch simulator, where
+//! some replays deadlock: `ReplayDeadlock` details match too, on a fresh
+//! LRU and again on the warm one.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use systolic::core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology, Lookahead};
 use systolic::model::{Program, Topology};
 use systolic::sim::{
-    verify_batch_compiled, verify_plan, QueueConfig, SimConfig, VerifyReport, VerifyScheduler,
+    verify_batch_compiled, verify_plan, ArenaLru, QueueConfig, SimConfig, VerifyReport,
 };
 use systolic::workloads::{fig5_p2, fig7, fig7_topology, traffic, TrafficConfig, TrafficItem};
 
@@ -77,7 +77,7 @@ proptest! {
         seed in 0u64..1_000_000,
         count in 4usize..12,
         hot_percent in 0u32..101,
-        threads in 2usize..6,
+        arenas in 1usize..=3,
     ) {
         let config = TrafficConfig { hot_percent, ..Default::default() };
         let mut stream = traffic(&config, seed, count);
@@ -89,30 +89,33 @@ proptest! {
         });
 
         let sim = SimConfig::default();
-        for batch in certified_batches(&stream) {
-            if batch.items.is_empty() {
-                continue;
-            }
-            let sequential = verify_batch_compiled(
-                batch.items.iter().map(|(program, plan)| (program, plan)),
-                &batch.compiled,
-                sim,
-            )
-            .expect("batch setup succeeds");
-            // A fresh scheduler, then a second fan-out through the same
-            // warm arenas: neither may drift (reset-in-place across
-            // batches).
-            let mut scheduler = VerifyScheduler::new(sim, threads, 1);
-            for round in 0..2 {
-                let parallel = scheduler
-                    .verify_batch(
-                        batch
-                            .items
-                            .iter()
-                            .map(|(program, plan)| (program, &batch.compiled, plan)),
-                    )
-                    .expect("scheduler setup succeeds");
-                prop_assert_eq!(&parallel, &sequential, "threads = {}, round = {}", threads, round);
+        let batches = certified_batches(&stream);
+        let sequential: Vec<Vec<VerifyReport>> = batches
+            .iter()
+            .map(|batch| {
+                verify_batch_compiled(
+                    batch.items.iter().map(|(program, plan)| (program, plan)),
+                    &batch.compiled,
+                    sim,
+                )
+                .expect("batch setup succeeds")
+            })
+            .collect();
+        // Round-robin over the batches: consecutive replays alternate
+        // topologies, so a small LRU evicts and a large one stays warm.
+        let longest = batches.iter().map(|b| b.items.len()).max().unwrap_or(0);
+        let mut lru = ArenaLru::with_budget(arenas);
+        for round in 0..2 {
+            for i in 0..longest {
+                for (batch, expected) in batches.iter().zip(&sequential) {
+                    let Some((program, plan)) = batch.items.get(i) else {
+                        continue;
+                    };
+                    let replayed = lru
+                        .replay(&batch.compiled, sim, program, plan)
+                        .expect("replay setup succeeds");
+                    prop_assert_eq!(&replayed, &expected[i], "arenas = {}, round = {}", arenas, round);
+                }
             }
         }
     }
@@ -175,7 +178,7 @@ fn transfer(cells: usize, reps: usize) -> Program {
     .expect("transfer parses")
 }
 
-/// The scheduler's sequential reference: split the mixed batch by
+/// The sequential reference: split the mixed batch by
 /// compiled-topology fingerprint, run each group through sequential
 /// `verify_batch_compiled`, and scatter the reports back to input order.
 fn sequential_reference(
@@ -215,16 +218,15 @@ fn sequential_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Property three: the cross-topology scheduler. An interleaved
-    /// mesh/torus/linear batch (with fig5_p2 mixed in so latch replays
-    /// deadlock) fanned out heterogeneously must be byte-identical to the
+    /// Property three: an interleaved mesh/torus/linear batch (with
+    /// fig5_p2 mixed in so latch replays deadlock) replayed item by item
+    /// through one LRU of 1–4 arenas must be byte-identical to the
     /// per-fingerprint sequential reference — on both the default and the
-    /// capacity-0 latch simulator, for 2–6 threads, and again when the
-    /// same scheduler instance (warm arenas) runs the batch a second
-    /// time.
+    /// capacity-0 latch simulator, and again when the same LRU (warm
+    /// arenas) replays the batch a second time.
     #[test]
-    fn scheduler_is_byte_identical_on_mixed_topologies(
-        threads in 2usize..=6,
+    fn arena_lru_is_byte_identical_on_mixed_topologies(
+        arenas in 1usize..=4,
         reps in 1usize..4,
     ) {
         let analysis = AnalysisConfig {
@@ -279,14 +281,18 @@ proptest! {
         };
         for sim in [SimConfig::default(), latch] {
             let expected = sequential_reference(&items, sim);
-            let mut scheduler = VerifyScheduler::new(sim, threads, topologies.len());
+            let mut lru = ArenaLru::with_budget(arenas);
             for round in 0..2 {
-                let got = scheduler
-                    .verify_batch(items.iter().map(|(p, c, plan)| (p, c, plan)))
-                    .expect("scheduler setup succeeds");
-                prop_assert_eq!(&got, &expected, "threads = {}, round = {}", threads, round);
-                for (through_scheduler, reference) in got.iter().zip(&expected) {
-                    prop_assert_eq!(&through_scheduler.deadlock, &reference.deadlock);
+                let got: Vec<VerifyReport> = items
+                    .iter()
+                    .map(|(program, compiled, plan)| {
+                        lru.replay(compiled, sim, program, plan)
+                            .expect("replay setup succeeds")
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &expected, "arenas = {}, round = {}", arenas, round);
+                for (replayed, reference) in got.iter().zip(&expected) {
+                    prop_assert_eq!(&replayed.deadlock, &reference.deadlock);
                 }
             }
         }
@@ -300,71 +306,5 @@ proptest! {
             latched.iter().any(|r| r.completed),
             "plain transfers must complete"
         );
-    }
-}
-
-/// Deadlock details cross the scheduler's worker pool unchanged: a batch
-/// whose replays (deliberately) stall on capacity-0 latch queues must
-/// produce the same `ReplayDeadlock` — cycle, first blocked cell, reason
-/// text, blocked count — from a parallel one-topology fan-out as from
-/// the sequential arena, merged in input order.
-#[test]
-fn pool_merges_deadlock_details_identically() {
-    let topology = Topology::linear(2);
-    // P2 certifies only under lookahead (both cells write first) and
-    // deadlocks when replayed on latch queues (Section 3.2); plain
-    // transfers complete even on latches. Mixing them yields a batch of
-    // interleaved completed/deadlocked reports.
-    let config = AnalysisConfig {
-        queues_per_interval: 2,
-        lookahead: Lookahead::Unbounded,
-    };
-    let compiled = CompiledTopology::compile(&topology, &config).into_shared();
-    let analyzer = Analyzer::new(Arc::clone(&compiled));
-    let mut items: Vec<(Program, Arc<CommPlan>)> = Vec::new();
-    for reps in 1..=4 {
-        items.push({
-            let program = fig5_p2();
-            let plan = Arc::new(
-                analyzer
-                    .analyze(&program)
-                    .expect("P2 certifies")
-                    .into_plan(),
-            );
-            (program, plan)
-        });
-        let transfer = systolic::model::parse_program(&format!(
-            "cells 2\nmessage A: c0 -> c1\nprogram c0 {{ W(A)*{reps} }}\n\
-             program c1 {{ R(A)*{reps} }}\n",
-        ))
-        .expect("transfer parses");
-        let plan = Arc::new(analyzer.analyze(&transfer).expect("certifies").into_plan());
-        items.push((transfer, plan));
-    }
-    let sim = SimConfig {
-        queues_per_interval: 2,
-        queue: QueueConfig {
-            capacity: 0,
-            extension: false,
-        },
-        ..Default::default()
-    };
-
-    let sequential = verify_batch_compiled(items.iter().map(|(p, plan)| (p, plan)), &compiled, sim)
-        .expect("setup succeeds");
-    let deadlocked = sequential.iter().filter(|r| r.deadlock.is_some()).count();
-    let completed = sequential.iter().filter(|r| r.completed).count();
-    assert_eq!(deadlocked, 4, "every P2 latch replay deadlocks");
-    assert_eq!(completed, 4, "every plain transfer completes");
-
-    for threads in [2, 3, 4] {
-        let mut scheduler = VerifyScheduler::new(sim, threads, 1);
-        let parallel = scheduler
-            .verify_batch(items.iter().map(|(p, plan)| (p, &compiled, plan)))
-            .expect("scheduler setup succeeds");
-        assert_eq!(parallel, sequential, "threads = {threads}");
-        for (through_pool, through_arena) in parallel.iter().zip(&sequential) {
-            assert_eq!(through_pool.deadlock, through_arena.deadlock);
-        }
     }
 }
