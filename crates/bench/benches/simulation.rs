@@ -1,7 +1,7 @@
 //! Criterion benches for the cycle-stepped simulator (F1, F7): systolic vs
 //! memory-to-memory cost models, the policy comparison on Fig. 7, and
 //! arena reuse (one `SimArena` across a stream of replays vs a fresh
-//! `Simulation` per run).
+//! `run_simulation` per run).
 
 use std::sync::Arc;
 
@@ -144,7 +144,7 @@ fn bench_workload_sim(c: &mut Criterion) {
 }
 
 /// Arena reuse on a replay stream: one `SimArena` resetting in place vs a
-/// fresh `Simulation` (world + pools + routing) per run.
+/// fresh arena (world + pools + routing) per `run_simulation` call.
 fn bench_arena_replay(c: &mut Criterion) {
     let topology = wl::fig7_topology();
     let a_config = AnalysisConfig::default();

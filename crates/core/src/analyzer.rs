@@ -292,11 +292,6 @@ impl AnalysisOutcome {
     pub fn into_result(self) -> Result<Analysis, CoreError> {
         self.result
     }
-
-    /// Consumes the outcome into `(result, diagnostics)`.
-    pub fn into_parts(self) -> (Result<Analysis, CoreError>, Diagnostics) {
-        (self.result, self.diagnostics)
-    }
 }
 
 /// The memoized per-stage state of one program's analysis.

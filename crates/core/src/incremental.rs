@@ -234,12 +234,6 @@ impl DirtySet {
         }
     }
 
-    /// `true` if `cell`'s program was edited.
-    #[must_use]
-    pub fn is_dirty(&self, cell: CellId) -> bool {
-        self.cells.get(cell.index()).copied().unwrap_or(false)
-    }
-
     /// Number of cells whose programs were edited.
     #[must_use]
     pub fn count(&self) -> usize {

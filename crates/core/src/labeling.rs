@@ -110,12 +110,6 @@ impl Labeling {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// The largest label in use, if any message exists.
-    #[must_use]
-    pub fn max_label(&self) -> Option<Label> {
-        self.labels.iter().copied().max()
-    }
 }
 
 /// Which rule of the Section 6 scheme produced a label.
@@ -465,7 +459,6 @@ mod tests {
         assert_eq!(l.label(p.message_id("A").unwrap()), Label::integer(1));
         assert_eq!(l.label(p.message_id("B").unwrap()), Label::integer(3));
         assert_eq!(l.label(p.message_id("C").unwrap()), Label::integer(2));
-        assert_eq!(l.max_label(), Some(Label::integer(3)));
         // All three were fresh-max labels (no labeled futures at their time).
         for (_, _, rule) in report.assignment_order() {
             assert_eq!(*rule, LabelRule::FreshMax);

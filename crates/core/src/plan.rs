@@ -96,9 +96,11 @@ impl CommPlan {
     /// compatibility clause ("…or can be guaranteed to secure a queue in
     /// the future") demands each competing set its own guaranteed supply,
     /// so each direction draws from its own range of queue indices, sized
-    /// by this plan's per-hop requirement. Both runtimes — the
-    /// simulator's compatible policy and the threaded controller — derive
-    /// their partitions from this one method, so they cannot drift.
+    /// by this plan's per-hop requirement. The simulator's compatible
+    /// policy reads its partitions from this one method, and both
+    /// runtimes — the cycle-stepped simulator and the threaded
+    /// controller — grant through that one policy, so they share the
+    /// rules as well as the partitions.
     #[must_use]
     pub fn direction_queue_ranges(&self) -> BTreeMap<Hop, Range<usize>> {
         let mut ranges = BTreeMap::new();

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use systolic_model::{Hop, Interval, MessageId};
+use systolic_model::{Hop, Interval};
 
 use crate::{CompetingSets, CoreError, Labeling};
 
@@ -101,23 +101,6 @@ impl QueueRequirements {
             }
         }
         Ok(())
-    }
-
-    /// The number of same-label competing messages of `m` on each of its
-    /// hops, for diagnostics.
-    #[must_use]
-    pub fn same_label_group(
-        competing: &CompetingSets,
-        labeling: &Labeling,
-        m: MessageId,
-        hop: Hop,
-    ) -> Vec<MessageId> {
-        competing
-            .on_hop(hop)
-            .iter()
-            .copied()
-            .filter(|&other| labeling.label(other) == labeling.label(m))
-            .collect()
     }
 }
 

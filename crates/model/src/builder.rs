@@ -251,18 +251,6 @@ impl ProgramBuilder {
         self.push_n(c, Op::read(m), n)
     }
 
-    /// Appends an already-constructed op to `cell`'s program.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the cell does not resolve or if the program would exceed
-    /// [`SizeLimit::Ops`]. (The op's message is validated at
-    /// [`ProgramBuilder::build`] time.)
-    pub fn push_op(&mut self, cell: impl CellRef, op: Op) -> Result<&mut Self, ModelError> {
-        let c = cell.resolve(self)?;
-        self.push_n(c, op, 1)
-    }
-
     /// Appends `n` copies of `op` to cell `c`, bounds checked first.
     fn push_n(&mut self, c: CellId, op: Op, n: usize) -> Result<&mut Self, ModelError> {
         SizeLimit::Repeat.check(n)?;

@@ -80,12 +80,6 @@ impl Route {
     pub fn hop_over(&self, interval: Interval) -> Option<Hop> {
         self.hops().find(|h| h.interval() == interval)
     }
-
-    /// Position of `interval` along the route (0 = first hop), if crossed.
-    #[must_use]
-    pub fn hop_index(&self, interval: Interval) -> Option<usize> {
-        self.hops().position(|h| h.interval() == interval)
-    }
 }
 
 impl fmt::Display for Route {
@@ -213,7 +207,6 @@ mod tests {
         assert_eq!(r.num_hops(), 2);
         let hops: Vec<Hop> = r.hops().collect();
         assert_eq!(hops, vec![Hop::new(c(1), c(2)), Hop::new(c(2), c(3))]);
-        assert_eq!(r.hop_index(Interval::new(c(2), c(3))), Some(1));
         assert_eq!(r.hop_over(Interval::new(c(0), c(1))), None);
         assert_eq!(r.to_string(), "c1 -> c2 -> c3");
     }

@@ -530,38 +530,50 @@ impl Topology {
                 Ok(path)
             }
             Kind::Graph { .. } => {
-                // BFS with lowest-id tie-break (adjacency lists are sorted).
-                let adjacency = &self.adjacency;
-                let mut prev: Vec<Option<CellId>> = vec![None; n];
-                let mut seen = vec![false; n];
-                let mut queue = VecDeque::new();
-                seen[from.index()] = true;
-                queue.push_back(from);
-                while let Some(cur) = queue.pop_front() {
-                    if cur == to {
-                        break;
-                    }
-                    for &next in &adjacency[cur.index()] {
-                        if !seen[next.index()] {
-                            seen[next.index()] = true;
-                            prev[next.index()] = Some(cur);
-                            queue.push_back(next);
-                        }
-                    }
-                }
-                if !seen[to.index()] {
-                    return Err(ModelError::NoRoute { from, to });
-                }
-                let mut path = vec![to];
-                let mut cur = to;
-                while let Some(p) = prev[cur.index()] {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                Ok(path)
+                let prev = self.bfs(from, Some(to));
+                Self::path_to(&prev, to).ok_or(ModelError::NoRoute { from, to })
             }
         }
+    }
+
+    /// Breadth-first search from `from` with lowest-id tie-breaks (the
+    /// adjacency lists are sorted), stopping once `stop` is dequeued.
+    /// Entry `i` is the cell that discovered cell `i`: `None` for `from`
+    /// and for cells not reached. Stopping early never changes an entry
+    /// already set, so every route read from the tree is the same whether
+    /// or not the search stopped.
+    fn bfs(&self, from: CellId, stop: Option<CellId>) -> Vec<Option<CellId>> {
+        let n = self.num_cells();
+        let mut prev: Vec<Option<CellId>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut queue = VecDeque::from([from]);
+        seen[from.index()] = true;
+        while let Some(cur) = queue.pop_front() {
+            if Some(cur) == stop {
+                break;
+            }
+            for &next in &self.adjacency[cur.index()] {
+                if !seen[next.index()] {
+                    seen[next.index()] = true;
+                    prev[next.index()] = Some(cur);
+                    queue.push_back(next);
+                }
+            }
+        }
+        prev
+    }
+
+    /// The cell path to `to` in a [`Topology::bfs`] tree, both endpoints
+    /// included; `None` if `to` is the search's origin or was not reached.
+    fn path_to(prev: &[Option<CellId>], to: CellId) -> Option<Vec<CellId>> {
+        let mut cur = prev[to.index()]?;
+        let mut path = vec![to, cur];
+        while let Some(p) = prev[cur.index()] {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
     }
 
     /// `true` when [`Topology::route_cells`] performs a graph search (BFS)
@@ -579,9 +591,10 @@ impl Topology {
     /// `from` itself and for unreachable cells.
     ///
     /// The paths are exactly what per-pair [`Topology::route_cells`] calls
-    /// would return (same deterministic tie-breaks), but for graph
-    /// topologies all `n` destinations share one breadth-first search, so
-    /// a full route closure costs `n` traversals instead of `n²`.
+    /// would return: for graph topologies both read them from the same
+    /// breadth-first search, and here all `n` destinations share one
+    /// search, so a full route closure costs `n` traversals instead of
+    /// `n²`.
     ///
     /// # Errors
     ///
@@ -595,39 +608,9 @@ impl Topology {
             });
         }
         if let Kind::Graph { .. } = &self.kind {
-            // One full BFS; discovery order (and therefore every prev
-            // pointer) is identical to the early-stopping BFS in
-            // `route_cells`, so reconstructed paths match it exactly.
-            let adjacency = &self.adjacency;
-            let mut prev: Vec<Option<CellId>> = vec![None; n];
-            let mut seen = vec![false; n];
-            let mut queue = VecDeque::new();
-            seen[from.index()] = true;
-            queue.push_back(from);
-            while let Some(cur) = queue.pop_front() {
-                for &next in &adjacency[cur.index()] {
-                    if !seen[next.index()] {
-                        seen[next.index()] = true;
-                        prev[next.index()] = Some(cur);
-                        queue.push_back(next);
-                    }
-                }
-            }
+            let prev = self.bfs(from, None);
             return Ok((0..n)
-                .map(|i| {
-                    let to = CellId::new(i as u32);
-                    if to == from || !seen[i] {
-                        return None;
-                    }
-                    let mut path = vec![to];
-                    let mut cur = to;
-                    while let Some(p) = prev[cur.index()] {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    Some(path)
-                })
+                .map(|i| Self::path_to(&prev, CellId::new(i as u32)))
                 .collect());
         }
         // Closed-form kinds: every pair is routable, and per-pair routing

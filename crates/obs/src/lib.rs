@@ -160,14 +160,6 @@ impl Obs {
         Self::default()
     }
 
-    /// Creates a bundle whose trace ring keeps at most `capacity` spans.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Self {
-            registry: Registry::new(),
-            tracer: Tracer::new(capacity),
-        }
-    }
-
     /// The metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -185,7 +177,7 @@ mod tests {
 
     #[test]
     fn bundle_wires_registry_and_tracer() {
-        let obs = Obs::with_trace_capacity(8);
+        let obs = Obs::new();
         obs.registry().counter(names::SERVICE_REQUESTS).inc();
         let trace = obs.tracer().new_trace();
         let span = obs.tracer().start(trace, None, "request");

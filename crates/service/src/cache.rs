@@ -125,12 +125,6 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
-    /// Number of shards (≥ 1).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: u128) -> &Mutex<Shard<V>> {
         // Fold the 128-bit fingerprint before reducing mod shard count so
         // both halves contribute to shard selection.
@@ -351,7 +345,7 @@ mod tests {
             shards: 0,
             capacity_per_shard: 0,
         });
-        assert_eq!(c.num_shards(), 1);
+        assert_eq!(c.per_shard_stats().len(), 1);
         c.insert(1, 1);
         c.insert(2, 2);
         assert_eq!(c.len(), 1, "capacity clamps to 1");

@@ -56,15 +56,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Json]> {

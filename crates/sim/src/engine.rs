@@ -31,8 +31,8 @@
 //!   reallocated**: buffers are cleared in place and reused, so a batch of
 //!   N replays performs one setup, not N.
 //!
-//! [`Simulation`] remains as the one-shot convenience wrapper (build one
-//! world + arena, run once); batch callers use [`SimArena`] directly — see
+//! [`run_simulation`] is the one-shot entry point (one fresh arena, one
+//! run); batch callers use [`SimArena`] directly — see
 //! [`crate::verify_batch_compiled`].
 
 use std::sync::Arc;
@@ -836,62 +836,20 @@ impl SimArena {
     }
 }
 
-/// A configured one-shot simulation, ready to run.
-///
-/// This is the convenience wrapper over the [`SimWorld`]/[`SimArena`]
-/// split: it builds a fresh world and arena for a single replay. Batch
-/// callers reuse one [`SimArena`] across replays instead.
-#[derive(Debug)]
-pub struct Simulation {
-    arena: SimArena,
-    program: Program,
-    routes: MessageRoutes,
-    policy: Box<dyn AssignmentPolicy>,
-}
-
-impl Simulation {
-    /// Builds a simulation of `program` over `topology` under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns routing/validation errors from
-    /// [`MessageRoutes::compute`].
-    pub fn new(
-        program: &Program,
-        topology: &Topology,
-        policy: Box<dyn AssignmentPolicy>,
-        config: SimConfig,
-    ) -> Result<Self, ModelError> {
-        let world = SimWorld::new(topology, config);
-        let routes = world.routes_for(program)?;
-        Ok(Simulation {
-            arena: SimArena::new(world),
-            program: program.clone(),
-            routes,
-            policy,
-        })
-    }
-
-    /// Runs to completion, deadlock, or the cycle limit.
-    #[must_use]
-    pub fn run(mut self) -> RunOutcome {
-        self.arena
-            .run_with_routes(&self.program, &self.routes, self.policy.as_mut())
-    }
-}
-
-/// Convenience wrapper: build and run in one call.
+/// Runs `program` once over `topology` under `policy`: a fresh
+/// [`SimArena`] for a single replay. Batch callers reuse one arena across
+/// replays instead.
 ///
 /// # Errors
 ///
-/// Propagates [`Simulation::new`] errors.
+/// Routing/validation errors from [`SimWorld::routes_for`].
 pub fn run_simulation(
     program: &Program,
     topology: &Topology,
-    policy: Box<dyn AssignmentPolicy>,
+    mut policy: Box<dyn AssignmentPolicy>,
     config: SimConfig,
 ) -> Result<RunOutcome, ModelError> {
-    Ok(Simulation::new(program, topology, policy, config)?.run())
+    SimArena::from_topology(topology, config).run(program, policy.as_mut())
 }
 
 #[cfg(test)]

@@ -118,7 +118,7 @@ mod verify;
 pub use arena_lru::{ArenaLookup, ArenaLru, VerifyTaskError};
 pub use cost::CostModel;
 pub use deadlock::{BlockReason, BlockedCell, DeadlockReport, QueueSnapshot};
-pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld, Simulation};
+pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld};
 pub use policy::{
     AssignmentPolicy, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, Request, StaticPolicy,
 };

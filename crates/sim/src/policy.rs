@@ -45,18 +45,23 @@ pub struct Grant {
 
 /// A runtime queue-assignment policy.
 ///
-/// Each simulation cycle the engine passes the outstanding requests (oldest
-/// first) and a [`PoolView`]; the policy returns the grants to apply. A
-/// policy must only grant free queues and must not grant one queue twice in
-/// a single call.
-pub trait AssignmentPolicy: std::fmt::Debug {
-    /// Decides grants for this cycle.
+/// The runtime passes the outstanding requests (oldest first) and a
+/// [`PoolView`]; the policy returns the grants to apply. A policy must only
+/// grant free queues and must not grant one queue twice in a single call.
+///
+/// Both runtimes drive the same policy objects. The simulator calls
+/// [`AssignmentPolicy::grant`] once per cycle; the threaded runtime's
+/// controller calls it after every request and every release, repeating
+/// until a call grants nothing. Policies are `Send` so that controller can
+/// hold one behind its lock.
+pub trait AssignmentPolicy: std::fmt::Debug + Send {
+    /// Decides grants for the outstanding `requests`.
     fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant>;
 
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Called by the engine at the start of every replay, so stateful
+    /// Called by the runtime at the start of every run, so stateful
     /// policies reset alongside the arena ([`crate::SimArena`] reuses one
     /// policy across replays). Plan-driven and stateless policies need no
     /// override; [`FifoPolicy`] clears its arrival lines here.

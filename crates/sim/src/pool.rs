@@ -316,12 +316,6 @@ impl QueuePools {
             )
         })
     }
-
-    /// Sum of spill events across all queues.
-    #[must_use]
-    pub fn total_spills(&self) -> usize {
-        self.queues.iter().map(HwQueue::spills).sum()
-    }
 }
 
 /// The read-only view handed to assignment policies.
@@ -331,7 +325,9 @@ pub struct PoolView<'a> {
 }
 
 impl<'a> PoolView<'a> {
-    pub(crate) fn new(pools: &'a QueuePools) -> Self {
+    /// The view of `pools` that a runtime hands to its policy.
+    #[must_use]
+    pub fn new(pools: &'a QueuePools) -> Self {
         PoolView { pools }
     }
 
@@ -429,30 +425,6 @@ mod tests {
     fn release_without_grant_panics() {
         let mut p = pools(1);
         p.release(MessageId::new(0), iv());
-    }
-
-    #[test]
-    fn total_spills_aggregates() {
-        let mut p = QueuePools::uniform(
-            [iv()],
-            1,
-            QueueConfig {
-                capacity: 1,
-                extension: true,
-            },
-        );
-        let m = MessageId::new(0);
-        p.grant(m, hop(), 0);
-        let qid = QueueId::new(iv(), 0);
-        p.queue_mut(qid).push(Word {
-            message: m,
-            index: 0,
-        });
-        p.queue_mut(qid).push(Word {
-            message: m,
-            index: 1,
-        });
-        assert_eq!(p.total_spills(), 1);
     }
 
     #[test]

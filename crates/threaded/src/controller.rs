@@ -1,133 +1,63 @@
-//! The queue-assignment controller: the threaded runtime's enforcement
-//! point for the paper's compatible-assignment rules.
+//! The queue-assignment controller: the threaded runtime's arbiter.
+//!
+//! It grants queues through one of the simulator's assignment policies
+//! ([`AssignmentPolicy`]), so both runtimes enforce the same copy of
+//! Section 7's rules: the policy decides, and the controller applies its
+//! grants under one lock and wakes the threads that wait for them.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-use systolic_core::CommPlan;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use systolic_model::{Hop, Interval, MessageId};
+use systolic_sim::{AssignmentPolicy, PoolView, QueueConfig, QueuePools, Request};
 
 use crate::{Liveness, Poisoned};
 
-/// Which assignment discipline the controller enforces.
+#[derive(Debug)]
+struct State {
+    policy: Box<dyn AssignmentPolicy>,
+    /// Bookkeeping only: which queues are free, which are held and which
+    /// have ever been granted. Words travel through the runtime's
+    /// `ThreadedQueue`s, so these pools' `HwQueue`s stay empty.
+    pools: QueuePools,
+    /// Outstanding requests, oldest first.
+    requests: Vec<Request>,
+    born: u64,
+}
+
+/// Grants queue indices to messages under an [`AssignmentPolicy`].
 ///
-/// Plan-driven modes hold the certified plan as an [`Arc<CommPlan>`]: the
-/// serving layer and batch runners share one plan across many runtimes
-/// without deep-cloning. Use [`ControlMode::compatible`] /
-/// [`ControlMode::dedicated`] to build them from owned or shared plans.
-#[derive(Clone, Debug)]
-pub enum ControlMode {
-    /// The paper's compatible dynamic assignment (ordered + simultaneous
-    /// rules, Section 7), driven by the plan's labels and competing sets.
-    Compatible(Arc<CommPlan>),
-    /// Static assignment: every message owns a dedicated queue on each
-    /// interval it crosses, precomputed from the plan's routes. Requires
-    /// enough queues; "automatically compatible" (Section 7).
-    Static(Arc<CommPlan>),
-    /// First-come-first-served, label-blind (the Fig. 7 strawman).
-    Fifo,
-    /// Any free queue to any requester.
-    Greedy,
-}
-
-impl ControlMode {
-    /// [`ControlMode::Compatible`] from an owned or shared plan.
-    #[must_use]
-    pub fn compatible(plan: impl Into<Arc<CommPlan>>) -> Self {
-        ControlMode::Compatible(plan.into())
-    }
-
-    /// [`ControlMode::Static`] from an owned or shared plan.
-    #[must_use]
-    pub fn dedicated(plan: impl Into<Arc<CommPlan>>) -> Self {
-        ControlMode::Static(plan.into())
-    }
-
-    /// Short name for experiment tables.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ControlMode::Compatible(_) => "compatible",
-            ControlMode::Static(_) => "static",
-            ControlMode::Fifo => "fifo",
-            ControlMode::Greedy => "greedy",
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct CtrlState {
-    /// Free queue indices per interval.
-    free: BTreeMap<Interval, Vec<usize>>,
-    /// Live assignments.
-    live: BTreeMap<(MessageId, Interval), usize>,
-    /// Ever-granted history (the ordered-assignment predicate).
-    history: BTreeSet<(MessageId, Interval)>,
-    /// FIFO arrival order per interval.
-    line: BTreeMap<Interval, VecDeque<MessageId>>,
-}
-
-/// Grants queue indices to messages under a [`ControlMode`].
-///
-/// Plan-derived decision tables — the per-direction queue ranges of the
-/// compatible mode, the dedicated slots of the static mode — are
-/// precomputed once at construction, so the per-grant work under the lock
-/// is a table lookup rather than a scan of the plan.
+/// After every request and every release the controller runs the policy
+/// over the outstanding requests until a pass grants nothing: a pass that
+/// grants a smaller label can enable a larger label that is earlier in the
+/// list, and no cycle clock re-runs the policy as the simulator's does.
 #[derive(Debug)]
 pub struct Controller {
-    mode: ControlMode,
-    /// Compatible mode: per-direction sub-pool of queue indices on each
-    /// interval (`CommPlan::direction_queue_ranges`).
-    ranges: BTreeMap<Hop, std::ops::Range<usize>>,
-    /// Static mode: dedicated queue slot per `(message, interval)`.
-    slots: BTreeMap<(MessageId, Interval), usize>,
-    state: Mutex<CtrlState>,
+    state: Mutex<State>,
     cv: Condvar,
     live_flag: Arc<Liveness>,
 }
 
 impl Controller {
     /// Creates a controller over `intervals`, each with
-    /// `queues_per_interval` queues.
+    /// `queues_per_interval` queues, granting under `policy`.
     #[must_use]
     pub fn new(
-        mode: ControlMode,
+        mut policy: Box<dyn AssignmentPolicy>,
         intervals: impl IntoIterator<Item = Interval>,
         queues_per_interval: usize,
         live_flag: Arc<Liveness>,
     ) -> Self {
-        let mut state = CtrlState::default();
-        for iv in intervals {
-            state.free.insert(iv, (0..queues_per_interval).collect());
-        }
-        let mut ranges = BTreeMap::new();
-        let mut slots = BTreeMap::new();
-        match &mode {
-            ControlMode::Compatible(plan) => {
-                ranges = plan.direction_queue_ranges();
-            }
-            ControlMode::Static(plan) => {
-                // Dedicated slot: the i-th message crossing the interval
-                // (in declaration order) owns queue i. Deterministic and
-                // collision-free when the pool is large enough.
-                let mut used: BTreeMap<Interval, usize> = BTreeMap::new();
-                for (m, route) in plan.routes().iter() {
-                    for iv in route.intervals() {
-                        let slot = used.entry(iv).or_insert(0);
-                        slots.insert((m, iv), *slot);
-                        *slot += 1;
-                    }
-                }
-            }
-            ControlMode::Fifo | ControlMode::Greedy => {}
-        }
+        policy.begin_run();
+        let pools = QueuePools::uniform(intervals, queues_per_interval, QueueConfig::default());
         Controller {
-            mode,
-            ranges,
-            slots,
-            state: Mutex::new(state),
+            state: Mutex::new(State {
+                policy,
+                pools,
+                requests: Vec::new(),
+                born: 0,
+            }),
             cv: Condvar::new(),
             live_flag,
         }
@@ -148,26 +78,14 @@ impl Controller {
     pub fn acquire(&self, message: MessageId, hop: Hop) -> Result<usize, Poisoned> {
         let interval = hop.interval();
         let mut st = self.state.lock();
-        if let ControlMode::Fifo = self.mode {
-            let line = st.line.entry(interval).or_default();
-            if !line.contains(&message) {
-                line.push_back(message);
-            }
+        // An earlier grant is a reservation made for a group member.
+        if !st.pools.has_granted(message, interval) {
+            st.born += 1;
+            let born = st.born;
+            st.requests.push(Request { message, hop, born });
+            self.grant_pending(&mut st);
         }
-        loop {
-            if let Some(&idx) = st.live.get(&(message, interval)) {
-                return Ok(idx); // possibly a reservation made for us
-            }
-            if self.try_grant(&mut st, message, interval) {
-                self.live_flag.bump();
-                self.cv.notify_all();
-                continue; // the grant inserted our live entry
-            }
-            if self.live_flag.is_poisoned() {
-                return Err(Poisoned);
-            }
-            self.cv.wait_for(&mut st, Duration::from_millis(25));
-        }
+        self.wait_live(st, message, interval)
     }
 
     /// Blocks until someone (sender or forwarder) has secured a queue for
@@ -181,16 +99,7 @@ impl Controller {
         message: MessageId,
         interval: Interval,
     ) -> Result<usize, Poisoned> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(&idx) = st.live.get(&(message, interval)) {
-                return Ok(idx);
-            }
-            if self.live_flag.is_poisoned() {
-                return Err(Poisoned);
-            }
-            self.cv.wait_for(&mut st, Duration::from_millis(25));
-        }
+        self.wait_live(self.state.lock(), message, interval)
     }
 
     /// Releases `message`'s queue on `interval` after its last word passed.
@@ -200,101 +109,46 @@ impl Controller {
     /// Panics if the message holds no queue there.
     pub fn release(&self, message: MessageId, interval: Interval) {
         let mut st = self.state.lock();
-        let idx = st
-            .live
-            .remove(&(message, interval))
-            .expect("release without live assignment");
-        st.free.entry(interval).or_default().push(idx);
+        st.pools.release(message, interval);
         self.live_flag.bump();
         self.cv.notify_all();
+        self.grant_pending(&mut st);
     }
 
-    /// Attempts a grant for `message` under the mode's rules. Returns true
-    /// if any grant was made (the caller rechecks its live entry).
-    fn try_grant(&self, st: &mut CtrlState, message: MessageId, interval: Interval) -> bool {
-        match &self.mode {
-            ControlMode::Greedy => {
-                let free = st.free.entry(interval).or_default();
-                if let Some(idx) = free.pop() {
-                    st.live.insert((message, interval), idx);
-                    st.history.insert((message, interval));
-                    true
-                } else {
-                    false
-                }
+    fn wait_live(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        message: MessageId,
+        interval: Interval,
+    ) -> Result<usize, Poisoned> {
+        loop {
+            if let Some(idx) = st.pools.live_assignment(message, interval) {
+                return Ok(idx);
             }
-            ControlMode::Fifo => {
-                // Only the head of the line may take a queue.
-                let head = st.line.get(&interval).and_then(|l| l.front().copied());
-                if head != Some(message) {
-                    return false;
-                }
-                let free = st.free.entry(interval).or_default();
-                if let Some(idx) = free.pop() {
-                    st.live.insert((message, interval), idx);
-                    st.history.insert((message, interval));
-                    st.line.get_mut(&interval).expect("line exists").pop_front();
-                    true
-                } else {
-                    false
-                }
+            if self.live_flag.is_poisoned() {
+                return Err(Poisoned);
             }
-            ControlMode::Static(_) => {
-                // Precomputed dedicated slot (see `Controller::new`).
-                let Some(&slot) = self.slots.get(&(message, interval)) else {
-                    return false;
-                };
-                let free = st.free.entry(interval).or_default();
-                let Some(pos) = free.iter().position(|&q| q == slot) else {
-                    return false;
-                };
-                free.remove(pos);
-                st.live.insert((message, interval), slot);
-                st.history.insert((message, interval));
-                true
+            self.cv.wait_for(&mut st, Duration::from_millis(25));
+        }
+    }
+
+    /// Runs grant passes over the outstanding requests until one grants
+    /// nothing. Each grant drops its request; a reservation granted to a
+    /// group member that has not asked yet has no request to drop.
+    fn grant_pending(&self, st: &mut State) {
+        loop {
+            let grants = st.policy.grant(&PoolView::new(&st.pools), &st.requests);
+            if grants.is_empty() {
+                return;
             }
-            ControlMode::Compatible(plan) => {
-                let label = plan.label(message);
-                // Find this message's hop on the interval to get competitors.
-                let route = plan.route(message);
-                let Some(hop) = route.hops().find(|h| h.interval() == interval) else {
-                    return false;
-                };
-                let competitors = plan.competing().on_hop(hop);
-                // Ordered rule.
-                let smaller_pending = competitors.iter().any(|&other| {
-                    plan.label(other) < label && !st.history.contains(&(other, interval))
-                });
-                if smaller_pending {
-                    return false;
-                }
-                // Simultaneous rule: grant the whole equal-label group.
-                let group: Vec<MessageId> = competitors
-                    .iter()
-                    .copied()
-                    .filter(|&other| {
-                        plan.label(other) == label && !st.history.contains(&(other, interval))
-                    })
-                    .collect();
-                // Per-direction sub-pool, precomputed at construction
-                // (`CommPlan::direction_queue_ranges`): opposite-direction
-                // messages must not starve this hop's competing set.
-                let range = self.ranges.get(&hop).cloned().unwrap_or(0..0);
-                let free = st.free.entry(interval).or_default();
-                let usable: Vec<usize> =
-                    free.iter().copied().filter(|q| range.contains(q)).collect();
-                if usable.len() < group.len() {
-                    return false;
-                }
-                for (member, idx) in group.into_iter().zip(usable) {
-                    let free = st.free.entry(interval).or_default();
-                    let pos = free.iter().position(|&q| q == idx).expect("usable is free");
-                    free.remove(pos);
-                    st.live.insert((member, interval), idx);
-                    st.history.insert((member, interval));
-                }
-                true
+            for g in grants {
+                st.pools.grant(g.message, g.hop, g.queue);
+                let interval = g.hop.interval();
+                st.requests
+                    .retain(|r| r.message != g.message || r.hop.interval() != interval);
             }
+            self.live_flag.bump();
+            self.cv.notify_all();
         }
     }
 }
@@ -305,6 +159,7 @@ mod tests {
     use std::thread;
     use systolic_core::{AnalysisConfig, Analyzer};
     use systolic_model::CellId;
+    use systolic_sim::{CompatiblePolicy, FifoPolicy, GreedyPolicy};
 
     fn live() -> Arc<Liveness> {
         Arc::new(Liveness::default())
@@ -313,7 +168,7 @@ mod tests {
     #[test]
     fn greedy_grants_immediately() {
         let iv = Interval::new(CellId::new(0), CellId::new(1));
-        let c = Controller::new(ControlMode::Greedy, [iv], 1, live());
+        let c = Controller::new(Box::new(GreedyPolicy::new()), [iv], 1, live());
         let hop = Hop::new(CellId::new(0), CellId::new(1));
         let idx = c.acquire(MessageId::new(0), hop).unwrap();
         assert_eq!(idx, 0);
@@ -325,7 +180,12 @@ mod tests {
     fn fifo_blocks_second_until_release() {
         let iv = Interval::new(CellId::new(0), CellId::new(1));
         let l = live();
-        let c = Arc::new(Controller::new(ControlMode::Fifo, [iv], 1, Arc::clone(&l)));
+        let c = Arc::new(Controller::new(
+            Box::new(FifoPolicy::new()),
+            [iv],
+            1,
+            Arc::clone(&l),
+        ));
         let hop = Hop::new(CellId::new(0), CellId::new(1));
         c.acquire(MessageId::new(0), hop).unwrap();
         let c2 = Arc::clone(&c);
@@ -352,7 +212,7 @@ mod tests {
         let hop = Hop::new(CellId::new(2), CellId::new(3));
         let l = live();
         let c = Arc::new(Controller::new(
-            ControlMode::compatible(plan),
+            Box::new(CompatiblePolicy::new(plan)),
             [iv],
             1,
             Arc::clone(&l),
@@ -375,7 +235,7 @@ mod tests {
         let iv = Interval::new(CellId::new(0), CellId::new(1));
         let l = live();
         let c = Arc::new(Controller::new(
-            ControlMode::Greedy,
+            Box::new(GreedyPolicy::new()),
             [iv],
             2,
             Arc::clone(&l),
@@ -394,7 +254,7 @@ mod tests {
         let iv = Interval::new(CellId::new(0), CellId::new(1));
         let l = live();
         let c = Arc::new(Controller::new(
-            ControlMode::Greedy,
+            Box::new(GreedyPolicy::new()),
             [iv],
             0,
             Arc::clone(&l),
@@ -407,6 +267,62 @@ mod tests {
         c.notify_all();
         assert_eq!(t.join().unwrap(), Err(Poisoned));
     }
+
+    #[test]
+    fn grant_passes_repeat_until_nothing_is_granted() {
+        let p = systolic_model::parse_program(
+            "cells 2\n\
+             message P1: c0 -> c1\nmessage P2: c0 -> c1\n\
+             message C: c0 -> c1\nmessage B: c0 -> c1\n\
+             program c0 { W(P1) W(P2) W(P1) W(P2) W(C) W(B) }\n\
+             program c1 { R(P1) R(P2) R(P1) R(P2) R(C) R(B) }\n",
+        )
+        .unwrap();
+        let config = AnalysisConfig {
+            queues_per_interval: 2,
+            ..Default::default()
+        };
+        let plan = Analyzer::for_topology(&systolic_model::Topology::linear(2), &config)
+            .analyze(&p)
+            .unwrap()
+            .into_plan();
+        let [p1, p2, cc, b] = ["P1", "P2", "C", "B"].map(|name| p.message_id(name).unwrap());
+        let labels = [p1, p2, cc, b].map(|m| plan.label(m));
+        assert_eq!(labels, [1, 1, 2, 3].map(systolic_core::Label::integer));
+        let iv = Interval::new(CellId::new(0), CellId::new(1));
+        let hop = Hop::new(CellId::new(0), CellId::new(1));
+        let c = Arc::new(Controller::new(
+            Box::new(CompatiblePolicy::new(plan)),
+            [iv],
+            2,
+            live(),
+        ));
+
+        // B asks first and waits for every smaller label.
+        let c2 = Arc::clone(&c);
+        let tb = thread::spawn(move || c2.acquire(b, hop));
+        while !c.state.lock().requests.iter().any(|r| r.message == b) {
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        // P1's request grants the equal-label group; P2's queue is the
+        // reservation made for it.
+        let q1 = c.acquire(p1, hop).unwrap();
+        let q2 = c.acquire(p2, hop).unwrap();
+        assert_ne!(q1, q2, "the group gets distinct queues");
+        c.release(p1, iv);
+        c.release(p2, iv);
+        let b_queue = || c.state.lock().pools.live_assignment(b, iv);
+        assert_eq!(b_queue(), None, "B must wait for C");
+
+        // One pass grants C; only the next pass can grant B, which is
+        // earlier in the request list. No later event comes while C holds
+        // its queue, so C's own request must grant B.
+        let qc = c.acquire(cc, hop).unwrap();
+        assert!(b_queue().is_some(), "B is granted while C holds its queue");
+        let qb = tb.join().unwrap().unwrap();
+        assert_ne!(qb, qc, "B and C hold different queues");
+    }
 }
 
 #[cfg(test)]
@@ -415,6 +331,7 @@ mod static_mode_tests {
     use std::sync::Arc;
     use systolic_core::{AnalysisConfig, Analyzer};
     use systolic_model::CellId;
+    use systolic_sim::StaticPolicy;
 
     #[test]
     fn static_mode_dedicates_distinct_slots() {
@@ -430,12 +347,12 @@ mod static_mode_tests {
         let iv = Interval::new(CellId::new(0), CellId::new(1));
         let hop = Hop::new(CellId::new(0), CellId::new(1));
         let live = Arc::new(crate::Liveness::default());
-        let c = Controller::new(ControlMode::dedicated(plan), [iv], 2, live);
+        let policy = StaticPolicy::new(&plan, 2).unwrap();
+        let c = Controller::new(Box::new(policy), [iv], 2, live);
         let a = p.message_id("A").unwrap();
         let b = p.message_id("B").unwrap();
         let qa = c.acquire(a, hop).unwrap();
         let qb = c.acquire(b, hop).unwrap();
         assert_ne!(qa, qb, "dedicated queues are distinct");
-        assert_eq!(ControlMode::Fifo.name(), "fifo");
     }
 }

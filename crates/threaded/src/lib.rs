@@ -1,10 +1,12 @@
 //! OS-thread runtime for systolic programs.
 //!
 //! Where `systolic-sim` steps a deterministic clock, this crate runs each
-//! cell as a *real* thread against real bounded queues, with a controller
-//! thread-safely enforcing a queue-assignment discipline ([`ControlMode`])
-//! and a watchdog detecting genuine deadlock (global quiescence with work
-//! remaining).
+//! cell as a *real* thread against real bounded queues, with a
+//! [`Controller`] granting queues under one of the simulator's assignment
+//! policies ([`systolic_sim::AssignmentPolicy`]) and a watchdog detecting
+//! genuine deadlock (global quiescence with work remaining). Both runtimes
+//! take the same policy objects, so the rules checked here are the rules
+//! the simulator replays.
 //!
 //! The point: Theorem 1's guarantee is **scheduling independent**. Under
 //! the compatible assignment discipline a deadlock-free program completes
@@ -14,20 +16,21 @@
 //! # Examples
 //!
 //! ```
-//! use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic_threaded::{run_threaded_compiled, ControlMode, ThreadedConfig};
+//! use systolic_core::{AnalysisConfig, Analyzer};
+//! use systolic_sim::CompatiblePolicy;
+//! use systolic_threaded::{run_threaded, ThreadedConfig};
 //! use systolic_workloads::{fig7, fig7_topology};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = fig7(2);
-//! let compiled =
-//!     CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
-//! let analyzer = Analyzer::new(std::sync::Arc::clone(&compiled));
-//! let plan = analyzer.analyze(&program)?.into_plan();
-//! let outcome = run_threaded_compiled(
+//! let topology = fig7_topology();
+//! let plan = Analyzer::for_topology(&topology, &AnalysisConfig::default())
+//!     .analyze(&program)?
+//!     .into_plan();
+//! let outcome = run_threaded(
 //!     &program,
-//!     &compiled,
-//!     ControlMode::compatible(plan),
+//!     &topology,
+//!     Box::new(CompatiblePolicy::new(plan)),
 //!     ThreadedConfig::default(),
 //! )?;
 //! assert!(outcome.is_completed());
@@ -43,6 +46,6 @@ mod controller;
 mod queue;
 mod runtime;
 
-pub use controller::{ControlMode, Controller};
+pub use controller::Controller;
 pub use queue::{Liveness, Poisoned, ThreadedQueue};
-pub use runtime::{run_threaded, run_threaded_compiled, ThreadedConfig, ThreadedOutcome};
+pub use runtime::{run_threaded, ThreadedConfig, ThreadedOutcome};

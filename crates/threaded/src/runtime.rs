@@ -1,5 +1,6 @@
 //! The threaded runtime: each cell is an OS thread, queues are real bounded
-//! buffers, and a watchdog detects true deadlock.
+//! buffers, a [`Controller`] grants them under the caller's
+//! [`AssignmentPolicy`], and a watchdog detects true deadlock.
 //!
 //! This runtime demonstrates that the paper's guarantee is *scheduling
 //! independent*: Theorem 1 promises completion under compatible assignment
@@ -12,8 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use systolic_model::{Interval, MessageId, MessageRoutes, ModelError, Program, Topology};
+use systolic_sim::AssignmentPolicy;
 
-use crate::{ControlMode, Controller, Liveness, Poisoned, ThreadedQueue};
+use crate::{Controller, Liveness, Poisoned, ThreadedQueue};
 
 /// Configuration of a threaded run.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +70,9 @@ impl ThreadedOutcome {
     }
 }
 
-/// Runs `program` on real threads over `topology` under `mode`.
+/// Runs `program` on real threads over `topology`, granting queues under
+/// `policy` — the same policy objects [`systolic_sim::run_simulation`]
+/// takes.
 ///
 /// # Errors
 ///
@@ -76,25 +80,13 @@ impl ThreadedOutcome {
 pub fn run_threaded(
     program: &Program,
     topology: &Topology,
-    mode: ControlMode,
+    policy: Box<dyn AssignmentPolicy>,
     config: ThreadedConfig,
 ) -> Result<ThreadedOutcome, ModelError> {
     let routes = MessageRoutes::compute(program, topology)?;
-    run_threaded_with_routes(program, topology, routes, mode, config)
-}
-
-/// The shared stepping loop: `routes` must cover exactly the program's
-/// messages over `topology`.
-fn run_threaded_with_routes(
-    program: &Program,
-    topology: &Topology,
-    routes: MessageRoutes,
-    mode: ControlMode,
-    config: ThreadedConfig,
-) -> Result<ThreadedOutcome, ModelError> {
     let live = Arc::new(Liveness::default());
     let controller = Arc::new(Controller::new(
-        mode,
+        policy,
         topology.intervals().iter().copied(),
         config.queues_per_interval,
         Arc::clone(&live),
@@ -272,32 +264,18 @@ fn run_threaded_with_routes(
     }
 }
 
-/// [`run_threaded`] for callers holding a
-/// [`CompiledTopology`](systolic_core::CompiledTopology), so they need
-/// not carry the `&Topology` separately. Routes are served from the
-/// compilation's route closure (when materialized) instead of recomputed
-/// per run — the same amortization the simulator's `SimArena` gets.
-///
-/// # Errors
-///
-/// As [`run_threaded`].
-pub fn run_threaded_compiled(
-    program: &Program,
-    compiled: &systolic_core::CompiledTopology,
-    mode: ControlMode,
-    config: ThreadedConfig,
-) -> Result<ThreadedOutcome, ModelError> {
-    let routes = compiled.routes_for(program)?;
-    run_threaded_with_routes(program, compiled.topology(), routes, mode, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use systolic_core::{AnalysisConfig, Analyzer};
+    use systolic_sim::{CompatiblePolicy, GreedyPolicy};
     use systolic_workloads as wl;
 
-    fn compatible(program: &Program, topology: &Topology, queues: usize) -> ControlMode {
+    fn compatible(
+        program: &Program,
+        topology: &Topology,
+        queues: usize,
+    ) -> Box<dyn AssignmentPolicy> {
         let config = AnalysisConfig {
             queues_per_interval: queues,
             ..Default::default()
@@ -306,19 +284,19 @@ mod tests {
             .analyze(program)
             .expect("analysis succeeds")
             .into_plan();
-        ControlMode::compatible(plan)
+        Box::new(CompatiblePolicy::new(plan))
     }
 
     #[test]
     fn fig2_fir_completes_on_threads() {
         let p = wl::fig2_fir();
         let t = wl::fig2_topology();
-        let mode = compatible(&p, &t, 2);
+        let policy = compatible(&p, &t, 2);
         let config = ThreadedConfig {
             queues_per_interval: 2,
             ..Default::default()
         };
-        let out = run_threaded(&p, &t, mode, config).unwrap();
+        let out = run_threaded(&p, &t, policy, config).unwrap();
         let ThreadedOutcome::Completed {
             words_delivered, ..
         } = out
@@ -334,8 +312,8 @@ mod tests {
         let t = wl::fig7_topology();
         // Run several times: Theorem 1 holds regardless of interleaving.
         for _ in 0..5 {
-            let mode = compatible(&p, &t, 1);
-            let out = run_threaded(&p, &t, mode, ThreadedConfig::default()).unwrap();
+            let policy = compatible(&p, &t, 1);
+            let out = run_threaded(&p, &t, policy, ThreadedConfig::default()).unwrap();
             assert!(out.is_completed(), "{out:?}");
         }
     }
@@ -346,7 +324,13 @@ mod tests {
         // but one queue between c2 and c3 can serve only one of them.
         let p = wl::fig8();
         let t = wl::fig8_topology();
-        let out = run_threaded(&p, &t, ControlMode::Greedy, ThreadedConfig::default()).unwrap();
+        let out = run_threaded(
+            &p,
+            &t,
+            Box::new(GreedyPolicy::new()),
+            ThreadedConfig::default(),
+        )
+        .unwrap();
         let ThreadedOutcome::Deadlocked { blocked } = out else {
             panic!("Fig. 8 with one queue must deadlock: {out:?}")
         };
@@ -357,8 +341,8 @@ mod tests {
             queues_per_interval: 2,
             ..Default::default()
         };
-        let mode = compatible(&p, &t, 2);
-        let out = run_threaded(&p, &t, mode, config).unwrap();
+        let policy = compatible(&p, &t, 2);
+        let out = run_threaded(&p, &t, policy, config).unwrap();
         assert!(out.is_completed());
     }
 
@@ -368,7 +352,7 @@ mod tests {
         let out = run_threaded(
             &p,
             &Topology::linear(2),
-            ControlMode::Greedy,
+            Box::new(GreedyPolicy::new()),
             ThreadedConfig {
                 queues_per_interval: 2,
                 ..Default::default()
@@ -392,7 +376,7 @@ mod tests {
             capacity: 0,
             ..Default::default()
         };
-        let out = run_threaded(&p, &t, ControlMode::Greedy, latch).unwrap();
+        let out = run_threaded(&p, &t, Box::new(GreedyPolicy::new()), latch).unwrap();
         assert!(out.is_deadlocked(), "latch queues deadlock P2: {out:?}");
 
         let buffered = ThreadedConfig {
@@ -400,7 +384,7 @@ mod tests {
             capacity: 1,
             ..Default::default()
         };
-        let out = run_threaded(&p, &t, ControlMode::Greedy, buffered).unwrap();
+        let out = run_threaded(&p, &t, Box::new(GreedyPolicy::new()), buffered).unwrap();
         assert!(out.is_completed(), "{out:?}");
     }
 
@@ -408,12 +392,12 @@ mod tests {
     fn multi_hop_forwarding_works_on_threads() {
         let p = wl::matvec(3).unwrap();
         let t = wl::matvec_topology(3);
-        let mode = compatible(&p, &t, 3);
+        let policy = compatible(&p, &t, 3);
         let config = ThreadedConfig {
             queues_per_interval: 3,
             ..Default::default()
         };
-        let out = run_threaded(&p, &t, mode, config).unwrap();
+        let out = run_threaded(&p, &t, policy, config).unwrap();
         assert!(out.is_completed(), "{out:?}");
     }
 
@@ -421,12 +405,12 @@ mod tests {
     fn seq_align_completes_with_two_queues_per_interval() {
         let p = wl::seq_align(3, 4).unwrap();
         let t = wl::seq_align_topology(3);
-        let mode = compatible(&p, &t, 3);
+        let policy = compatible(&p, &t, 3);
         let config = ThreadedConfig {
             queues_per_interval: 3,
             ..Default::default()
         };
-        let out = run_threaded(&p, &t, mode, config).unwrap();
+        let out = run_threaded(&p, &t, policy, config).unwrap();
         assert!(out.is_completed(), "{out:?}");
     }
 
@@ -436,7 +420,7 @@ mod tests {
         let out = run_threaded(
             &p,
             &Topology::linear(2),
-            ControlMode::Greedy,
+            Box::new(GreedyPolicy::new()),
             ThreadedConfig::default(),
         )
         .unwrap();

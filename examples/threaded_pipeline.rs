@@ -6,12 +6,16 @@
 //!
 //! Runs the paper's programs on the `systolic-threaded` runtime: each cell
 //! is a thread, queues are real bounded buffers, and the OS scheduler
-//! interleaves freely. Compatible assignment completes every time (Theorem
-//! 1 is scheduling independent); the naive FIFO discipline deadlocks and is
-//! caught by the quiescence watchdog.
+//! interleaves freely. The runtime takes the simulator's policy objects.
+//! Compatible assignment completes every time (Theorem 1 is scheduling
+//! independent). Under the naive FIFO discipline Fig. 7 deadlocks only on
+//! some interleavings: when message A takes the queue between cells c2 and
+//! c3 before message C asks for it. The quiescence watchdog catches the
+//! deadlock when it happens; otherwise the FIFO run completes.
 
 use systolic::core::{AnalysisConfig, Analyzer};
-use systolic::threaded::{run_threaded, ControlMode, ThreadedConfig, ThreadedOutcome};
+use systolic::sim::{CompatiblePolicy, FifoPolicy};
+use systolic::threaded::{run_threaded, ThreadedConfig, ThreadedOutcome};
 use systolic::workloads::{
     fig2_fir, fig2_topology, fig7, fig7_topology, seq_align, seq_align_topology,
 };
@@ -28,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = run_threaded(
             &program,
             &topology,
-            ControlMode::compatible(plan),
+            Box::new(CompatiblePolicy::new(plan)),
             ThreadedConfig::default(),
         )?;
         match outcome {
@@ -44,17 +48,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The same program under FIFO: deadlock, caught by the watchdog.
+    // The same program under FIFO: a deadlock on some interleavings,
+    // caught by the watchdog when it happens.
     let outcome = run_threaded(
         &program,
         &topology,
-        ControlMode::Fifo,
+        Box::new(FifoPolicy::new()),
         ThreadedConfig::default(),
     )?;
-    if let ThreadedOutcome::Deadlocked { blocked } = outcome {
-        println!("\nfig7 fifo: watchdog caught a deadlock; blocked threads:");
-        for b in blocked {
-            println!("  {b}");
+    match outcome {
+        ThreadedOutcome::Deadlocked { blocked } => {
+            println!("\nfig7 fifo: watchdog caught a deadlock; blocked threads:");
+            for b in blocked {
+                println!("  {b}");
+            }
+        }
+        ThreadedOutcome::Completed { .. } => {
+            println!("\nfig7 fifo: this interleaving escaped the deadlock and completed");
         }
     }
 
@@ -71,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = run_threaded(
         &fir,
         &fir_top,
-        ControlMode::compatible(plan),
+        Box::new(CompatiblePolicy::new(plan)),
         ThreadedConfig {
             queues_per_interval: 2,
             ..Default::default()
@@ -91,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = run_threaded(
         &align,
         &align_top,
-        ControlMode::compatible(plan),
+        Box::new(CompatiblePolicy::new(plan)),
         ThreadedConfig {
             queues_per_interval: 3,
             ..Default::default()

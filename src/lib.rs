@@ -13,7 +13,8 @@
 //! * [`sim`] — a cycle-stepped array simulator with hardware queues, I/O
 //!   forwarding, runtime assignment policies and deadlock diagnosis;
 //! * [`threaded`] — an OS-thread runtime demonstrating that Theorem 1 is
-//!   scheduling independent;
+//!   scheduling independent; it grants queues through the same
+//!   [`sim::AssignmentPolicy`] objects the simulator runs;
 //! * [`workloads`] — the paper's figure programs, classic systolic
 //!   algorithm generators and mixed service traffic;
 //! * [`report`] — tables and statistics for the experiment harness;

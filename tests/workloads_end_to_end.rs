@@ -7,7 +7,7 @@ use systolic::model::{Program, Topology};
 use systolic::sim::{
     run_simulation, CompatiblePolicy, CostModel, QueueConfig, SimConfig, StaticPolicy,
 };
-use systolic::threaded::{run_threaded, ControlMode, ThreadedConfig};
+use systolic::threaded::{run_threaded, ThreadedConfig};
 use systolic::workloads as wl;
 
 fn all_workloads() -> Vec<(String, Program, Topology)> {
@@ -218,7 +218,7 @@ fn representative_workloads_complete_on_threads() {
         let out = run_threaded(
             &program,
             &topology,
-            ControlMode::compatible(analysis.into_plan()),
+            Box::new(CompatiblePolicy::new(analysis.into_plan())),
             ThreadedConfig {
                 queues_per_interval: queues,
                 ..Default::default()
@@ -245,7 +245,7 @@ fn threaded_static_mode_completes_fig7() {
     let out = run_threaded(
         &program,
         &topology,
-        ControlMode::dedicated(analysis.into_plan()),
+        Box::new(StaticPolicy::new(&analysis.into_plan(), 2).unwrap()),
         ThreadedConfig {
             queues_per_interval: 2,
             ..Default::default()
