@@ -1120,6 +1120,51 @@ mod tests {
         assert_eq!(stats.words_delivered, 2);
     }
 
+    /// Lock-step read rule: a word a one-hop writer pushes is readable
+    /// only from the next cycle on, so the same transfer takes a different
+    /// number of cycles when the writer is stepped before its reader (c0
+    /// writes) than after it (c1 writes).
+    #[test]
+    fn one_hop_reads_see_only_words_written_in_earlier_cycles() {
+        let run = |writer: usize, capacity: usize| {
+            let reader = 1 - writer;
+            let p = parse_program(&format!(
+                "cells 2\nmessage A: c{writer} -> c{reader}\n\
+                 program c{writer} {{ W(A)*3 }}\nprogram c{reader} {{ R(A)*3 }}\n"
+            ))
+            .unwrap();
+            let out = run_simulation(
+                &p,
+                &Topology::linear(2),
+                Box::new(GreedyPolicy::new()),
+                buffered(1, capacity),
+            )
+            .unwrap();
+            let RunOutcome::Completed(stats) = out else {
+                panic!("expected completion: {out:?}")
+            };
+            (stats.cycles, stats.blocked_cycles)
+        };
+        // (capacity, writer at c0, writer at c1): cycles, blocked c0/c1.
+        let expected = [
+            (0, (9, [3, 5]), (6, [3, 0])),
+            (1, (6, [2, 3]), (4, [1, 0])),
+            (2, (4, [0, 1]), (4, [1, 0])),
+        ];
+        for (capacity, (c0_cycles, c0_blocked), (c1_cycles, c1_blocked)) in expected {
+            assert_eq!(
+                run(0, capacity),
+                (c0_cycles, c0_blocked.to_vec()),
+                "writer first, capacity {capacity}"
+            );
+            assert_eq!(
+                run(1, capacity),
+                (c1_cycles, c1_blocked.to_vec()),
+                "reader first, capacity {capacity}"
+            );
+        }
+    }
+
     #[test]
     fn cycle_limit_is_reported() {
         let p = parse_program(
