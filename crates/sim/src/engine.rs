@@ -2,14 +2,21 @@
 //!
 //! Each cycle proceeds in three phases:
 //!
-//! 1. **assignment** — stalled messages raise queue requests (oldest
-//!    first); the [`AssignmentPolicy`] issues grants;
+//! 1. **assignment** — the queue needs that arose in the previous cycle
+//!    are raised into the run's [`PendingRequests`] (a sender ready at a
+//!    write whose first hop has no queue, in cell order; then a header
+//!    word waiting at a hop with no queue, in message and hop order), and
+//!    one grant pass hands the outstanding requests, oldest first, to the
+//!    [`AssignmentPolicy`]. A need stays until granted, so each is raised
+//!    once;
 //! 2. **forwarding** — the transparent I/O processes move words one hop
 //!    along each message's route ("transferring words through queues is
-//!    transparent to cell programs", Section 2.3);
+//!    transparent to cell programs", Section 2.3), visiting only messages
+//!    with words before their last hop;
 //! 3. **cells** — each cell attempts its current `R`/`W` operation against
 //!    its queues, with latencies and memory-access counts from the
-//!    [`CostModel`].
+//!    [`CostModel`]. A word is readable from the cycle after it was
+//!    written.
 //!
 //! The run ends when every cell finishes (**completed**), when a cycle
 //! passes with no activity (**deadlocked** — the system is quiescent and
@@ -26,10 +33,11 @@
 //!   the [`SimConfig`]. Built once per batch.
 //! * [`SimArena`] — the reusable run state: the flat queue pool
 //!   ([`QueuePools`]), per-cell program counters, per-hop departure
-//!   counters and request bookkeeping, all held in arena vectors indexed
-//!   by cell/interval/hop ids. Between replays the arena is **reset, not
-//!   reallocated**: buffers are cleared in place and reused, so a batch of
-//!   N replays performs one setup, not N.
+//!   counters, per-message transit counts and the pending requests, all
+//!   held in arena vectors indexed by cell/message/hop ids. Between
+//!   replays the arena is **reset, not reallocated**: buffers are cleared
+//!   in place and reused, so a batch of N replays performs one setup, not
+//!   N.
 //!
 //! [`run_simulation`] is the one-shot entry point (one fresh arena, one
 //! run); batch callers use [`SimArena`] directly — see
@@ -44,7 +52,7 @@ use systolic_model::{
 
 use crate::{
     AssignmentEvent, AssignmentPolicy, BlockReason, BlockedCell, CostModel, DeadlockReport,
-    PoolView, QueueConfig, QueuePools, QueueSnapshot, Request, RunStats, Word,
+    PendingRequests, QueueConfig, QueuePools, QueueSnapshot, RunStats, Word,
 };
 
 /// Simulation parameters.
@@ -195,9 +203,9 @@ impl SimWorld {
     }
 }
 
-/// The mutable, reusable half of a simulation: queue pools, per-cell and
-/// per-hop run state, and per-cycle scratch buffers, all reset in place
-/// between replays.
+/// The mutable, reusable half of a simulation: queue pools, per-cell,
+/// per-message and per-hop run state, and the pending requests, all reset
+/// in place between replays.
 ///
 /// One arena serves a whole batch: call [`SimArena::run`] (or
 /// [`SimArena::run_with_routes`]) once per replay. Queue pools grow on
@@ -235,8 +243,20 @@ pub struct SimArena {
     /// Cells with non-empty programs — the only ones the cycle loops
     /// visit (a large fabric runs small programs: most cells are idle).
     active: Vec<u32>,
+    /// Active cells not yet done; the run completes when it reaches 0.
+    unfinished: usize,
     // Per-message state.
     words_written: Vec<usize>,
+    /// Cycle tag (`cycle + 1`, 0 = never) of the last word each one-hop
+    /// message's writer pushed. Each message has one writer and one
+    /// reader, so this is the only word a reader may find in its queue
+    /// that was not there when the cell phase began.
+    written_at: Vec<u64>,
+    /// Words of each message in queues before its last hop.
+    in_transit: Vec<usize>,
+    /// Bit set of the messages whose `in_transit` is nonzero: the only
+    /// messages forwarding can move.
+    in_flight: Vec<u64>,
     /// Hop table offsets: message `m`'s hops live at
     /// `hop_off[m]..hop_off[m + 1]` in the flat per-hop arrays.
     hop_off: Vec<usize>,
@@ -246,20 +266,15 @@ pub struct SimArena {
     hop_iv: Vec<u32>,
     /// Words that have departed each hop's queue, flattened.
     departed: Vec<usize>,
-    /// Request birth stamps per `(message, interval)`; 0 = no open request.
-    request_born: Vec<u64>,
-    born_counter: u64,
-    // Per-cycle scratch (reused every cycle of every replay). The
-    // per-queue tables are *stamped* with the cycle tag instead of being
-    // cleared: an entry whose stamp is stale reads as zero, so a cycle
-    // touches only the queues its reads actually target, not the whole
-    // pool.
-    needs: Vec<(MessageId, Hop)>,
-    requests: Vec<Request>,
-    /// `(cycle tag, occupancy at phase start)` per flat queue index.
-    avail: Vec<(u64, usize)>,
-    /// `(cycle tag, words consumed this cycle)` per flat queue index.
-    consumed: Vec<(u64, usize)>,
+    /// Outstanding queue requests, oldest first.
+    pending: PendingRequests,
+    /// Messages whose writer became ready at a write since the last
+    /// assignment phase, in cell order (a need if its first hop has no
+    /// queue).
+    new_writes: Vec<MessageId>,
+    /// `(message, flat hop k)` where a word entered hop `k − 1`'s queue
+    /// since the last assignment phase while hop `k` had no queue.
+    new_headers: Vec<(MessageId, usize)>,
     // Current-run accounting.
     stats: RunStats,
     cycle: u64,
@@ -282,17 +297,18 @@ impl SimArena {
             pc: Vec::new(),
             state: Vec::new(),
             active: Vec::new(),
+            unfinished: 0,
             words_written: Vec::new(),
+            written_at: Vec::new(),
+            in_transit: Vec::new(),
+            in_flight: Vec::new(),
             hop_off: Vec::new(),
             hops: Vec::new(),
             hop_iv: Vec::new(),
             departed: Vec::new(),
-            request_born: Vec::new(),
-            born_counter: 0,
-            needs: Vec::new(),
-            requests: Vec::new(),
-            avail: Vec::new(),
-            consumed: Vec::new(),
+            pending: PendingRequests::new(),
+            new_writes: Vec::new(),
+            new_headers: Vec::new(),
             stats: RunStats::default(),
             cycle: 0,
         }
@@ -360,7 +376,7 @@ impl SimArena {
         self.reset(program, routes);
         policy.begin_run();
         loop {
-            if self.all_done() {
+            if self.unfinished == 0 {
                 self.finish_stats();
                 return RunOutcome::Completed(std::mem::take(&mut self.stats));
             }
@@ -369,7 +385,7 @@ impl SimArena {
                 return RunOutcome::CycleLimit(std::mem::take(&mut self.stats));
             }
             let mut activity = 0usize;
-            activity += self.phase_assignment(program, policy);
+            activity += self.phase_assignment(policy);
             activity += self.phase_forwarding(program);
             activity += self.phase_cells(program);
             self.cycle += 1;
@@ -410,8 +426,15 @@ impl SimArena {
                 .filter(|(_, cp)| !cp.is_empty())
                 .map(|(i, _)| i as u32),
         );
+        self.unfinished = self.active.len();
         self.words_written.clear();
         self.words_written.resize(msgs, 0);
+        self.written_at.clear();
+        self.written_at.resize(msgs, 0);
+        self.in_transit.clear();
+        self.in_transit.resize(msgs, 0);
+        self.in_flight.clear();
+        self.in_flight.resize(msgs.div_ceil(64), 0);
         self.hop_off.clear();
         self.hops.clear();
         self.hop_iv.clear();
@@ -430,15 +453,17 @@ impl SimArena {
         }
         self.departed.clear();
         self.departed.resize(self.hops.len(), 0);
-        self.request_born.clear();
-        self.request_born
-            .resize(msgs * self.pools.num_intervals(), 0);
-        self.born_counter = 0;
-        // Zero the stamps (cycle tags restart every replay).
-        self.avail.clear();
-        self.avail.resize(self.pools.num_queues(), (0, 0));
-        self.consumed.clear();
-        self.consumed.resize(self.pools.num_queues(), (0, 0));
+        self.pending.clear();
+        self.new_headers.clear();
+        self.new_writes.clear();
+        for &i in &self.active {
+            if let Some(op) = program.cells()[i as usize]
+                .get(0)
+                .filter(|op| op.is_write())
+            {
+                self.new_writes.push(op.message());
+            }
+        }
         self.stats = RunStats::new(cells);
         self.cycle = 0;
     }
@@ -452,90 +477,25 @@ impl SimArena {
             .collect();
     }
 
-    fn all_done(&self) -> bool {
-        self.active
-            .iter()
-            .all(|&i| matches!(self.state[i as usize], CellState::Done))
-    }
+    /// Raises the needs that arose in the previous cycle and runs one
+    /// grant pass.
+    fn phase_assignment(&mut self, policy: &mut dyn AssignmentPolicy) -> usize {
+        // Senders stalled on their first hop, in cell order.
+        for &m in &self.new_writes {
+            let hop = self.hops[self.hop_off[m.index()]];
+            self.pending.raise(&self.pools, m, hop);
+        }
+        self.new_writes.clear();
+        // Headers waiting at intermediate hops, in message and hop order.
+        self.new_headers.sort_unstable();
+        self.new_headers.dedup();
+        for &(m, k) in &self.new_headers {
+            self.pending.raise(&self.pools, m, self.hops[k]);
+        }
+        self.new_headers.clear();
 
-    /// Collects requests and applies the policy's grants.
-    fn phase_assignment(&mut self, program: &Program, policy: &mut dyn AssignmentPolicy) -> usize {
-        self.needs.clear();
-        // Senders stalled on their first hop.
-        for idx in 0..self.active.len() {
-            let cell = CellId::new(self.active[idx]);
-            let i = cell.index();
-            if !matches!(self.state[i], CellState::Ready) {
-                continue;
-            }
-            let Some(op) = program.cell(cell).get(self.pc[i]) else {
-                continue;
-            };
-            if op.is_write() {
-                let m = op.message();
-                let h0 = self.hop_off[m.index()];
-                debug_assert!(h0 < self.hop_off[m.index() + 1], "routes are nonempty");
-                let iv = self.hop_iv[h0] as usize;
-                if self.pools.live_at(m, iv).is_none() && !self.pools.has_granted_at(m, iv) {
-                    self.needs.push((m, self.hops[h0]));
-                }
-            }
-        }
-        // Headers waiting at intermediate hops.
-        for m_idx in 0..self.words_written.len() {
-            let m = MessageId::new(m_idx as u32);
-            let (start, end) = (self.hop_off[m_idx], self.hop_off[m_idx + 1]);
-            for k in start + 1..end {
-                let prev_iv = self.hop_iv[k - 1] as usize;
-                let Some(prev_q) = self.pools.live_at(m, prev_iv) else {
-                    continue;
-                };
-                let cur_iv = self.hop_iv[k] as usize;
-                if self.pools.queue_at(prev_iv, prev_q).front().is_some()
-                    && self.pools.live_at(m, cur_iv).is_none()
-                    && !self.pools.has_granted_at(m, cur_iv)
-                {
-                    self.needs.push((m, self.hops[k]));
-                }
-            }
-        }
-        self.requests.clear();
-        let n_iv = self.pools.num_intervals();
-        for idx in 0..self.needs.len() {
-            let (m, hop) = self.needs[idx];
-            let iv = self
-                .pools
-                .interval_index(hop.interval())
-                .expect("needs carry known intervals"); // lint: panic-ok(needs were built from the same world)
-            let slot = m.index() * n_iv + iv;
-            if self.request_born[slot] == 0 {
-                self.born_counter += 1;
-                self.request_born[slot] = self.born_counter;
-            }
-            self.requests.push(Request {
-                message: m,
-                hop,
-                born: self.request_born[slot],
-            });
-        }
-        self.requests.sort_by_key(|r| r.born);
-
-        let grants = {
-            let view = PoolView::new(&self.pools);
-            policy.grant(&view, &self.requests)
-        };
-        let n = grants.len();
-        for g in grants {
-            debug_assert!(
-                self.pools.free_queues(g.hop.interval()).contains(&g.queue),
-                "policy granted a non-free queue"
-            );
-            self.pools.grant(g.message, g.hop, g.queue);
-            let iv = self
-                .pools
-                .interval_index(g.hop.interval())
-                .expect("grants land on known intervals"); // lint: panic-ok(grants were issued from the same pool set)
-            self.request_born[g.message.index() * n_iv + iv] = 0;
+        let grants = self.pending.grant_pass(policy, &mut self.pools);
+        for g in &grants {
             self.stats.grants += 1;
             self.stats.assignment_events.push(AssignmentEvent {
                 cycle: self.cycle,
@@ -544,41 +504,69 @@ impl SimArena {
                 granted: true,
             });
         }
-        n
+        grants.len()
     }
 
-    /// Moves words one hop along each route, downstream hops first.
+    /// Moves words one hop along their routes: messages with words before
+    /// their last hop, in id order.
     fn phase_forwarding(&mut self, program: &Program) -> usize {
         let mut moves = 0;
-        for m_idx in 0..self.words_written.len() {
-            let m = MessageId::new(m_idx as u32);
-            let (start, end) = (self.hop_off[m_idx], self.hop_off[m_idx + 1]);
-            for k in (start + 1..end).rev() {
-                let src_iv = self.hop_iv[k - 1] as usize;
-                let dst_iv = self.hop_iv[k] as usize;
-                let Some(src_q) = self.pools.live_at(m, src_iv) else {
-                    continue;
-                };
-                let Some(dst_q) = self.pools.live_at(m, dst_iv) else {
-                    continue;
-                };
-                if self.pools.queue_at(src_iv, src_q).front().is_none() {
-                    continue;
-                }
-                if !self.pools.queue_at(dst_iv, dst_q).can_accept() {
-                    continue;
-                }
-                let word = self.pools.queue_at_mut(src_iv, src_q).pop();
-                let spilled = self.pools.queue_at_mut(dst_iv, dst_q).push(word);
-                if spilled {
-                    self.stats.spill_accesses += 2;
-                }
-                self.stats.words_forwarded += 1;
-                moves += 1;
-                self.note_departure(program, m, k - 1);
+        for w in 0..self.in_flight.len() {
+            let mut bits = self.in_flight[w];
+            while bits != 0 {
+                let m = MessageId::new((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                moves += self.forward(program, m);
             }
         }
         moves
+    }
+
+    /// Moves `m`'s words one hop along its route, downstream hops first.
+    fn forward(&mut self, program: &Program, m: MessageId) -> usize {
+        let mut moves = 0;
+        let (start, end) = (self.hop_off[m.index()], self.hop_off[m.index() + 1]);
+        for k in (start + 1..end).rev() {
+            let src_iv = self.hop_iv[k - 1] as usize;
+            let dst_iv = self.hop_iv[k] as usize;
+            let Some(src_q) = self.pools.live_at(m, src_iv) else {
+                continue;
+            };
+            let Some(dst_q) = self.pools.live_at(m, dst_iv) else {
+                continue;
+            };
+            if self.pools.queue_at(src_iv, src_q).front().is_none() {
+                continue;
+            }
+            if !self.pools.queue_at(dst_iv, dst_q).can_accept() {
+                continue;
+            }
+            let word = self.pools.queue_at_mut(src_iv, src_q).pop();
+            let spilled = self.pools.queue_at_mut(dst_iv, dst_q).push(word);
+            if spilled {
+                self.stats.spill_accesses += 2;
+            }
+            self.stats.words_forwarded += 1;
+            moves += 1;
+            if k + 1 == end {
+                self.in_transit[m.index()] -= 1;
+                if self.in_transit[m.index()] == 0 {
+                    self.in_flight[m.index() / 64] &= !(1 << (m.index() % 64));
+                }
+            } else {
+                self.note_header(m, k + 1);
+            }
+            self.note_departure(program, m, k - 1);
+        }
+        moves
+    }
+
+    /// A word of `m` entered the queue of flat hop `k − 1`: hop `k` needs
+    /// a queue unless it has had one.
+    fn note_header(&mut self, m: MessageId, k: usize) {
+        if !self.pools.has_granted_at(m, self.hop_iv[k] as usize) {
+            self.new_headers.push((m, k));
+        }
     }
 
     /// Records that a word of `m` left the queue at flat hop index
@@ -603,43 +591,16 @@ impl SimArena {
         }
     }
 
-    /// Each cell attempts its current operation.
+    /// Each cell attempts its current operation, in cell order.
     fn phase_cells(&mut self, program: &Program) -> usize {
         let mut activity = 0;
-        // Words present at phase start; same-cycle sender pushes are not
-        // readable, giving every transfer at least one cycle of latency.
-        // Snapshot occupancy only for the queues this cycle's read ops
-        // target (grants happen in phase 1, so assignments are stable
-        // here); everything else keeps a stale stamp and reads as zero.
-        let tag = self.cycle + 1;
-        for idx in 0..self.active.len() {
-            let i = self.active[idx] as usize;
-            if !matches!(self.state[i], CellState::Ready) {
-                continue;
-            }
-            let Some(op) = program.cell(CellId::new(i as u32)).get(self.pc[i]) else {
-                continue;
-            };
-            if op.is_write() {
-                continue;
-            }
-            let m = op.message();
-            let last = self.hop_off[m.index() + 1] - 1;
-            let iv = self.hop_iv[last] as usize;
-            if let Some(q) = self.pools.live_at(m, iv) {
-                let flat = self.pools.flat_index(iv, q);
-                self.avail[flat] = (tag, self.pools.queue_at(iv, q).occupancy());
-            }
-        }
-
         for idx in 0..self.active.len() {
             let i = self.active[idx] as usize;
             let cell = CellId::new(i as u32);
-            match self.state[i] {
-                CellState::Done => {}
+            let acted = match self.state[i] {
+                CellState::Done => false,
                 CellState::Busy { remaining } => {
                     self.stats.busy_cycles[i] += 1;
-                    activity += 1;
                     self.state[i] = if remaining > 1 {
                         CellState::Busy {
                             remaining: remaining - 1,
@@ -647,54 +608,66 @@ impl SimArena {
                     } else {
                         CellState::Ready
                     };
-                    self.finish_if_done(program, cell);
+                    true
                 }
                 CellState::AwaitDeparture { message, word } => {
                     if self.departed[self.hop_off[message.index()]] > word {
                         // The latch released our word: the write completes.
                         self.pc[i] += 1;
                         self.state[i] = CellState::Ready;
-                        activity += 1;
-                        self.finish_if_done(program, cell);
+                        true
                     } else {
                         self.stats.blocked_cycles[i] += 1;
+                        false
                     }
                 }
-                CellState::Ready => {
-                    let Some(op) = program.cell(cell).get(self.pc[i]) else {
-                        self.state[i] = CellState::Done;
-                        activity += 1;
-                        continue;
-                    };
-                    activity += self.attempt_op(program, cell, op);
-                    self.finish_if_done(program, cell);
-                }
+                CellState::Ready => match program.cell(cell).get(self.pc[i]) {
+                    Some(op) => self.attempt_op(program, cell, op),
+                    None => true,
+                },
+            };
+            if acted {
+                activity += 1;
+                self.settle(program, cell);
             }
         }
         activity
     }
 
-    fn finish_if_done(&mut self, program: &Program, cell: CellId) {
+    /// After a cell acted: a ready cell past its last op is done, and one
+    /// now at a write is noted for the next assignment phase.
+    fn settle(&mut self, program: &Program, cell: CellId) {
         let i = cell.index();
-        if matches!(self.state[i], CellState::Ready) && self.pc[i] >= program.cell(cell).len() {
-            self.state[i] = CellState::Done;
+        if !matches!(self.state[i], CellState::Ready) {
+            return;
+        }
+        match program.cell(cell).get(self.pc[i]) {
+            None => {
+                self.state[i] = CellState::Done;
+                self.unfinished -= 1;
+            }
+            Some(op) if op.is_write() => self.new_writes.push(op.message()),
+            Some(_) => {}
         }
     }
 
-    fn attempt_op(&mut self, program: &Program, cell: CellId, op: Op) -> usize {
+    /// Attempts `op` for `cell`; returns whether it completed (or, for a
+    /// latch write, started).
+    fn attempt_op(&mut self, program: &Program, cell: CellId, op: Op) -> bool {
         let i = cell.index();
         let m = op.message();
         let cost = self.world.config.cost;
+        let last = self.hop_off[m.index() + 1] - 1;
         if op.is_write() {
             let h0 = self.hop_off[m.index()];
             let iv = self.hop_iv[h0] as usize;
             let Some(q) = self.pools.live_at(m, iv) else {
                 self.stats.blocked_cycles[i] += 1;
-                return 0;
+                return false;
             };
             if !self.pools.queue_at(iv, q).can_accept() {
                 self.stats.blocked_cycles[i] += 1;
-                return 0;
+                return false;
             }
             let word = Word {
                 message: m,
@@ -704,6 +677,13 @@ impl SimArena {
             let spilled = self.pools.queue_at_mut(iv, q).push(word);
             if spilled {
                 self.stats.spill_accesses += 2;
+            }
+            if h0 == last {
+                self.written_at[m.index()] = self.cycle + 1;
+            } else {
+                self.in_transit[m.index()] += 1;
+                self.in_flight[m.index() / 64] |= 1 << (m.index() % 64);
+                self.note_header(m, h0 + 1);
             }
             self.stats.memory_accesses += cost.write_mem_accesses;
             self.stats.busy_cycles[i] += 1;
@@ -723,33 +703,22 @@ impl SimArena {
                     };
                 }
             }
-            1
+            true
         } else {
-            let last = self.hop_off[m.index() + 1] - 1;
             let iv = self.hop_iv[last] as usize;
             let Some(q) = self.pools.live_at(m, iv) else {
                 self.stats.blocked_cycles[i] += 1;
-                return 0;
+                return false;
             };
-            let flat = self.pools.flat_index(iv, q);
-            let tag = self.cycle + 1;
-            let at_start = if self.avail[flat].0 == tag {
-                self.avail[flat].1
-            } else {
-                0
-            };
-            let already = if self.consumed[flat].0 == tag {
-                self.consumed[flat].1
-            } else {
-                0
-            };
-            if self.pools.queue_at(iv, q).front().is_none() || already >= at_start {
+            // Lock step: the word written in this very cycle is not yet
+            // readable.
+            let fresh = usize::from(self.written_at[m.index()] == self.cycle + 1);
+            if self.pools.queue_at(iv, q).occupancy() <= fresh {
                 self.stats.blocked_cycles[i] += 1;
-                return 0;
+                return false;
             }
             let word = self.pools.queue_at_mut(iv, q).pop();
             debug_assert_eq!(word.message, m, "queue serves one message at a time");
-            self.consumed[flat] = (tag, already + 1);
             self.stats.words_delivered += 1;
             self.stats.memory_accesses += cost.read_mem_accesses;
             self.stats.busy_cycles[i] += 1;
@@ -761,7 +730,7 @@ impl SimArena {
                     remaining: latency - 1,
                 };
             }
-            1
+            true
         }
     }
 

@@ -122,7 +122,7 @@ pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld};
 pub use policy::{
     AssignmentPolicy, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, Request, StaticPolicy,
 };
-pub use pool::{PoolView, QueuePools};
+pub use pool::{PendingRequests, PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
 pub use stats::{AssignmentEvent, RunStats};
 pub use verify::{verify_batch_compiled, verify_plan, ReplayDeadlock, VerifyReport};

@@ -14,9 +14,10 @@
 //!   overtaking; equally label-blind.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
-use systolic_core::CommPlan;
+use systolic_core::{CommPlan, Label};
 use systolic_model::{Hop, Interval, MessageId};
 
 use crate::PoolView;
@@ -49,11 +50,13 @@ pub struct Grant {
 /// [`PoolView`]; the policy returns the grants to apply. A policy must only
 /// grant free queues and must not grant one queue twice in a single call.
 ///
-/// Both runtimes drive the same policy objects. The simulator calls
-/// [`AssignmentPolicy::grant`] once per cycle; the threaded runtime's
-/// controller calls it after every request and every release, repeating
-/// until a call grants nothing. Policies are `Send` so that controller can
-/// hold one behind its lock.
+/// Both runtimes drive the same policy objects and feed them from one
+/// [`PendingRequests`](crate::PendingRequests) list, whose
+/// [`grant_pass`](crate::PendingRequests::grant_pass) makes the call. The
+/// simulator runs one pass per cycle; the threaded runtime's controller
+/// runs passes after every request and every release, repeating until a
+/// pass grants nothing. Policies are `Send` so that controller can hold
+/// one behind its lock.
 pub trait AssignmentPolicy: std::fmt::Debug + Send {
     /// Decides grants for the outstanding `requests`.
     fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant>;
@@ -63,8 +66,9 @@ pub trait AssignmentPolicy: std::fmt::Debug + Send {
 
     /// Called by the runtime at the start of every run, so stateful
     /// policies reset alongside the arena ([`crate::SimArena`] reuses one
-    /// policy across replays). Plan-driven and stateless policies need no
-    /// override; [`FifoPolicy`] clears its arrival lines here.
+    /// policy across replays). Stateless policies need no override;
+    /// [`FifoPolicy`] clears its arrival lines here and
+    /// [`CompatiblePolicy`] rewinds its label cursors.
     fn begin_run(&mut self) {}
 }
 
@@ -233,14 +237,39 @@ impl AssignmentPolicy for GreedyPolicy {
 ///    queues are free; queues are **reserved** for group members that have
 ///    not requested yet ("a cell can use some reservation scheme to reserve
 ///    a queue to a message prior to the message's arrival").
+///
+/// Each hop's competitors are kept in label order with a cursor at the
+/// first one not yet granted, so the ordered rule is one comparison and
+/// the simultaneous group is the ungranted rest of the cursor's label run.
+/// A cursor only moves forward: it assumes the grant history only grows
+/// within a run, and [`begin_run`](AssignmentPolicy::begin_run) rewinds it.
 #[derive(Clone, Debug)]
 pub struct CompatiblePolicy {
     /// Shared, not cloned: a batch of replays (and the serving layer's
     /// cache) hand the same certified plan to many policies.
     plan: Arc<CommPlan>,
-    /// Per-direction sub-pool of queue indices on each interval — see
-    /// [`CommPlan::direction_queue_ranges`] for the starvation rationale.
-    ranges: BTreeMap<Hop, std::ops::Range<usize>>,
+    /// Every hop with competitors, sorted; a hop's position indexes the
+    /// per-hop tables below.
+    hops: Vec<Hop>,
+    /// Per hop: the queue indices reserved for its direction on its
+    /// interval — see [`CommPlan::direction_queue_ranges`] for the
+    /// starvation rationale.
+    ranges: Vec<Range<usize>>,
+    /// Hop `h`'s competitors are `competitors[offsets[h]..offsets[h + 1]]`.
+    offsets: Vec<usize>,
+    /// Competitors with their labels, sorted by label per hop; a stable
+    /// sort keeps declaration order within a label.
+    competitors: Vec<(Label, MessageId)>,
+    /// Per hop: the position in `competitors` of the first competitor not
+    /// yet granted on the hop's interval; all before it have been granted.
+    cursors: Vec<usize>,
+    // Per-call scratch, reused across calls.
+    /// `(message, interval index)` granted in the current call.
+    granted_now: Vec<(MessageId, usize)>,
+    /// `(interval index, queue)` granted in the current call.
+    taken: Vec<(usize, usize)>,
+    group: Vec<MessageId>,
+    picked: Vec<usize>,
 }
 
 impl CompatiblePolicy {
@@ -251,8 +280,36 @@ impl CompatiblePolicy {
     #[must_use]
     pub fn new(plan: impl Into<Arc<CommPlan>>) -> Self {
         let plan = plan.into();
-        let ranges = plan.direction_queue_ranges();
-        CompatiblePolicy { plan, ranges }
+        let mut hops = Vec::new();
+        let mut ranges = Vec::new();
+        let mut offsets = vec![0];
+        let mut competitors = Vec::new();
+        for (hop, range) in plan.direction_queue_ranges() {
+            let start = competitors.len();
+            competitors.extend(
+                plan.competing()
+                    .on_hop(hop)
+                    .iter()
+                    .map(|&m| (plan.label(m), m)),
+            );
+            competitors[start..].sort_by_key(|&(label, _)| label);
+            hops.push(hop);
+            ranges.push(range);
+            offsets.push(competitors.len());
+        }
+        let cursors = offsets[..hops.len()].to_vec();
+        CompatiblePolicy {
+            plan,
+            hops,
+            ranges,
+            offsets,
+            competitors,
+            cursors,
+            granted_now: Vec::new(),
+            taken: Vec::new(),
+            group: Vec::new(),
+            picked: Vec::new(),
+        }
     }
 
     /// The plan driving the policy.
@@ -260,64 +317,71 @@ impl CompatiblePolicy {
     pub fn plan(&self) -> &CommPlan {
         &self.plan
     }
-
-    /// The queue indices reserved for `hop`'s direction on its interval.
-    #[must_use]
-    pub fn queue_range(&self, hop: Hop) -> std::ops::Range<usize> {
-        self.ranges.get(&hop).cloned().unwrap_or(0..0)
-    }
 }
 
 impl AssignmentPolicy for CompatiblePolicy {
     fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
         let mut grants: Vec<Grant> = Vec::new();
-        // Track queues consumed by grants made earlier in this same call.
-        let mut taken: BTreeMap<Interval, Vec<usize>> = BTreeMap::new();
-        // Messages granted in this call (counts toward "has been assigned").
-        let mut granted_now: Vec<(MessageId, Interval)> = Vec::new();
-
+        self.granted_now.clear();
+        self.taken.clear();
         for r in requests {
-            let interval = r.hop.interval();
-            let label = self.plan.label(r.message);
-            if view.has_granted(r.message, interval) || granted_now.contains(&(r.message, interval))
-            {
+            // A hop without competitors or an interval without a pool
+            // grants nothing.
+            let (Ok(h), Some(iv)) = (
+                self.hops.binary_search(&r.hop),
+                view.interval_index(r.hop.interval()),
+            ) else {
+                continue;
+            };
+            let granted = |m: MessageId, now: &[(MessageId, usize)]| {
+                view.has_granted_at(m, iv) || now.contains(&(m, iv))
+            };
+            if granted(r.message, &self.granted_now) {
                 continue; // reservation already made for this message
             }
+            let end = self.offsets[h + 1];
+            let mut cursor = self.cursors[h];
+            while cursor < end && view.has_granted_at(self.competitors[cursor].1, iv) {
+                cursor += 1;
+            }
+            self.cursors[h] = cursor;
+            while cursor < end && granted(self.competitors[cursor].1, &self.granted_now) {
+                cursor += 1;
+            }
 
-            let competitors = self.plan.competing().on_hop(r.hop);
-            // Ordered rule: all smaller labels must have been granted here.
-            let smaller_pending = competitors.iter().any(|&other| {
-                self.plan.label(other) < label
-                    && !view.has_granted(other, interval)
-                    && !granted_now.contains(&(other, interval))
-            });
-            if smaller_pending {
+            // Ordered rule: the smallest ungranted label goes first. (A
+            // larger one means the requester does not compete here.)
+            let label = self.plan.label(r.message);
+            if cursor == end || self.competitors[cursor].0 != label {
                 continue;
             }
 
-            // Simultaneous rule: the whole equal-label group is granted (or
-            // reserved) together.
-            let group: Vec<MessageId> = competitors
-                .iter()
-                .copied()
-                .filter(|&other| {
-                    self.plan.label(other) == label
-                        && !view.has_granted(other, interval)
-                        && !granted_now.contains(&(other, interval))
-                })
-                .collect();
-
-            let range = self.queue_range(r.hop);
-            let mut free = view.free_queues(interval);
-            free.retain(|q| range.contains(q));
-            free.retain(|q| !taken.get(&interval).is_some_and(|t| t.contains(q)));
-            if free.len() < group.len() {
+            // Simultaneous rule: the ungranted rest of the label run is
+            // granted (or reserved) together, from the top of the range.
+            self.group.clear();
+            for &(other_label, other) in &self.competitors[cursor..end] {
+                if other_label != label {
+                    break;
+                }
+                if !granted(other, &self.granted_now) {
+                    self.group.push(other);
+                }
+            }
+            self.picked.clear();
+            for q in self.ranges[h].clone().rev() {
+                if self.picked.len() == self.group.len() {
+                    break;
+                }
+                if view.is_free_at(iv, q) && !self.taken.contains(&(iv, q)) {
+                    self.picked.push(q);
+                }
+            }
+            if self.picked.len() < self.group.len() {
                 continue; // wait until enough queues are simultaneously free
             }
-            for member in group {
-                let q = free.pop().expect("checked size"); // lint: panic-ok(len checked immediately above)
-                taken.entry(interval).or_default().push(q);
-                granted_now.push((member, interval));
+            for (&member, &q) in self.group.iter().zip(&self.picked) {
+                self.taken.push((iv, q));
+                self.granted_now.push((member, iv));
                 grants.push(Grant {
                     message: member,
                     hop: r.hop,
@@ -330,6 +394,11 @@ impl AssignmentPolicy for CompatiblePolicy {
 
     fn name(&self) -> &'static str {
         "compatible"
+    }
+
+    fn begin_run(&mut self) {
+        let hops = self.hops.len();
+        self.cursors.copy_from_slice(&self.offsets[..hops]);
     }
 }
 

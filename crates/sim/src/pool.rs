@@ -6,10 +6,14 @@
 //! [`reset`](QueuePools::reset_for) the whole structure in place — no
 //! per-run map rebuilds, no reallocation. The interval table is sorted, so
 //! interval-keyed lookups are a binary search over a slice.
+//!
+//! [`PendingRequests`] is the outstanding-request list both runtimes feed
+//! their [`AssignmentPolicy`] from: a need is raised once, when it arises,
+//! and a grant pass applies the policy's grants to the pools.
 
 use systolic_model::{Hop, Interval, MessageId, QueueId};
 
-use crate::{HwQueue, QueueConfig};
+use crate::{AssignmentPolicy, Grant, HwQueue, QueueConfig, Request};
 
 /// Sentinel in the live-assignment table: no queue held.
 const NONE: u32 = u32::MAX;
@@ -112,18 +116,6 @@ impl QueuePools {
     #[must_use]
     pub fn interval_at(&self, index: usize) -> Interval {
         self.intervals[index]
-    }
-
-    /// Number of intervals covered by the pools.
-    #[must_use]
-    pub fn num_intervals(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Total queue count across all intervals (the flat arena size).
-    #[must_use]
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
     }
 
     /// The intervals covered by the pools.
@@ -300,12 +292,6 @@ impl QueuePools {
         &mut self.queues[iv * self.queues_per_interval + index]
     }
 
-    /// The flat arena position of queue `index` on interval `iv`.
-    #[must_use]
-    pub fn flat_index(&self, iv: usize, index: usize) -> usize {
-        iv * self.queues_per_interval + index
-    }
-
     /// Iterates over every `(queue id, queue)` pair in interval order.
     pub fn iter(&self) -> impl Iterator<Item = (QueueId, &HwQueue)> + '_ {
         self.queues.iter().enumerate().map(move |(flat, q)| {
@@ -348,6 +334,114 @@ impl<'a> PoolView<'a> {
     #[must_use]
     pub fn has_granted(&self, message: MessageId, interval: Interval) -> bool {
         self.pools.has_granted(message, interval)
+    }
+
+    /// Position of `interval` in the pools' interval table, if present:
+    /// the index the `_at` lookups take, so a policy searches once per
+    /// request.
+    #[must_use]
+    pub fn interval_index(&self, interval: Interval) -> Option<usize> {
+        self.pools.interval_index(interval)
+    }
+
+    /// [`PoolView::has_granted`] by interval index.
+    #[must_use]
+    pub fn has_granted_at(&self, message: MessageId, iv: usize) -> bool {
+        self.pools.has_granted_at(message, iv)
+    }
+
+    /// `true` if queue `index` exists on interval index `iv` and is free.
+    #[must_use]
+    pub fn is_free_at(&self, iv: usize, index: usize) -> bool {
+        self.pools
+            .queue_slice(iv)
+            .get(index)
+            .is_some_and(HwQueue::is_free)
+    }
+}
+
+/// The outstanding queue requests of one run, oldest first: the one list
+/// both runtimes hand their [`AssignmentPolicy`].
+///
+/// A need is [raised](PendingRequests::raise) once, when it arises; a
+/// [grant pass](PendingRequests::grant_pass) makes one policy call,
+/// applies its grants to the pools and drops the requests they satisfy.
+/// The simulator runs one pass per cycle; the threaded controller runs
+/// passes until one grants nothing.
+#[derive(Clone, Debug, Default)]
+pub struct PendingRequests {
+    requests: Vec<Request>,
+    /// The last birth stamp handed out.
+    born: u64,
+}
+
+impl PendingRequests {
+    /// An empty list.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Raises `message`'s need for a queue to cross `hop`: pushes a request
+    /// with the next birth stamp, unless the message holds or held a queue
+    /// on the interval (a reservation made for it counts) or has already
+    /// asked. Returns whether a request was pushed.
+    pub fn raise(&mut self, pools: &QueuePools, message: MessageId, hop: Hop) -> bool {
+        let interval = hop.interval();
+        if pools.has_granted(message, interval)
+            || self
+                .requests
+                .iter()
+                .any(|r| r.message == message && r.hop.interval() == interval)
+        {
+            return false;
+        }
+        self.born += 1;
+        self.requests.push(Request {
+            message,
+            hop,
+            born: self.born,
+        });
+        true
+    }
+
+    /// One grant pass: a single [`AssignmentPolicy::grant`] call over the
+    /// outstanding requests. Each grant is applied through
+    /// [`QueuePools::grant`] and drops the request it satisfies (a
+    /// reservation for a message that has not asked yet drops nothing).
+    /// Returns the grants in the policy's order.
+    ///
+    /// # Panics
+    ///
+    /// As [`QueuePools::grant`], if the policy grants a queue that is not
+    /// free.
+    pub fn grant_pass(
+        &mut self,
+        policy: &mut dyn AssignmentPolicy,
+        pools: &mut QueuePools,
+    ) -> Vec<Grant> {
+        let grants = policy.grant(&PoolView::new(pools), &self.requests);
+        for g in &grants {
+            pools.grant(g.message, g.hop, g.queue);
+        }
+        self.requests.retain(|r| {
+            !grants
+                .iter()
+                .any(|g| g.message == r.message && g.hop.interval() == r.hop.interval())
+        });
+        grants
+    }
+
+    /// The outstanding requests, oldest first.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Request] {
+        &self.requests
+    }
+
+    /// Drops every request and restarts the birth stamps, for a new run.
+    pub fn clear(&mut self) {
+        self.requests.clear();
+        self.born = 0;
     }
 }
 
@@ -455,7 +549,61 @@ mod tests {
         assert_eq!(p.free_queues(iv()), vec![0, 1, 2]);
         p.ensure_queues_per_interval(2);
         assert_eq!(p.pool_size(iv()), 3, "never shrinks");
-        assert_eq!(p.num_queues(), 3);
+        assert_eq!(p.iter().count(), 3);
+    }
+
+    #[test]
+    fn pool_view_looks_up_by_interval_index() {
+        let mut p = pools(2);
+        let m = MessageId::new(3);
+        p.grant(m, hop(), 1);
+        let view = PoolView::new(&p);
+        let at = view.interval_index(iv()).unwrap();
+        assert!(view.has_granted_at(m, at));
+        assert!(!view.has_granted_at(MessageId::new(0), at));
+        assert!(view.is_free_at(at, 0));
+        assert!(!view.is_free_at(at, 1), "held");
+        assert!(!view.is_free_at(at, 2), "no such queue");
+        assert_eq!(
+            view.interval_index(Interval::new(CellId::new(4), CellId::new(5))),
+            None
+        );
+    }
+
+    #[test]
+    fn pending_requests_raise_once_and_drop_when_granted() {
+        use crate::GreedyPolicy;
+        let mut p = pools(1);
+        let mut pending = PendingRequests::new();
+        let (a, b) = (MessageId::new(0), MessageId::new(1));
+        assert!(pending.raise(&p, a, hop()));
+        assert!(!pending.raise(&p, a, hop()), "already asked");
+        assert!(pending.raise(&p, b, hop()));
+        let borns: Vec<u64> = pending.as_slice().iter().map(|r| r.born).collect();
+        assert_eq!(borns, [1, 2], "oldest first");
+
+        // One queue: the pass grants the older request and keeps the other.
+        let grants = pending.grant_pass(&mut GreedyPolicy::new(), &mut p);
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].message, a);
+        assert_eq!(p.live_assignment(a, iv()), Some(0));
+        assert_eq!(pending.as_slice().len(), 1);
+        assert_eq!(pending.as_slice()[0].message, b);
+        assert!(!pending.raise(&p, a, hop()), "a holds a queue");
+
+        // Held and released still counts as granted.
+        p.release(a, iv());
+        assert!(!pending.raise(&p, a, hop()), "a held a queue");
+        assert_eq!(
+            pending.grant_pass(&mut GreedyPolicy::new(), &mut p).len(),
+            1
+        );
+        assert!(pending.as_slice().is_empty());
+
+        pending.clear();
+        p.reset_for(2);
+        assert!(pending.raise(&p, b, hop()));
+        assert_eq!(pending.as_slice()[0].born, 1, "stamps restart");
     }
 
     #[test]

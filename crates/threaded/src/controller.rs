@@ -1,16 +1,17 @@
 //! The queue-assignment controller: the threaded runtime's arbiter.
 //!
 //! It grants queues through one of the simulator's assignment policies
-//! ([`AssignmentPolicy`]), so both runtimes enforce the same copy of
-//! Section 7's rules: the policy decides, and the controller applies its
-//! grants under one lock and wakes the threads that wait for them.
+//! ([`AssignmentPolicy`]), fed from the simulator's [`PendingRequests`]
+//! list, so both runtimes enforce the same copy of Section 7's rules: the
+//! policy decides, and the controller applies its grants under one lock
+//! and wakes the threads that wait for them.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use systolic_model::{Hop, Interval, MessageId};
-use systolic_sim::{AssignmentPolicy, PoolView, QueueConfig, QueuePools, Request};
+use systolic_sim::{AssignmentPolicy, PendingRequests, QueueConfig, QueuePools};
 
 use crate::{Liveness, Poisoned};
 
@@ -22,8 +23,7 @@ struct State {
     /// `ThreadedQueue`s, so these pools' `HwQueue`s stay empty.
     pools: QueuePools,
     /// Outstanding requests, oldest first.
-    requests: Vec<Request>,
-    born: u64,
+    pending: PendingRequests,
 }
 
 /// Grants queue indices to messages under an [`AssignmentPolicy`].
@@ -55,8 +55,7 @@ impl Controller {
             state: Mutex::new(State {
                 policy,
                 pools,
-                requests: Vec::new(),
-                born: 0,
+                pending: PendingRequests::new(),
             }),
             cv: Condvar::new(),
             live_flag,
@@ -76,16 +75,13 @@ impl Controller {
     ///
     /// Returns [`Poisoned`] if the watchdog declares deadlock while waiting.
     pub fn acquire(&self, message: MessageId, hop: Hop) -> Result<usize, Poisoned> {
-        let interval = hop.interval();
         let mut st = self.state.lock();
+        let State { pools, pending, .. } = &mut *st;
         // An earlier grant is a reservation made for a group member.
-        if !st.pools.has_granted(message, interval) {
-            st.born += 1;
-            let born = st.born;
-            st.requests.push(Request { message, hop, born });
+        if pending.raise(pools, message, hop) {
             self.grant_pending(&mut st);
         }
-        self.wait_live(st, message, interval)
+        self.wait_live(st, message, hop.interval())
     }
 
     /// Blocks until someone (sender or forwarder) has secured a queue for
@@ -133,20 +129,14 @@ impl Controller {
     }
 
     /// Runs grant passes over the outstanding requests until one grants
-    /// nothing. Each grant drops its request; a reservation granted to a
-    /// group member that has not asked yet has no request to drop.
+    /// nothing.
     fn grant_pending(&self, st: &mut State) {
-        loop {
-            let grants = st.policy.grant(&PoolView::new(&st.pools), &st.requests);
-            if grants.is_empty() {
-                return;
-            }
-            for g in grants {
-                st.pools.grant(g.message, g.hop, g.queue);
-                let interval = g.hop.interval();
-                st.requests
-                    .retain(|r| r.message != g.message || r.hop.interval() != interval);
-            }
+        let State {
+            policy,
+            pools,
+            pending,
+        } = st;
+        while !pending.grant_pass(policy.as_mut(), pools).is_empty() {
             self.live_flag.bump();
             self.cv.notify_all();
         }
@@ -301,7 +291,14 @@ mod tests {
         // B asks first and waits for every smaller label.
         let c2 = Arc::clone(&c);
         let tb = thread::spawn(move || c2.acquire(b, hop));
-        while !c.state.lock().requests.iter().any(|r| r.message == b) {
+        while !c
+            .state
+            .lock()
+            .pending
+            .as_slice()
+            .iter()
+            .any(|r| r.message == b)
+        {
             thread::sleep(Duration::from_millis(1));
         }
 

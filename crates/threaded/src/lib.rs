@@ -5,8 +5,9 @@
 //! [`Controller`] granting queues under one of the simulator's assignment
 //! policies ([`systolic_sim::AssignmentPolicy`]) and a watchdog detecting
 //! genuine deadlock (global quiescence with work remaining). Both runtimes
-//! take the same policy objects, so the rules checked here are the rules
-//! the simulator replays.
+//! take the same policy objects and feed them from the same
+//! [`systolic_sim::PendingRequests`] list, so the rules checked here are
+//! the rules the simulator replays.
 //!
 //! The point: Theorem 1's guarantee is **scheduling independent**. Under
 //! the compatible assignment discipline a deadlock-free program completes

@@ -17,6 +17,9 @@ use systolic_sim::AssignmentPolicy;
 
 use crate::{Controller, Liveness, Poisoned, ThreadedQueue};
 
+/// How long the watchdog sleeps between checks for progress.
+const WATCHDOG_POLL: Duration = Duration::from_millis(10);
+
 /// Configuration of a threaded run.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedConfig {
@@ -113,7 +116,7 @@ pub fn run_threaded(
     let mut failures: Vec<String> = Vec::new();
     let words_total = program.total_words();
 
-    std::thread::scope(|scope| {
+    let elapsed = std::thread::scope(|scope| {
         let mut handles = Vec::new();
 
         // Cell threads.
@@ -220,7 +223,7 @@ pub fn run_threaded(
                 let mut last = live.progress.load(Ordering::Relaxed);
                 let mut quiet_since = Instant::now();
                 loop {
-                    std::thread::sleep(Duration::from_millis(10));
+                    std::thread::sleep(WATCHDOG_POLL);
                     // lint: relaxed-ok(heartbeat compare; eventual visibility suffices)
                     if finished.load(Ordering::Relaxed) >= total_workers {
                         return;
@@ -251,12 +254,15 @@ pub fn run_threaded(
                 failures.push(desc);
             }
         }
+        // The run ends with its workers; the scope still waits for the
+        // watchdog's current poll.
+        start.elapsed()
     });
 
     if failures.is_empty() {
         Ok(ThreadedOutcome::Completed {
             words_delivered: words_total,
-            elapsed: start.elapsed(),
+            elapsed,
         })
     } else {
         failures.sort();
@@ -425,5 +431,10 @@ mod tests {
         )
         .unwrap();
         assert!(out.is_completed());
+        // No workers: the run takes no time, whatever the watchdog sleeps.
+        let ThreadedOutcome::Completed { elapsed, .. } = out else {
+            unreachable!()
+        };
+        assert!(elapsed < WATCHDOG_POLL, "{elapsed:?} measures the watchdog");
     }
 }
