@@ -1,12 +1,15 @@
-//! A minimal JSON reader/writer for the JSONL wire format.
+//! A minimal JSON reader for the JSONL wire format, plus the escaping and
+//! number rules every JSON writer here shares.
 //!
 //! The workspace builds fully offline (no serde), so this module implements
 //! exactly the JSON subset the service's wire format needs: objects,
 //! arrays, strings with standard escapes, `i64`-exact numbers, booleans and
-//! null. Object key order is preserved so emitted responses are
-//! deterministic.
+//! null. Object key order is preserved. Responses are not built as [`Json`]
+//! trees: [`WireResponse::to_json`](crate::wire::WireResponse::to_json)
+//! writes them straight into one `String` through [`write_escaped`] and
+//! [`write_number`], the same two routines [`Json`]'s `Display` uses.
 
-use core::fmt;
+use core::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -94,17 +97,12 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no inf/NaN; `null` keeps the output parseable.
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
+            Json::Num(n) => write_number(f, *n),
+            Json::Str(s) => {
+                f.write_char('"')?;
+                write_escaped(f, s)?;
+                f.write_char('"')
             }
-            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -121,8 +119,9 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
+                    f.write_char('"')?;
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    write!(f, "\":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -130,20 +129,58 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` escaped for the inside of a JSON string literal (the quotes
+/// are the caller's): `"`, `\`, `\n`, `\r` and `\t` become two-character
+/// escapes, any other byte below 0x20 becomes `\u00xx`, and everything
+/// else, 0x7f and non-ASCII text included, is copied verbatim. Each run
+/// between two escapes is copied with one write.
+///
+/// # Errors
+///
+/// Only those of `out`; writing to a `String` cannot fail.
+pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // `run` and `i` both sit next to ASCII bytes: char boundaries.
+        out.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => out.write_str(escape)?,
+            None => {
+                out.write_str("\\u00")?;
+                out.write_char(char::from(HEX[usize::from(b >> 4)]))?;
+                out.write_char(char::from(HEX[usize::from(b & 0xf)]))?;
+            }
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])
+}
+
+/// Writes the number `n`: an integral value below 9e15 in magnitude as an
+/// `i64`, any other finite value with `{}`, and a non-finite one as `null`
+/// (JSON has no inf/NaN; `null` keeps the output parseable).
+///
+/// # Errors
+///
+/// Only those of `out`; writing to a `String` cannot fail.
+pub(crate) fn write_number<W: fmt::Write + ?Sized>(out: &mut W, n: f64) -> fmt::Result {
+    if !n.is_finite() {
+        out.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
 }
 
 /// A JSON syntax error with the byte offset where it was detected.
@@ -329,20 +366,25 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(0..=0x1f) => {
+                    return Err(self.err("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Decode just the char at `pos`: validating the rest
-                    // of the line per character would make a string cost
-                    // quadratic in the line length.
-                    let c = self
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. The run ends before an ASCII
+                    // byte or at the end of the input, so it is whole
+                    // UTF-8 and the slice cannot split a char.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = self
                         .text
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
+                        .get(self.pos..self.pos + len)
                         .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -411,6 +453,12 @@ mod tests {
         let rendered = Json::Str(original.into()).to_string();
         let back = Json::parse(&rendered).unwrap();
         assert_eq!(back.as_str(), Some(original));
+        // Two-character escapes, `\u00xx` for the other control bytes,
+        // and DEL and non-ASCII text copied verbatim.
+        assert_eq!(
+            Json::Str("a\"\\\n\r\t\u{1}\u{1f} \u{7f}é→".into()).to_string(),
+            "\"a\\\"\\\\\\n\\r\\t\\u0001\\u001f \u{7f}é→\""
+        );
     }
 
     #[test]
@@ -449,6 +497,13 @@ mod tests {
     #[test]
     fn rejects_unescaped_control_chars() {
         assert!(Json::parse("\"a\nb\"").is_err());
+        // The offset names the control byte itself, after a multi-byte
+        // run and an escape earlier in the same string.
+        let err = Json::parse("{\"id\":\"é→x\\ty\u{1}z\"}").unwrap_err();
+        assert_eq!(err.pos, 16, "{err}");
+        assert_eq!(err.message, "unescaped control character in string");
+        // An unterminated run ends at the end of the input.
+        assert_eq!(Json::parse("\"é→").unwrap_err().pos, 6);
     }
 
     #[test]

@@ -38,7 +38,10 @@
 //! answers with a `status: "snapshot"` object (`plans`, `bytes`, `micros`),
 //! or `status: "rejected"` with `error_kind: "snapshot"` when no save path
 //! is configured. Every response shape is rendered by the one
-//! [`WireResponse::to_json`] entry point.
+//! [`WireResponse::to_json`] entry point, which writes the line straight
+//! into one `String` (literal keys, strings escaped a run at a time, no
+//! [`Json`] tree in between). [`Json`] is the request parser's value
+//! type; `tests/wire_golden.rs` pins the response bytes of every shape.
 //!
 //! An edit line reanalyzes a previously submitted program incrementally
 //! (dirty-tracked stage reuse instead of a from-scratch run):
@@ -75,6 +78,7 @@
 //! `cells` are the offending message/cell ids (declaration order indexes),
 //! present only when non-empty.
 
+use std::fmt::{self, Write as _};
 use std::io::BufRead;
 
 use systolic_core::{codec, Diagnostic, Lookahead, LookaheadLimits};
@@ -82,6 +86,7 @@ use systolic_model::{parse_program, program_to_text, ModelError, Topology};
 use systolic_obs::RegistrySnapshot;
 use systolic_workloads::TrafficItem;
 
+use crate::json::{write_escaped, write_number};
 use crate::{
     AnalysisRequest, AnalysisResponse, CacheProvenance, EditRequestError, EditResponse, Json,
     JsonError, NamedEditOp, ServiceError, SnapshotReport,
@@ -516,272 +521,308 @@ pub enum WireResponse<'a> {
 }
 
 impl WireResponse<'_> {
-    /// Renders this response as one JSONL object (no trailing newline).
+    /// Renders this response as one JSONL line (no trailing newline).
+    ///
+    /// The line is written straight into one `String`, with no [`Json`]
+    /// tree in between: keys are literals, strings are escaped a run at a
+    /// time, and every number is an `f64` rendered as [`Json`]'s `Display`
+    /// renders it (integral values below 9e15 as integers). The bytes are
+    /// those the equivalent [`Json`] value would print;
+    /// `tests/wire_golden.rs` pins them for every shape.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> String {
+        let mut line = Line(String::with_capacity(256));
+        line.open('{');
         match self {
-            WireResponse::Analysis(response) => render_analysis(response),
-            WireResponse::Edit(edit) => render_edit(edit),
+            WireResponse::Analysis(response) => line.analysis(response),
+            WireResponse::Edit(edit) => {
+                line.analysis(&edit.response);
+                line.reuse(edit);
+            }
             WireResponse::EditRejected { name, base, error } => {
-                render_edit_rejected(name, *base, error)
+                line.str("id", name);
+                line.str("status", "rejected");
+                line.shown("error", error);
+                line.str("error_kind", "edit");
+                line.hex("base", *base);
             }
-            WireResponse::Metrics(snapshot) => render_metrics(snapshot),
-            WireResponse::Invalid { line_number, error } => render_invalid(*line_number, error),
-            WireResponse::Traffic { id, item } => render_traffic(id, item),
-            WireResponse::Snapshot { name, report } => Json::Obj(vec![
-                ("id".to_owned(), Json::Str((*name).to_owned())),
-                ("status".to_owned(), Json::Str("snapshot".to_owned())),
-                ("plans".to_owned(), Json::Num(report.plans as f64)),
-                ("bytes".to_owned(), Json::Num(report.bytes as f64)),
-                ("micros".to_owned(), Json::Num(report.micros as f64)),
-            ]),
-            WireResponse::SnapshotRejected { name, error } => Json::Obj(vec![
-                ("id".to_owned(), Json::Str((*name).to_owned())),
-                ("status".to_owned(), Json::Str("rejected".to_owned())),
-                ("error".to_owned(), Json::Str((*error).to_owned())),
-                ("error_kind".to_owned(), Json::Str("snapshot".to_owned())),
-            ]),
+            WireResponse::Metrics(snapshot) => line.metrics(snapshot),
+            WireResponse::Invalid { line_number, error } => {
+                line.shown("id", format_args!("line-{line_number}"));
+                line.str("status", "invalid");
+                line.shown("error", error);
+            }
+            WireResponse::Traffic { id, item } => {
+                line.str("id", id);
+                line.str("program", &program_to_text(&item.program));
+                line.str("topology", &item.topology.spec());
+                line.num("queues", item.queues_per_interval as f64);
+            }
+            WireResponse::Snapshot { name, report } => {
+                line.str("id", name);
+                line.str("status", "snapshot");
+                line.num("plans", report.plans as f64);
+                line.num("bytes", report.bytes as f64);
+                line.num("micros", report.micros as f64);
+            }
+            WireResponse::SnapshotRejected { name, error } => {
+                line.str("id", name);
+                line.str("status", "rejected");
+                line.str("error", error);
+                line.str("error_kind", "snapshot");
+            }
         }
+        line.close('}');
+        line.0
     }
 }
 
-fn render_analysis(response: &AnalysisResponse) -> Json {
-    let mut members = vec![
-        ("id".to_owned(), Json::Str(response.name.clone())),
-        (
-            "status".to_owned(),
-            Json::Str(
-                if response.is_certified() {
-                    "certified"
-                } else {
-                    "rejected"
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "cache".to_owned(),
-            Json::Str(
-                match response.provenance {
-                    CacheProvenance::Hit => "hit",
-                    CacheProvenance::Miss => "miss",
-                    CacheProvenance::Incremental => "incremental",
-                    CacheProvenance::Warm => "warm",
-                }
-                .to_owned(),
-            ),
-        ),
-    ];
-    match response.outcome.as_ref() {
-        Ok(certified) => {
-            members.push((
-                "classification".to_owned(),
-                Json::Str("deadlock-free".to_owned()),
-            ));
-            members.push((
-                "labeling".to_owned(),
-                Json::Str(codec::labeling_method_str(certified.labeling_method).to_owned()),
-            ));
-            members.push((
-                "labels".to_owned(),
-                Json::Obj(
-                    certified
-                        .message_labels
-                        .iter()
-                        .map(|(name, label)| (name.clone(), Json::Str(label.to_string())))
-                        .collect(),
-                ),
-            ));
-            members.push((
-                "max_queues_per_interval".to_owned(),
-                Json::Num(certified.max_queues_per_interval as f64),
-            ));
-            if let Some(report) = &certified.verified {
-                members.push(("verified".to_owned(), Json::Bool(report.completed)));
-                members.push(("verify_cycles".to_owned(), Json::Num(report.cycles as f64)));
-                if let Some(deadlock) = &report.deadlock {
-                    // A failed chase is actionable: name the first blocked
-                    // cell and the stall cycle, like analyzer diagnostics.
-                    members.push((
-                        "verify_blocked_cell".to_owned(),
-                        Json::Str(deadlock.first_blocked.to_string()),
-                    ));
-                    members.push((
-                        "verify_blocked_cycle".to_owned(),
-                        Json::Num(deadlock.cycle as f64),
-                    ));
-                    members.push((
-                        "verify_blocked_reason".to_owned(),
-                        Json::Str(deadlock.reason.clone()),
-                    ));
-                }
-            }
-            members.push((
-                "analysis_micros".to_owned(),
-                Json::Num(certified.analysis_micros as f64),
-            ));
-            if !certified.diagnostics.is_empty() {
-                members.push((
-                    "diagnostics".to_owned(),
-                    diagnostics_to_json(&certified.diagnostics),
-                ));
-            }
-        }
-        Err(rejection) => {
-            members.push(("error".to_owned(), Json::Str(rejection.error.to_string())));
-            members.push((
-                "error_kind".to_owned(),
-                Json::Str(error_kind(&rejection.error).to_owned()),
-            ));
-            members.push((
-                "diagnostics".to_owned(),
-                diagnostics_to_json(&rejection.diagnostics),
-            ));
+/// A response line under construction. A member or element gets a
+/// leading comma unless it is the first of its object or array, which is
+/// exactly when the line so far ends in `{`, `[` or a key's `:`. Writes
+/// to a `String` cannot fail, so their `fmt::Result`s are dropped.
+struct Line(String);
+
+impl Line {
+    fn separate(&mut self) {
+        if !matches!(self.0.as_bytes().last(), None | Some(b'{' | b'[' | b':')) {
+            self.0.push(',');
         }
     }
-    members.push((
-        "micros".to_owned(),
-        Json::Num(response.handle_micros as f64),
-    ));
-    members.push((
-        "fingerprint".to_owned(),
-        Json::Str(format!("{:#034x}", response.fingerprint)),
-    ));
-    // The trace id joins this response to its span tree in the
-    // `--trace-file` JSONL log (span events carry the same `trace`).
-    members.push(("trace".to_owned(), Json::Num(response.trace_id as f64)));
-    Json::Obj(members)
-}
 
-fn render_edit(edit: &EditResponse) -> Json {
-    let mut json = render_analysis(&edit.response);
-    let Json::Obj(members) = &mut json else {
-        unreachable!("render_analysis always renders an object");
-    };
-    members.push(("base".to_owned(), Json::Str(format!("{:#034x}", edit.base))));
-    let reuse = &edit.reuse;
-    let classification = if reuse.resumed_classification {
-        "resumed"
-    } else if reuse.seeded_classification {
-        "seeded"
-    } else {
-        "none"
-    };
-    let mut reuse_members = vec![
-        (
-            "dirty_cells".to_owned(),
-            Json::Num(reuse.dirty_cells as f64),
-        ),
-        (
-            "total_cells".to_owned(),
-            Json::Num(reuse.total_cells as f64),
-        ),
-        ("routes".to_owned(), Json::Bool(reuse.reused_routes)),
-        ("competing".to_owned(), Json::Bool(reuse.reused_competing)),
-        (
-            "classification".to_owned(),
-            Json::Str(classification.to_owned()),
-        ),
-        ("fast_labeling".to_owned(), Json::Bool(reuse.fast_labeling)),
-    ];
-    if let Some(reason) = reuse.fallback {
-        reuse_members.push(("fallback".to_owned(), Json::Str(reason.as_str().to_owned())));
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.0.push(bracket);
     }
-    members.push(("reuse".to_owned(), Json::Obj(reuse_members)));
-    json
-}
 
-fn render_edit_rejected(name: &str, base: u128, error: &EditRequestError) -> Json {
-    Json::Obj(vec![
-        ("id".to_owned(), Json::Str(name.to_owned())),
-        ("status".to_owned(), Json::Str("rejected".to_owned())),
-        ("error".to_owned(), Json::Str(error.to_string())),
-        ("error_kind".to_owned(), Json::Str("edit".to_owned())),
-        ("base".to_owned(), Json::Str(format!("{base:#034x}"))),
-    ])
-}
+    fn close(&mut self, bracket: char) {
+        self.0.push(bracket);
+    }
 
-/// The `metrics` wire op's response body: counters and gauges keyed by
-/// their rendered series name, histograms as `{count, sum, max, mean,
-/// p50, p99}` summaries (log2-bucket estimates for the percentiles — <
-/// 2× overestimate, never an underestimate).
-fn render_metrics(snapshot: &RegistrySnapshot) -> Json {
-    let counters = snapshot
-        .counters
-        .iter()
-        .map(|(key, v)| (key.render(), Json::Num(*v as f64)))
-        .collect();
-    let gauges = snapshot
-        .gauges
-        .iter()
-        .map(|(key, v)| (key.render(), Json::Num(*v as f64)))
-        .collect();
-    let histograms = snapshot
-        .histograms
-        .iter()
-        .map(|(key, h)| {
-            (
-                key.render(),
-                Json::Obj(vec![
-                    ("count".to_owned(), Json::Num(h.count as f64)),
-                    ("sum".to_owned(), Json::Num(h.sum as f64)),
-                    ("max".to_owned(), Json::Num(h.max as f64)),
-                    ("mean".to_owned(), Json::Num(h.mean())),
-                    ("p50".to_owned(), Json::Num(h.quantile(0.5) as f64)),
-                    ("p99".to_owned(), Json::Num(h.quantile(0.99) as f64)),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("status".to_owned(), Json::Str("metrics".to_owned())),
-        ("counters".to_owned(), Json::Obj(counters)),
-        ("gauges".to_owned(), Json::Obj(gauges)),
-        ("histograms".to_owned(), Json::Obj(histograms)),
-    ])
-}
+    /// Starts the member `key`. Keys are literals that need no escaping.
+    fn key(&mut self, key: &'static str) {
+        self.separate();
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
 
-/// Renders structured diagnostics as a JSON array. Message/cell id arrays
-/// appear only when non-empty.
-fn diagnostics_to_json(diagnostics: &[Diagnostic]) -> Json {
-    Json::Arr(
-        diagnostics
-            .iter()
-            .map(|d| {
-                let mut members = vec![
-                    ("code".to_owned(), Json::Str(d.code().as_str().to_owned())),
-                    (
-                        "severity".to_owned(),
-                        Json::Str(d.severity().as_str().to_owned()),
-                    ),
-                    ("message".to_owned(), Json::Str(d.message().to_owned())),
-                ];
-                if !d.message_ids().is_empty() {
-                    members.push((
-                        "messages".to_owned(),
-                        Json::Arr(
-                            d.message_ids()
-                                .iter()
-                                .map(|m| Json::Num(m.index() as f64))
-                                .collect(),
-                        ),
-                    ));
+    /// Starts a member whose key is data (a message name, a metric
+    /// series), escaped like any string.
+    fn data_key(&mut self, key: &str) {
+        self.string(key);
+        self.0.push(':');
+    }
+
+    fn string(&mut self, value: &str) {
+        self.separate();
+        self.0.push('"');
+        let _ = write_escaped(&mut self.0, value);
+        self.0.push('"');
+    }
+
+    /// A string holding `value`'s `Display`, escaped as it is formatted.
+    fn display(&mut self, value: impl fmt::Display) {
+        self.separate();
+        self.0.push('"');
+        let _ = write!(Escaping(&mut self.0), "{value}");
+        self.0.push('"');
+    }
+
+    fn number(&mut self, value: f64) {
+        self.separate();
+        let _ = write_number(&mut self.0, value);
+    }
+
+    fn str(&mut self, key: &'static str, value: &str) {
+        self.key(key);
+        self.string(value);
+    }
+
+    fn shown(&mut self, key: &'static str, value: impl fmt::Display) {
+        self.key(key);
+        self.display(value);
+    }
+
+    fn num(&mut self, key: &'static str, value: f64) {
+        self.key(key);
+        self.number(value);
+    }
+
+    fn flag(&mut self, key: &'static str, value: bool) {
+        self.key(key);
+        self.0.push_str(if value { "true" } else { "false" });
+    }
+
+    /// A fingerprint, as `"0x"` and 32 hex digits.
+    fn hex(&mut self, key: &'static str, value: u128) {
+        self.key(key);
+        let _ = write!(self.0, "\"{value:#034x}\"");
+    }
+
+    fn indexes(&mut self, key: &'static str, indexes: impl Iterator<Item = usize>) {
+        self.key(key);
+        self.open('[');
+        for index in indexes {
+            self.number(index as f64);
+        }
+        self.close(']');
+    }
+
+    fn analysis(&mut self, response: &AnalysisResponse) {
+        self.str("id", &response.name);
+        let status = if response.is_certified() {
+            "certified"
+        } else {
+            "rejected"
+        };
+        self.str("status", status);
+        let cache = match response.provenance {
+            CacheProvenance::Hit => "hit",
+            CacheProvenance::Miss => "miss",
+            CacheProvenance::Incremental => "incremental",
+            CacheProvenance::Warm => "warm",
+        };
+        self.str("cache", cache);
+        match response.outcome.as_ref() {
+            Ok(certified) => {
+                self.str("classification", "deadlock-free");
+                self.str(
+                    "labeling",
+                    codec::labeling_method_str(certified.labeling_method),
+                );
+                self.key("labels");
+                self.open('{');
+                for (name, label) in &certified.message_labels {
+                    self.data_key(name);
+                    self.display(label);
                 }
-                if !d.cell_ids().is_empty() {
-                    members.push((
-                        "cells".to_owned(),
-                        Json::Arr(
-                            d.cell_ids()
-                                .iter()
-                                .map(|c| Json::Num(c.index() as f64))
-                                .collect(),
-                        ),
-                    ));
+                self.close('}');
+                self.num(
+                    "max_queues_per_interval",
+                    certified.max_queues_per_interval as f64,
+                );
+                if let Some(report) = &certified.verified {
+                    self.flag("verified", report.completed);
+                    self.num("verify_cycles", report.cycles as f64);
+                    if let Some(deadlock) = &report.deadlock {
+                        // A failed chase is actionable: name the first
+                        // blocked cell and the stall cycle, like analyzer
+                        // diagnostics.
+                        self.shown("verify_blocked_cell", deadlock.first_blocked);
+                        self.num("verify_blocked_cycle", deadlock.cycle as f64);
+                        self.str("verify_blocked_reason", &deadlock.reason);
+                    }
                 }
-                Json::Obj(members)
-            })
-            .collect(),
-    )
+                self.num("analysis_micros", certified.analysis_micros as f64);
+                if !certified.diagnostics.is_empty() {
+                    self.diagnostics(&certified.diagnostics);
+                }
+            }
+            Err(rejection) => {
+                self.shown("error", &rejection.error);
+                self.str("error_kind", error_kind(&rejection.error));
+                self.diagnostics(&rejection.diagnostics);
+            }
+        }
+        self.num("micros", response.handle_micros as f64);
+        self.hex("fingerprint", response.fingerprint);
+        // The trace id joins this response to its span tree in the
+        // `--trace-file` JSONL log (span events carry the same `trace`).
+        self.num("trace", response.trace_id as f64);
+    }
+
+    /// An edit's members after its analysis ones: the `base` echo and
+    /// the `reuse` report.
+    fn reuse(&mut self, edit: &EditResponse) {
+        self.hex("base", edit.base);
+        let reuse = &edit.reuse;
+        let classification = if reuse.resumed_classification {
+            "resumed"
+        } else if reuse.seeded_classification {
+            "seeded"
+        } else {
+            "none"
+        };
+        self.key("reuse");
+        self.open('{');
+        self.num("dirty_cells", reuse.dirty_cells as f64);
+        self.num("total_cells", reuse.total_cells as f64);
+        self.flag("routes", reuse.reused_routes);
+        self.flag("competing", reuse.reused_competing);
+        self.str("classification", classification);
+        self.flag("fast_labeling", reuse.fast_labeling);
+        if let Some(reason) = reuse.fallback {
+            self.str("fallback", reason.as_str());
+        }
+        self.close('}');
+    }
+
+    /// The `metrics` wire op's response body: counters and gauges keyed
+    /// by their rendered series name, histograms as `{count, sum, max,
+    /// mean, p50, p99}` summaries (log2-bucket estimates for the
+    /// percentiles — < 2× overestimate, never an underestimate).
+    fn metrics(&mut self, snapshot: &RegistrySnapshot) {
+        self.str("status", "metrics");
+        self.key("counters");
+        self.open('{');
+        for (key, value) in &snapshot.counters {
+            self.data_key(&key.render());
+            self.number(*value as f64);
+        }
+        self.close('}');
+        self.key("gauges");
+        self.open('{');
+        for (key, value) in &snapshot.gauges {
+            self.data_key(&key.render());
+            self.number(*value as f64);
+        }
+        self.close('}');
+        self.key("histograms");
+        self.open('{');
+        for (key, h) in &snapshot.histograms {
+            self.data_key(&key.render());
+            self.open('{');
+            self.num("count", h.count as f64);
+            self.num("sum", h.sum as f64);
+            self.num("max", h.max as f64);
+            self.num("mean", h.mean());
+            self.num("p50", h.quantile(0.5) as f64);
+            self.num("p99", h.quantile(0.99) as f64);
+            self.close('}');
+        }
+        self.close('}');
+    }
+
+    /// Structured diagnostics as a `diagnostics` array. Message/cell id
+    /// arrays appear only when non-empty.
+    fn diagnostics(&mut self, diagnostics: &[Diagnostic]) {
+        self.key("diagnostics");
+        self.open('[');
+        for d in diagnostics {
+            self.open('{');
+            self.str("code", d.code().as_str());
+            self.str("severity", d.severity().as_str());
+            self.str("message", d.message());
+            if !d.message_ids().is_empty() {
+                self.indexes("messages", d.message_ids().iter().map(|m| m.index()));
+            }
+            if !d.cell_ids().is_empty() {
+                self.indexes("cells", d.cell_ids().iter().map(|c| c.index()));
+            }
+            self.close('}');
+        }
+        self.close(']');
+    }
+}
+
+/// Escapes everything formatted through it into the wrapped line.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        write_escaped(self.0, s)
+    }
 }
 
 /// The stable `error_kind` vocabulary: `"internal"` for contained panics,
@@ -794,29 +835,6 @@ fn error_kind(error: &ServiceError) -> &'static str {
         ServiceError::InvalidConfig(_) => "config",
         ServiceError::Analysis(error) => codec::core_error_kind(error),
     }
-}
-
-fn render_invalid(line_number: usize, error: &WireError) -> Json {
-    Json::Obj(vec![
-        ("id".to_owned(), Json::Str(format!("line-{line_number}"))),
-        ("status".to_owned(), Json::Str("invalid".to_owned())),
-        ("error".to_owned(), Json::Str(error.to_string())),
-    ])
-}
-
-fn render_traffic(id: &str, item: &TrafficItem) -> Json {
-    Json::Obj(vec![
-        ("id".to_owned(), Json::Str(id.to_owned())),
-        (
-            "program".to_owned(),
-            Json::Str(program_to_text(&item.program)),
-        ),
-        ("topology".to_owned(), Json::Str(item.topology.spec())),
-        (
-            "queues".to_owned(),
-            Json::Num(item.queues_per_interval as f64),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -963,7 +981,7 @@ mod tests {
         let service = AnalysisService::new(ServiceConfig::default());
         let request = parse_request(&request_line(""), 1).unwrap();
         let response = service.submit(request).wait();
-        let json = WireResponse::Analysis(&response).to_json();
+        let json = Json::parse(&WireResponse::Analysis(&response).to_json()).unwrap();
         assert_eq!(json.get("id").and_then(Json::as_str), Some("r1"));
         assert_eq!(json.get("status").and_then(Json::as_str), Some("certified"));
         assert_eq!(json.get("cache").and_then(Json::as_str), Some("miss"));
@@ -987,7 +1005,7 @@ mod tests {
             Json::Str(deadlock.to_owned())
         );
         let response = service.submit(parse_request(&line, 1).unwrap()).wait();
-        let json = WireResponse::Analysis(&response).to_json();
+        let json = Json::parse(&WireResponse::Analysis(&response).to_json()).unwrap();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("rejected"));
         assert_eq!(
             json.get("error_kind").and_then(Json::as_str),
@@ -1025,8 +1043,7 @@ mod tests {
                 id: &format!("t{i}"),
                 item,
             }
-            .to_json()
-            .to_string();
+            .to_json();
             let request = parse_request(&line, i + 1).unwrap();
             assert_eq!(
                 request.program, item.program,
@@ -1041,11 +1058,14 @@ mod tests {
     #[test]
     fn invalid_line_renders_an_error_response() {
         let err = parse_request("{", 3).unwrap_err();
-        let json = WireResponse::Invalid {
-            line_number: 3,
-            error: &err,
-        }
-        .to_json();
+        let json = Json::parse(
+            &WireResponse::Invalid {
+                line_number: 3,
+                error: &err,
+            }
+            .to_json(),
+        )
+        .unwrap();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("invalid"));
         assert_eq!(json.get("id").and_then(Json::as_str), Some("line-3"));
     }
@@ -1056,7 +1076,7 @@ mod tests {
         let response = service
             .submit(parse_request(&request_line(""), 1).unwrap())
             .wait();
-        let json = WireResponse::Analysis(&response).to_json();
+        let json = Json::parse(&WireResponse::Analysis(&response).to_json()).unwrap();
         assert_eq!(
             json.get("trace").and_then(Json::as_u64),
             Some(response.trace_id)
@@ -1182,7 +1202,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        let json = WireResponse::Edit(&edit).to_json();
+        let json = Json::parse(&WireResponse::Edit(&edit).to_json()).unwrap();
         assert_eq!(json.get("id").and_then(Json::as_str), Some("e1"));
         assert_eq!(
             json.get("cache").and_then(Json::as_str),
@@ -1214,12 +1234,15 @@ mod tests {
     fn rejected_edit_renders_an_error_response() {
         let service = AnalysisService::new(ServiceConfig::default());
         let err = service.apply_edit("e1", 0x2a, &[]).unwrap_err();
-        let json = WireResponse::EditRejected {
-            name: "e1",
-            base: 0x2a,
-            error: &err,
-        }
-        .to_json();
+        let json = Json::parse(
+            &WireResponse::EditRejected {
+                name: "e1",
+                base: 0x2a,
+                error: &err,
+            }
+            .to_json(),
+        )
+        .unwrap();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("rejected"));
         assert_eq!(json.get("error_kind").and_then(Json::as_str), Some("edit"));
         assert!(json
@@ -1243,7 +1266,8 @@ mod tests {
             .submit(parse_request(&request_line(""), 1).unwrap())
             .wait()
             .is_certified());
-        let json = WireResponse::Metrics(&service.registry_snapshot()).to_json();
+        let json =
+            Json::parse(&WireResponse::Metrics(&service.registry_snapshot()).to_json()).unwrap();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("metrics"));
         let counters = json.get("counters").expect("counters object");
         assert_eq!(
@@ -1287,7 +1311,7 @@ mod tests {
         }
         .to_json();
         assert_eq!(
-            done.to_string(),
+            done,
             r#"{"id":"s1","status":"snapshot","plans":5,"bytes":1234,"micros":99}"#
         );
         let rejected = WireResponse::SnapshotRejected {
@@ -1296,7 +1320,7 @@ mod tests {
         }
         .to_json();
         assert_eq!(
-            rejected.to_string(),
+            rejected,
             r#"{"id":"s2","status":"rejected","error":"no --snapshot-save path configured","error_kind":"snapshot"}"#
         );
     }
@@ -1335,7 +1359,7 @@ mod tests {
             trace_id: 7,
         };
         assert_eq!(
-            WireResponse::Analysis(&response).to_json().to_string(),
+            WireResponse::Analysis(&response).to_json(),
             r#"{"id":"r1","status":"certified","cache":"warm","classification":"deadlock-free","labeling":"section6","labels":{"A":"1"},"max_queues_per_interval":1,"analysis_micros":120,"micros":130,"fingerprint":"0x0000000000000000000000000000002a","trace":7}"#
         );
     }

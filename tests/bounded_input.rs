@@ -66,6 +66,10 @@ fn oversized_lines_are_answered_invalid_and_serving_goes_on() {
             }
         }
     }
+    let answers: Vec<Json> = answers
+        .iter()
+        .map(|line| Json::parse(line).unwrap())
+        .collect();
     let summary: Vec<(&str, &str)> = answers
         .iter()
         .map(|a| {

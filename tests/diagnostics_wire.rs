@@ -9,7 +9,7 @@ fn serve_line(line: &str) -> Json {
     let service = AnalysisService::new(ServiceConfig::default());
     let request = parse_request(line, 1).expect("request parses");
     let response = service.submit(request).wait();
-    WireResponse::Analysis(&response).to_json()
+    Json::parse(&WireResponse::Analysis(&response).to_json()).unwrap()
 }
 
 fn diagnostics(json: &Json) -> &[Json] {

@@ -38,7 +38,7 @@ fn mixed_topology_batch_exports_metrics_and_nested_spans() {
             trace_ids.insert(response.trace_id),
             "trace ids are unique per request"
         );
-        let json = WireResponse::Analysis(response).to_json();
+        let json = Json::parse(&WireResponse::Analysis(response).to_json()).unwrap();
         assert_eq!(
             json.get("trace").and_then(Json::as_u64),
             Some(response.trace_id),

@@ -144,7 +144,7 @@ fn tiny_cache_evicts_under_mixed_traffic() {
 /// A response's wire JSON without the members a restart may change: the
 /// provenance, the serving time and the trace id.
 fn restart_stable_json(response: &AnalysisResponse) -> String {
-    let Json::Obj(members) = WireResponse::Analysis(response).to_json() else {
+    let Ok(Json::Obj(members)) = Json::parse(&WireResponse::Analysis(response).to_json()) else {
         panic!("an analysis response renders as an object");
     };
     let stable = members
