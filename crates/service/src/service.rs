@@ -613,28 +613,17 @@ impl NameIndex {
         // Stable sorts: a repeated name keeps its first id first, as in
         // `Program::cell_id` and `Program::message_id`.
         let mut cells: Vec<CellId> = program.cell_ids().collect();
-        cells.sort_by(|&a, &b| program.cell_name(a).cmp(program.cell_name(b)));
+        cells.sort_by_key(|&c| program.cell_name(c));
         let mut messages: Vec<MessageId> = program.message_ids().collect();
-        messages.sort_by(|&a, &b| program.message(a).name().cmp(program.message(b).name()));
+        messages.sort_by_key(|&m| program.message(m).name());
         NameIndex { cells, messages }
     }
+}
 
-    fn cell(&self, program: &Program, name: &str) -> Option<CellId> {
-        let at = self.cells.partition_point(|&c| program.cell_name(c) < name);
-        self.cells
-            .get(at)
-            .copied()
-            .filter(|&c| program.cell_name(c) == name)
-    }
-
-    fn message(&self, program: &Program, name: &str) -> Option<MessageId> {
-        let name_of = |m: MessageId| program.message(m).name();
-        let at = self.messages.partition_point(|&m| name_of(m) < name);
-        self.messages
-            .get(at)
-            .copied()
-            .filter(|&m| name_of(m) == name)
-    }
+/// The first of `ids`, sorted by `name_of`, that is named `name`.
+fn find_by_name<'p, I: Copy>(ids: &[I], name_of: impl Fn(I) -> &'p str, name: &str) -> Option<I> {
+    let at = ids.partition_point(|&id| name_of(id) < name);
+    ids.get(at).copied().filter(|&id| name_of(id) == name)
 }
 
 /// The incremental edit path's mutable state: the bounded session table
@@ -1307,13 +1296,11 @@ fn resolve_ops(
     ops: &[NamedEditOp],
 ) -> Result<Vec<EditOp>, EditRequestError> {
     let cell = |name: &str| {
-        names
-            .cell(program, name)
+        find_by_name(&names.cells, |c| program.cell_name(c), name)
             .ok_or_else(|| EditRequestError::UnknownCellName(name.to_owned()))
     };
     let message = |name: &str| {
-        names
-            .message(program, name)
+        find_by_name(&names.messages, |m| program.message(m).name(), name)
             .ok_or_else(|| EditRequestError::UnknownMessageName(name.to_owned()))
     };
     ops.iter()
