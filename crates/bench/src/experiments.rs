@@ -987,13 +987,14 @@ pub fn e5_threaded() -> Experiment {
         title: "OS-thread runtime: Theorem 1 is scheduling independent".into(),
         table,
         notes: vec![
-            "Real threads, real bounded queues, arbitrary OS interleaving: compatible \
-             assignment still completes. Both runtimes grant through the same policy \
-             objects, so the rules checked on threads are the rules the simulator replays."
+            "Real threads, arbitrary OS interleaving: compatible assignment still \
+             completes, and every reader checks that words arrive in order. Both runtimes \
+             grant through the same policy objects and move words through the same \
+             queues, so the rules checked on threads are the rules the simulator replays."
                 .into(),
             "The FIFO row depends on scheduling: Fig. 7 deadlocks on threads only when \
              message A takes the queue between cells c2 and c3 before message C asks for \
-             it, and the quiescence watchdog catches the deadlock when it happens; \
+             it. The runtime decides the deadlock when every unfinished thread waits; \
              otherwise the run completes."
                 .into(),
         ],

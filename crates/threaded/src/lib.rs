@@ -1,18 +1,20 @@
 //! OS-thread runtime for systolic programs.
 //!
 //! Where `systolic-sim` steps a deterministic clock, this crate runs each
-//! cell as a *real* thread against real bounded queues, with a
-//! [`Controller`] granting queues under one of the simulator's assignment
-//! policies ([`systolic_sim::AssignmentPolicy`]) and a watchdog detecting
-//! genuine deadlock (global quiescence with work remaining). Both runtimes
-//! take the same policy objects and feed them from the same
+//! cell and each forwarding hop as a *real* thread. The threads move words
+//! through the simulator's own queues ([`systolic_sim::QueuePools`]) under
+//! one lock, granted under one of the simulator's assignment policies
+//! ([`systolic_sim::AssignmentPolicy`]) fed from the same
 //! [`systolic_sim::PendingRequests`] list, so the rules checked here are
 //! the rules the simulator replays.
 //!
 //! The point: Theorem 1's guarantee is **scheduling independent**. Under
 //! the compatible assignment discipline a deadlock-free program completes
 //! no matter how the OS interleaves the threads — which is exactly what the
-//! tests assert, repeatedly, without any timing control.
+//! tests assert, repeatedly, without any timing control. A run that
+//! cannot complete is decided exactly, from its state: every blocked
+//! thread registers in one wait table, and the run is deadlocked when
+//! every unfinished thread waits.
 //!
 //! # Examples
 //!
@@ -44,9 +46,6 @@
 #![forbid(unsafe_code)]
 
 mod controller;
-mod queue;
 mod runtime;
 
-pub use controller::Controller;
-pub use queue::{Liveness, Poisoned, ThreadedQueue};
 pub use runtime::{run_threaded, ThreadedConfig, ThreadedOutcome};

@@ -31,12 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(FifoPolicy::new()),
         SimConfig::default(),
     )?;
-    match &naive {
-        RunOutcome::Deadlocked { report, .. } => {
-            println!("naive FIFO assignment:\n{}", report.render(&program));
-        }
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    let RunOutcome::Deadlocked { report, .. } = &naive else {
+        return Err(format!("naive FIFO assignment did not deadlock: {naive:?}").into());
+    };
+    println!("naive FIFO assignment:\n{}", report.render(&program));
 
     // 2. Compile the topology once, then run the paper's staged analysis:
     //    crossing-off, consistent labeling, queue requirements.
@@ -64,15 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(CompatiblePolicy::new(plan)),
         SimConfig::default(),
     )?;
-    match safe {
-        RunOutcome::Completed(stats) => {
-            println!(
-                "compatible assignment: completed in {} cycles ({} words delivered)",
-                stats.cycles, stats.words_delivered
-            );
-        }
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    let RunOutcome::Completed(stats) = safe else {
+        return Err(format!("compatible assignment did not complete: {safe:?}").into());
+    };
+    println!(
+        "compatible assignment: completed in {} cycles ({} words delivered)",
+        stats.cycles, stats.words_delivered
+    );
 
     // 4. A genuinely deadlocked program is rejected with structured
     //    diagnostics: a machine-readable code plus the offending ids.

@@ -5,13 +5,14 @@
 //! ```
 //!
 //! Runs the paper's programs on the `systolic-threaded` runtime: each cell
-//! is a thread, queues are real bounded buffers, and the OS scheduler
-//! interleaves freely. The runtime takes the simulator's policy objects.
-//! Compatible assignment completes every time (Theorem 1 is scheduling
-//! independent). Under the naive FIFO discipline Fig. 7 deadlocks only on
-//! some interleavings: when message A takes the queue between cells c2 and
-//! c3 before message C asks for it. The quiescence watchdog catches the
-//! deadlock when it happens; otherwise the FIFO run completes.
+//! is a thread, words move through the simulator's bounded queues, and
+//! the OS scheduler interleaves freely. The runtime takes the simulator's
+//! policy objects. Compatible assignment completes every time (Theorem 1
+//! is scheduling independent), and the example fails if it does not.
+//! Under the naive FIFO discipline Fig. 7 deadlocks only on some
+//! interleavings: when message A takes the queue between cells c2 and c3
+//! before message C asks for it. The runtime decides the deadlock when
+//! every unfinished thread waits; otherwise the FIFO run completes.
 
 use systolic::core::{AnalysisConfig, Analyzer};
 use systolic::sim::{CompatiblePolicy, FifoPolicy};
@@ -35,21 +36,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(CompatiblePolicy::new(plan)),
             ThreadedConfig::default(),
         )?;
-        match outcome {
-            ThreadedOutcome::Completed {
-                words_delivered,
-                elapsed,
-            } => {
-                println!(
-                    "fig7 compatible, run {attempt}: {words_delivered} words in {elapsed:.2?}"
-                );
-            }
-            other => println!("fig7 compatible, run {attempt}: unexpected {other:?}"),
-        }
+        let ThreadedOutcome::Completed {
+            words_delivered,
+            elapsed,
+        } = outcome
+        else {
+            return Err(format!("fig7 compatible, run {attempt}: {outcome:?}").into());
+        };
+        println!("fig7 compatible, run {attempt}: {words_delivered} words in {elapsed:.2?}");
     }
 
-    // The same program under FIFO: a deadlock on some interleavings,
-    // caught by the watchdog when it happens.
+    // The same program under FIFO: a deadlock on some interleavings.
     let outcome = run_threaded(
         &program,
         &topology,
@@ -58,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     match outcome {
         ThreadedOutcome::Deadlocked { blocked } => {
-            println!("\nfig7 fifo: watchdog caught a deadlock; blocked threads:");
+            println!("\nfig7 fifo: deadlocked; blocked threads:");
             for b in blocked {
                 println!("  {b}");
             }
@@ -87,6 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
+    if !outcome.is_completed() {
+        return Err(format!("fig2 FIR on threads: {outcome:?}").into());
+    }
     println!("\nfig2 FIR on threads: {outcome:?}");
 
     let align = seq_align(4, 16)?;
@@ -107,6 +107,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
+    if !outcome.is_completed() {
+        return Err(format!("seq_align(4,16) on threads: {outcome:?}").into());
+    }
     println!("seq_align(4,16) on threads: {outcome:?}");
     Ok(())
 }
