@@ -2,18 +2,20 @@
 //! applying a small append-only edit script to a *warm*
 //! [`IncrementalSession`] must beat a from-scratch `Analyzer::diagnose`
 //! of the edited program — same precompiled topology, so the measured win
-//! is stage reuse (resumed crossing-off, reused routes/competing sets,
-//! early-stopped labeling), not topology compilation.
+//! is stage reuse, not topology compilation.
 //!
 //! Shape: a 16×16 mesh (256 cells) running a 255-message relay pipeline
 //! (cell *k* interleaves `R(M_{k-1})`/`W(M_k)` word by word — the classic
-//! systolic wavefront), where labeling dominates analysis time but every
-//! message is labeled within the first wave, so the warm session's
-//! early-stopping Section 6 driver skips the long post-label tail that a
-//! from-scratch run must cross in full. The edit appends one balanced
-//! write/read word to the first 4 relay messages (8 ops, 5 dirty cells,
-//! dirty ratio ≈ 0.02). Each warm round re-seeds its session *outside*
-//! the timed region, so the timer sees exactly one `apply`.
+//! systolic wavefront). Every message is labeled within the first wave,
+//! and both arms' Section 6 labeling stops there, since a from-scratch
+//! analysis also proves the program deadlock-free before it labels. What
+//! the warm arm saves is the crossing-off, resumed from the base run's end
+//! state instead of crossing every word, and the stages it reuses: routes,
+//! competing sets, and the queue requirements when the labeling comes out
+//! unchanged. The edit appends one balanced write/read word to the first
+//! 4 relay messages (8 ops, 5 dirty cells, dirty ratio ≈ 0.02). Each warm
+//! round re-seeds its session *outside* the timed region, so the timer
+//! sees exactly one `apply`.
 //!
 //! Parity is asserted before timing (identical plan fingerprints and
 //! diagnostics vs from-scratch), the measured ratio is recorded in

@@ -51,18 +51,19 @@
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use systolic_model::{CellId, MessageId, MessageRoutes, Program, Topology};
-use systolic_obs::{names, Obs, SpanCtx};
+use systolic_obs::{names, Counter, Histogram, Obs, Registry, SpanCtx};
 
+use crate::constraint_labeling::label_classified;
 use crate::crossing_off::{classify_with_snapshot, MachineSnapshot};
 use crate::labeling::label_messages_assignments_only;
 use crate::{
-    check_consistency, classify_with, label_messages_robust, Analysis, AnalysisConfig,
-    Classification, CommPlan, CompetingSets, CompiledTopology, ConsistencyViolation, CoreError,
-    Diagnostic, DiagnosticCode, Diagnostics, Labeling, LabelingMethod, LabelingReport, Lookahead,
+    check_consistency, classify_with, Analysis, AnalysisConfig, Classification, CommPlan,
+    CompetingSets, CompiledTopology, ConsistencyViolation, CoreError, Diagnostic, DiagnosticCode,
+    Diagnostics, FallbackReason, Labeling, LabelingMethod, LabelingReport, Lookahead,
     LookaheadLimits, QueueRequirements,
 };
 
@@ -74,21 +75,129 @@ use crate::{
 /// emitted by the same code as a from-scratch run.
 #[derive(Default)]
 pub(crate) struct SessionSeeds {
-    pub routes: Option<MessageRoutes>,
-    pub classification: Option<Classification>,
-    pub competing: Option<CompetingSets>,
+    pub routes: Option<Arc<MessageRoutes>>,
+    pub classification: Option<Arc<Classification>>,
+    pub competing: Option<Arc<CompetingSets>>,
+    /// A base labeling and the requirements computed from it. Offer them
+    /// only with `competing`: the requirements stage then keeps them when
+    /// the new labeling equals the base's, since
+    /// [`QueueRequirements::compute`] reads nothing but the competing sets
+    /// and the labels.
+    pub requirements: Option<BaseRequirements>,
     /// Capture the crossing-off machine's end state for later resumption.
     pub capture_snapshot: bool,
 }
 
+/// A labeling and the queue requirements computed from it.
+pub(crate) type BaseRequirements = (Arc<Labeling>, Arc<QueueRequirements>);
+
 /// What a finished incremental session hands back for the next edit:
 /// every per-stage artifact that survived, ready to seed the next session.
+/// The artifacts are shared with the session's [`Analysis`], not copies.
 #[derive(Debug, Default)]
 pub(crate) struct WarmArtifacts {
-    pub routes: Option<MessageRoutes>,
-    pub classification: Option<Classification>,
+    pub routes: Option<Arc<MessageRoutes>>,
+    pub classification: Option<Arc<Classification>>,
     pub snapshot: Option<MachineSnapshot>,
-    pub competing: Option<CompetingSets>,
+    pub competing: Option<Arc<CompetingSets>>,
+    pub requirements: Option<BaseRequirements>,
+}
+
+/// The stage names of [`AnalyzerSession::drive_observed`], in pipeline
+/// order: the `stage` label of the stage-duration histogram.
+const STAGES: [&str; 6] = [
+    "routes",
+    "classification",
+    "labeling",
+    "competing",
+    "requirements",
+    "plan",
+];
+
+/// The stages an incremental edit can reuse wholesale, in the order
+/// [`Instruments::reused`] takes them: the `stage` label of the
+/// stage-reuse counter.
+const REUSABLE_STAGES: [&str; 3] = ["routes", "classification", "competing"];
+
+/// The analyzer's and the incremental sessions' instruments in one [`Obs`]
+/// bundle.
+///
+/// Each handle is looked up in the registry on its first sample and held
+/// from then on, so later samples take no lock and build no key. The set
+/// is kept once per bundle ([`Obs::handles`]) because serving layers build
+/// a fresh [`Analyzer`] per request. Looking up lazily leaves the
+/// registry's series exactly those that have recorded a sample.
+#[derive(Debug, Default)]
+pub(crate) struct Instruments {
+    stages: [OnceLock<Arc<Histogram>>; STAGES.len()],
+    diagnostics: [OnceLock<Arc<Counter>>; DiagnosticCode::COUNT],
+    edits: OnceLock<Arc<Counter>>,
+    dirty_cells: OnceLock<Arc<Counter>>,
+    dirty_ratio_fallbacks: OnceLock<Arc<Counter>>,
+    reused: [OnceLock<Arc<Counter>>; REUSABLE_STAGES.len()],
+    hits: OnceLock<Arc<Counter>>,
+    edit_duration: OnceLock<Arc<Histogram>>,
+}
+
+impl Instruments {
+    /// The duration histogram of stage `STAGES[stage]`.
+    fn stage(&self, registry: &Registry, stage: usize) -> &Histogram {
+        self.stages[stage].get_or_init(|| {
+            registry.histogram_with(names::ANALYZER_STAGE_DURATION, &[("stage", STAGES[stage])])
+        })
+    }
+
+    fn diagnostic(&self, registry: &Registry, code: DiagnosticCode) -> &Counter {
+        self.diagnostics[code as usize].get_or_init(|| {
+            registry.counter_with(names::ANALYZER_DIAGNOSTICS, &[("code", code.as_str())])
+        })
+    }
+
+    pub(crate) fn edits(&self, registry: &Registry) -> &Counter {
+        self.edits
+            .get_or_init(|| registry.counter(names::INCREMENTAL_EDITS))
+    }
+
+    pub(crate) fn dirty_cells(&self, registry: &Registry) -> &Counter {
+        self.dirty_cells
+            .get_or_init(|| registry.counter(names::INCREMENTAL_DIRTY_CELLS))
+    }
+
+    pub(crate) fn fallbacks(&self, registry: &Registry, reason: FallbackReason) -> &Counter {
+        let cell = match reason {
+            FallbackReason::DirtyRatio => &self.dirty_ratio_fallbacks,
+        };
+        cell.get_or_init(|| {
+            registry.counter_with(names::INCREMENTAL_FALLBACKS, &[("reason", reason.as_str())])
+        })
+    }
+
+    /// The reuse counter of stage `REUSABLE_STAGES[stage]`.
+    pub(crate) fn reused(&self, registry: &Registry, stage: usize) -> &Counter {
+        self.reused[stage].get_or_init(|| {
+            registry.counter_with(
+                names::INCREMENTAL_STAGE_REUSED,
+                &[("stage", REUSABLE_STAGES[stage])],
+            )
+        })
+    }
+
+    pub(crate) fn hits(&self, registry: &Registry) -> &Counter {
+        self.hits
+            .get_or_init(|| registry.counter(names::INCREMENTAL_HITS))
+    }
+
+    pub(crate) fn edit_duration(&self, registry: &Registry) -> &Histogram {
+        self.edit_duration
+            .get_or_init(|| registry.histogram(names::INCREMENTAL_EDIT_DURATION))
+    }
+}
+
+/// An observability bundle with the analyzer's handle set in it.
+#[derive(Clone, Debug)]
+pub(crate) struct Observed {
+    pub obs: Arc<Obs>,
+    pub instruments: Arc<Instruments>,
 }
 
 /// A reusable handle that runs staged analyses against one
@@ -99,7 +208,7 @@ pub(crate) struct WarmArtifacts {
 #[derive(Clone, Debug)]
 pub struct Analyzer {
     compiled: Arc<CompiledTopology>,
-    obs: Option<Arc<Obs>>,
+    observed: Option<Observed>,
 }
 
 impl Analyzer {
@@ -108,7 +217,7 @@ impl Analyzer {
     pub fn new(compiled: impl Into<Arc<CompiledTopology>>) -> Self {
         Analyzer {
             compiled: compiled.into(),
-            obs: None,
+            observed: None,
         }
     }
 
@@ -118,10 +227,13 @@ impl Analyzer {
     /// (`systolic_analyzer_stage_duration_micros{stage=...}` — exclusive
     /// time, since earlier stages are memoized), one counter per pushed
     /// diagnostic code, and — when the caller supplies a [`SpanCtx`] via
-    /// [`Analyzer::diagnose_in`] — one child span per stage.
+    /// [`Analyzer::diagnose_in`] — one child span per stage. The
+    /// instrument handles are resolved once per bundle and shared by every
+    /// analyzer attached to it.
     #[must_use]
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = Some(obs);
+        let instruments = obs.handles::<Instruments>();
+        self.observed = Some(Observed { obs, instruments });
         self
     }
 
@@ -201,14 +313,15 @@ impl Analyzer {
             consistency: OnceCell::new(),
             competing: cell_from(seeds.competing),
             requirements: OnceCell::new(),
+            base_requirements: RefCell::new(seeds.requirements),
             plan: OnceCell::new(),
             diagnostics: RefCell::new(Diagnostics::new()),
         }
     }
 
-    /// The attached observability bundle, if any.
-    pub(crate) fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
+    /// The attached observability bundle and its handle set, if any.
+    pub(crate) fn observed(&self) -> Option<&Observed> {
+        self.observed.as_ref()
     }
 
     /// This analyzer with its compilation replaced (incremental topology
@@ -216,7 +329,7 @@ impl Analyzer {
     pub(crate) fn with_compiled_swapped(&self, compiled: Arc<CompiledTopology>) -> Analyzer {
         Analyzer {
             compiled,
-            obs: self.obs.clone(),
+            observed: self.observed.clone(),
         }
     }
 
@@ -267,6 +380,18 @@ pub struct AnalysisOutcome {
 }
 
 impl AnalysisOutcome {
+    /// An outcome holding no artifacts: what an incremental session keeps
+    /// while it recomputes, so the old artifacts can be released first.
+    pub(crate) fn vacant() -> Self {
+        AnalysisOutcome {
+            result: Err(CoreError::ProgramDeadlocked {
+                crossed_words: 0,
+                remaining_ops: 0,
+            }),
+            diagnostics: Diagnostics::new(),
+        }
+    }
+
     /// The analysis result by reference.
     pub fn result(&self) -> Result<&Analysis, &CoreError> {
         self.result.as_ref()
@@ -310,20 +435,23 @@ pub struct AnalyzerSession<'a> {
     advisories: bool,
     /// Trace context for stage spans (requires an observed analyzer).
     ctx: Option<SpanCtx>,
-    routes: OnceCell<Result<MessageRoutes, CoreError>>,
+    routes: OnceCell<Result<Arc<MessageRoutes>, CoreError>>,
     limits: OnceCell<Result<LookaheadLimits, CoreError>>,
-    classification: OnceCell<Result<Classification, CoreError>>,
+    classification: OnceCell<Result<Arc<Classification>, CoreError>>,
     /// A reused classification injected by the incremental path; consumed
     /// by the classification stage in place of running the crossing-off
     /// procedure, so the stage's diagnostics are still emitted uniformly.
-    seeded_classification: RefCell<Option<Classification>>,
+    seeded_classification: RefCell<Option<Arc<Classification>>>,
     /// Capture the crossing-off end state into `snapshot`.
     capture_snapshot: bool,
     snapshot: RefCell<Option<MachineSnapshot>>,
     labeling: OnceCell<Result<LabelingOutcome, CoreError>>,
     consistency: OnceCell<Result<Vec<ConsistencyViolation>, CoreError>>,
-    competing: OnceCell<Result<CompetingSets, CoreError>>,
-    requirements: OnceCell<Result<QueueRequirements, CoreError>>,
+    competing: OnceCell<Result<Arc<CompetingSets>, CoreError>>,
+    requirements: OnceCell<Result<Arc<QueueRequirements>, CoreError>>,
+    /// Requirements the incremental path offers for reuse; consumed by the
+    /// requirements stage (see [`SessionSeeds::requirements`]).
+    base_requirements: RefCell<Option<BaseRequirements>>,
     plan: OnceCell<Result<CommPlan, CoreError>>,
     diagnostics: RefCell<Diagnostics>,
 }
@@ -339,7 +467,7 @@ impl std::fmt::Debug for AnalyzerSession<'_> {
 
 #[derive(Clone, Debug)]
 struct LabelingOutcome {
-    labeling: Labeling,
+    labeling: Arc<Labeling>,
     method: LabelingMethod,
     report: Option<LabelingReport>,
 }
@@ -352,12 +480,9 @@ impl<'a> AnalyzerSession<'a> {
     }
 
     fn push(&self, diagnostic: Diagnostic) {
-        if let Some(obs) = self.analyzer.obs.as_deref() {
-            obs.registry()
-                .counter_with(
-                    names::ANALYZER_DIAGNOSTICS,
-                    &[("code", diagnostic.code().as_str())],
-                )
+        if let Some(Observed { obs, instruments }) = &self.analyzer.observed {
+            instruments
+                .diagnostic(obs.registry(), diagnostic.code())
                 .inc();
         }
         self.diagnostics.borrow_mut().push(diagnostic);
@@ -376,6 +501,10 @@ impl<'a> AnalyzerSession<'a> {
     /// [`CoreError::Model`] for cell-count mismatches and unroutable
     /// messages.
     pub fn routes(&self) -> Result<&MessageRoutes, CoreError> {
+        self.shared_routes().map(|routes| &**routes)
+    }
+
+    fn shared_routes(&self) -> Result<&Arc<MessageRoutes>, CoreError> {
         self.routes
             .get_or_init(|| {
                 let compiled = &self.analyzer.compiled;
@@ -407,7 +536,7 @@ impl<'a> AnalyzerSession<'a> {
                         }
                     }
                 }
-                Ok(MessageRoutes::from_routes(routes))
+                Ok(Arc::new(MessageRoutes::from_routes(routes)))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -452,6 +581,11 @@ impl<'a> AnalyzerSession<'a> {
     ///
     /// Propagates routing errors.
     pub fn classification(&self) -> Result<&Classification, CoreError> {
+        self.shared_classification()
+            .map(|classification| &**classification)
+    }
+
+    fn shared_classification(&self) -> Result<&Arc<Classification>, CoreError> {
         self.classification
             .get_or_init(|| {
                 let limits = self.limits()?;
@@ -462,11 +596,11 @@ impl<'a> AnalyzerSession<'a> {
                         let (classification, snapshot) =
                             classify_with_snapshot(self.program, limits);
                         *self.snapshot.borrow_mut() = Some(snapshot);
-                        classification
+                        Arc::new(classification)
                     }
-                    None => classify_with(self.program, limits),
+                    None => Arc::new(classify_with(self.program, limits)),
                 };
-                if let Classification::Deadlocked { trace, stuck } = &classification {
+                if let Classification::Deadlocked { trace, stuck } = &*classification {
                     let mut cells = Vec::new();
                     let mut messages = Vec::new();
                     for (i, front) in stuck.fronts.iter().enumerate() {
@@ -552,7 +686,7 @@ impl<'a> AnalyzerSession<'a> {
                 // report, errors and diagnostics from fewer crossed pairs.
                 match label_messages_assignments_only(self.program, limits) {
                     Ok(report) => Ok(LabelingOutcome {
-                        labeling: report.labeling().clone(),
+                        labeling: Arc::new(report.labeling().clone()),
                         method: LabelingMethod::Section6,
                         report: Some(report),
                     }),
@@ -567,10 +701,12 @@ impl<'a> AnalyzerSession<'a> {
                                  using the constraint-solving scheme"
                             ),
                         ));
-                        let labeling = label_messages_robust(self.program, limits)
+                        // The constraint solver needs the same crossing-off
+                        // this session's classification stage already ran.
+                        let labeling = label_classified(self.program, classification)
                             .map_err(|e| self.label_error(&e))?;
                         Ok(LabelingOutcome {
-                            labeling,
+                            labeling: Arc::new(labeling),
                             method: LabelingMethod::ConstraintSolver,
                             report: None,
                         })
@@ -666,8 +802,12 @@ impl<'a> AnalyzerSession<'a> {
     ///
     /// Propagates routing errors.
     pub fn competing(&self) -> Result<&CompetingSets, CoreError> {
+        self.shared_competing().map(|competing| &**competing)
+    }
+
+    fn shared_competing(&self) -> Result<&Arc<CompetingSets>, CoreError> {
         self.competing
-            .get_or_init(|| Ok(CompetingSets::compute(self.routes()?)))
+            .get_or_init(|| Ok(Arc::new(CompetingSets::compute(self.routes()?))))
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -683,11 +823,21 @@ impl<'a> AnalyzerSession<'a> {
     ///
     /// Routing and labeling errors.
     pub fn requirements(&self) -> Result<&QueueRequirements, CoreError> {
+        self.shared_requirements()
+            .map(|requirements| &**requirements)
+    }
+
+    fn shared_requirements(&self) -> Result<&Arc<QueueRequirements>, CoreError> {
         self.requirements
             .get_or_init(|| {
                 let competing = self.competing()?;
                 let labeling = self.labeling()?;
-                Ok(QueueRequirements::compute(competing, labeling))
+                // Offered only with reused competing sets, so equal labels
+                // give equal requirements.
+                match self.base_requirements.borrow_mut().take() {
+                    Some((base, requirements)) if *base == *labeling => Ok(requirements),
+                    _ => Ok(Arc::new(QueueRequirements::compute(competing, labeling))),
+                }
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -708,7 +858,7 @@ impl<'a> AnalyzerSession<'a> {
                     self.consistency().map(<[_]>::is_empty).unwrap_or(true),
                     "labeling schemes must produce consistent labelings"
                 );
-                let requirements = self.requirements()?.clone();
+                let requirements = self.shared_requirements()?;
                 let config = self.analyzer.compiled.config();
                 if let Err(error) = requirements.check_feasible(config.queues_per_interval) {
                     if let CoreError::Infeasible {
@@ -750,11 +900,11 @@ impl<'a> AnalyzerSession<'a> {
                     }
                     return Err(error);
                 }
-                Ok(CommPlan::new(
-                    outcome.labeling.clone(),
-                    self.routes()?.clone(),
-                    self.competing()?.clone(),
-                    requirements,
+                Ok(CommPlan::from_shared(
+                    Arc::clone(&outcome.labeling),
+                    Arc::clone(self.shared_routes()?),
+                    Arc::clone(self.shared_competing()?),
+                    Arc::clone(requirements),
                 ))
             })
             .as_ref()
@@ -766,29 +916,39 @@ impl<'a> AnalyzerSession<'a> {
     /// a child span. Memoization makes each measurement *exclusive* —
     /// dependencies forced by a later stage were already computed and
     /// timed by their own step.
-    fn drive_observed(&self, obs: &Obs) -> Result<(), CoreError> {
-        let run = |name: &'static str,
-                   stage: &dyn Fn() -> Result<(), CoreError>|
-         -> Result<(), CoreError> {
+    fn drive_observed(&self, observed: &Observed) -> Result<(), CoreError> {
+        let Observed { obs, instruments } = observed;
+        let stages: [&dyn Fn() -> Result<(), CoreError>; STAGES.len()] = [
+            &|| self.routes().map(drop),
+            &|| self.classification().map(drop),
+            &|| self.labeling().map(drop),
+            &|| self.competing().map(drop),
+            &|| self.requirements().map(drop),
+            &|| self.plan().map(drop),
+        ];
+        for (i, stage) in stages.into_iter().enumerate() {
             let span = self
                 .ctx
-                .map(|c| obs.tracer().start(c.trace, Some(c.parent), name));
+                .map(|c| obs.tracer().start(c.trace, Some(c.parent), STAGES[i]));
             let start = Instant::now();
             let result = stage();
-            obs.registry()
-                .histogram_with(names::ANALYZER_STAGE_DURATION, &[("stage", name)])
+            instruments
+                .stage(obs.registry(), i)
                 .record(start.elapsed().as_micros() as u64);
             if let Some(span) = span {
                 obs.tracer().finish(span);
             }
-            result
-        };
-        run("routes", &|| self.routes().map(drop))?;
-        run("classification", &|| self.classification().map(drop))?;
-        run("labeling", &|| self.labeling().map(drop))?;
-        run("competing", &|| self.competing().map(drop))?;
-        run("requirements", &|| self.requirements().map(drop))?;
-        run("plan", &|| self.plan().map(drop))
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Drives every stage, observed when the analyzer carries a bundle.
+    fn drive(&self) -> Result<(), CoreError> {
+        match &self.analyzer.observed {
+            Some(observed) => self.drive_observed(observed),
+            None => self.plan().map(drop),
+        }
     }
 
     /// Drives every stage and consumes the session into an
@@ -797,10 +957,7 @@ impl<'a> AnalyzerSession<'a> {
     #[must_use]
     pub fn finish(self) -> AnalysisOutcome {
         // Drive the stages to completion (or the first error)…
-        let driven: Result<(), CoreError> = match self.analyzer.obs.as_deref() {
-            Some(obs) => self.drive_observed(obs),
-            None => self.plan().map(drop),
-        };
+        let driven = self.drive();
         let diagnostics = self.diagnostics.into_inner();
         // …then drain the memoized artifacts out of their cells without
         // cloning — the session owns them and is consumed here.
@@ -825,27 +982,29 @@ impl<'a> AnalyzerSession<'a> {
     /// snapshot are exactly what the next (possibly fixing) edit resumes
     /// from.
     pub(crate) fn finish_incremental(self) -> (AnalysisOutcome, WarmArtifacts) {
-        let driven: Result<(), CoreError> = match self.analyzer.obs.as_deref() {
-            Some(obs) => self.drive_observed(obs),
-            None => self.plan().map(drop),
-        };
+        let driven = self.drive();
         let diagnostics = self.diagnostics.into_inner();
         let routes = self.routes.into_inner().and_then(Result::ok);
         let limits = self.limits.into_inner().and_then(Result::ok);
         let classification = self.classification.into_inner().and_then(Result::ok);
         let competing = self.competing.into_inner().and_then(Result::ok);
         let labeling = self.labeling.into_inner().and_then(Result::ok);
+        let requirements = self.requirements.into_inner().and_then(Result::ok);
         let plan = self.plan.into_inner().and_then(Result::ok);
         let snapshot = self.snapshot.into_inner();
+        let requirements = labeling
+            .as_ref()
+            .zip(requirements)
+            .map(|(outcome, requirements)| (Arc::clone(&outcome.labeling), requirements));
         let result = driven.map(|()| {
             let take = "plan success implies every earlier stage succeeded";
-            let outcome = labeling.as_ref().expect(take);
+            let outcome = labeling.expect(take);
             Analysis::from_parts(
-                classification.clone().expect(take),
-                outcome.report.clone(),
+                Arc::clone(classification.as_ref().expect(take)),
+                outcome.report,
                 outcome.method,
                 plan.expect(take),
-                limits.clone().expect(take),
+                limits.expect(take),
             )
         });
         (
@@ -858,6 +1017,7 @@ impl<'a> AnalyzerSession<'a> {
                 classification,
                 snapshot,
                 competing,
+                requirements,
             },
         )
     }
@@ -866,7 +1026,7 @@ impl<'a> AnalyzerSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label_messages;
+    use crate::{label_messages, label_messages_robust};
     use systolic_model::parse_program;
 
     fn fig7_text() -> &'static str {
@@ -1137,6 +1297,39 @@ mod tests {
             snap.histogram_value(names::ANALYZER_STAGE_DURATION, &[("stage", "plan")])
                 .count,
             0
+        );
+    }
+
+    #[test]
+    fn analyzers_on_one_bundle_share_lazily_resolved_handles() {
+        let obs = Arc::new(systolic_obs::Obs::new());
+        let topology = Topology::linear(2);
+        let attach = || {
+            Analyzer::for_topology(&topology, &AnalysisConfig::default()).with_obs(Arc::clone(&obs))
+        };
+        let (first, second) = (attach(), attach());
+        assert!(Arc::ptr_eq(
+            &first.observed().unwrap().instruments,
+            &second.observed().unwrap().instruments
+        ));
+        // A program the topology cannot hold fails at routing: only that
+        // stage's series and its diagnostic's exist, as when every sample
+        // looked its instrument up.
+        let p = parse_program(fig7_text()).unwrap();
+        assert!(first.diagnose(&p).result().is_err());
+        assert!(second.diagnose(&p).result().is_err());
+        let text = obs.registry().render_prometheus();
+        assert!(text.contains("stage=\"routes\""), "{text}");
+        assert!(!text.contains("stage=\"plan\""), "{text}");
+        let snap = obs.registry().snapshot();
+        assert_eq!(
+            snap.counter_value(names::ANALYZER_DIAGNOSTICS, &[("code", "E-CELL-COUNT")]),
+            2
+        );
+        assert_eq!(
+            snap.histogram_value(names::ANALYZER_STAGE_DURATION, &[("stage", "routes")])
+                .count,
+            2
         );
     }
 

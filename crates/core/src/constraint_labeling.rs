@@ -44,9 +44,23 @@ pub fn label_messages_robust(
     program: &Program,
     limits: &LookaheadLimits,
 ) -> Result<Labeling, CoreError> {
+    label_classified(program, &classify_with(program, limits))
+}
+
+/// [`label_messages_robust`] from a classification of `program` already
+/// made under the same limits, so a caller that holds one (the
+/// [`Analyzer`](crate::Analyzer)'s fallback) does not cross the program
+/// off again.
+///
+/// # Errors
+///
+/// As [`label_messages_robust`].
+pub(crate) fn label_classified(
+    program: &Program,
+    classification: &Classification,
+) -> Result<Labeling, CoreError> {
     // Deadlock-freedom check + the skip sets for rule-1d equalities.
-    let classification = classify_with(program, limits);
-    let trace = match &classification {
+    let trace = match classification {
         Classification::DeadlockFree(trace) => trace,
         Classification::Deadlocked { trace, stuck } => {
             return Err(CoreError::ProgramDeadlocked {

@@ -19,6 +19,14 @@
 //! each cross off two pairs). The procedure is confluent — crossing a pair
 //! never disables another executable pair — so this choice affects only the
 //! trace layout, not the classification.
+//!
+//! The executable pairs are kept in a ready set that a cross updates only
+//! around the two cells it touches. With every lookahead budget zero, a
+//! message is executable exactly when its sender's and its receiver's
+//! front ops are its write and its read, so a cross examines just the two
+//! new fronts. With any nonzero budget, each touched cell's window of
+//! skippable writes is walked instead. The budgets alone pick the path,
+//! and both produce the same trace.
 
 use std::collections::BTreeMap;
 
@@ -227,6 +235,10 @@ pub(crate) fn classify_with_snapshot(
 ///   cannot diverge in recorded skip counts; only the grouping of pairs
 ///   into steps can differ from a from-scratch run, and nothing downstream
 ///   consumes step layout.
+///
+/// With skip-free limits the machine takes its front path, which rebuilds
+/// its state from the snapshot's per-message word counts alone, in time
+/// linear in the cells and messages rather than the ops.
 pub(crate) fn classify_resume(
     program: &Program,
     limits: &LookaheadLimits,
@@ -279,8 +291,10 @@ fn run_to_completion(
 /// A cell's program holds only writes or only reads of a given message,
 /// and each cross takes that message's first uncrossed op in both of its
 /// cells, so the crossed ops are exactly each message's first
-/// `words_done` ops in its sender and in its receiver.
-#[derive(Clone, Debug)]
+/// `words_done` ops in its sender and in its receiver. Without lookahead
+/// only front ops are crossed, so they are also a prefix of each cell's
+/// program, and a front-path machine resumes from these counts alone.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct MachineSnapshot {
     words_done: Vec<usize>,
 }
@@ -304,9 +318,40 @@ struct Run {
 
 #[cfg(test)]
 thread_local! {
-    /// Runs visited by [`Machine::scan`] on this thread: the deterministic
-    /// work counter the complexity tests read.
+    /// Runs visited by [`Windows::scan`] on this thread: the window walk's
+    /// deterministic work counter, which the complexity tests read.
     pub(crate) static RUNS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Cell fronts examined by [`Fronts::refresh`] on this thread: the
+    /// front path's work counter.
+    pub(crate) static FRONTS_EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// While set, machines built on this thread walk windows even when
+    /// every budget is zero, so tests can hold the front path to the
+    /// window walk.
+    static FORCE_WINDOW_WALK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every machine it builds walking windows, whatever the
+/// budgets: the reference the front path is tested against.
+#[cfg(test)]
+pub(crate) fn with_window_walk<T>(f: impl FnOnce() -> T) -> T {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            FORCE_WINDOW_WALK.with(|force| force.set(false));
+        }
+    }
+    FORCE_WINDOW_WALK.with(|force| force.set(true));
+    let _reset = Reset;
+    f()
+}
+
+/// `true` when `limits` let no write be skipped, so every cell's window is
+/// its front op and the machine can take the front path.
+fn fronts_suffice(limits: &LookaheadLimits) -> bool {
+    let skip_free = limits.as_table().iter().all(|&budget| budget == Some(0));
+    #[cfg(test)]
+    let skip_free = skip_free && !FORCE_WINDOW_WALK.with(std::cell::Cell::get);
+    skip_free
 }
 
 /// Working state of one crossing-off run.
@@ -315,31 +360,317 @@ thread_local! {
 /// step) and the labeling scheme (which crosses one pair at a time so labels
 /// are assigned in the order Section 6 prescribes).
 ///
-/// The machine keeps the executable pairs in an ordered *ready set*.
-/// Whether a message is executable depends only on its sender's and its
-/// receiver's programs, and a cell can locate an op only inside its
-/// *window*: the uncrossed ops from its front up to the first read, or up
-/// to the write whose skip would exceed its message's R2 budget (both
-/// inclusive). Crossing an op only ever extends a window. So after a cross
-/// the ready set is stale only for the crossed message and for the
-/// messages with an op in a touched cell's window, and the next read of
-/// the set re-examines exactly those. Windows are walked a run of repeated
-/// ops at a time; with lookahead off a window is the front op alone, which
-/// makes the whole procedure linear in the op count.
+/// The machine keeps the executable pairs in a *ready set*, ordered by
+/// rank (see [`Machine::rank`]) and then message id. Whether a message is
+/// executable depends only on its sender's and its receiver's programs,
+/// so after a cross only the messages around the two touched cells can
+/// change, and the next read of the set re-examines just those. How it
+/// examines them depends on the lookahead budgets alone:
+///
+/// * with every budget zero ([`Fronts`]) a message is executable exactly
+///   when its two cells' front ops are its write and its read. The set
+///   holds message keys, and a [`Pair`] is built only when one is taken;
+/// * with any nonzero budget ([`Windows`]) each touched cell's *window* is
+///   walked, and the set holds the pairs with their skip counts.
+///
+/// Both find the same pairs in the same order; the window walk is the
+/// reference the tests hold the front path to.
 pub(crate) struct Machine<'p> {
+    progress: Progress<'p>,
+    path: Path<'p>,
+}
+
+/// What both paths read: the program and how far each message has got.
+struct Progress<'p> {
     program: &'p Program,
+    /// Per message: number of words crossed so far.
+    words_done: Vec<usize>,
+    remaining_ops: usize,
+    /// Per message: the label it is ranked by in the ready set.
+    rank: Vec<Option<Label>>,
+}
+
+impl Progress<'_> {
+    /// Words of `message` not yet crossed. `Program::new` admits writes only
+    /// in a message's sender and reads only in its receiver, in equal
+    /// numbers, so this is also its uncrossed op count in either endpoint.
+    fn pending(&self, message: MessageId) -> usize {
+        self.program.word_count(message) - self.words_done[message.index()]
+    }
+
+    fn key(&self, message: MessageId) -> ReadyKey {
+        let label = self.rank[message.index()];
+        (label.is_none(), label, message)
+    }
+}
+
+/// How the ready set is kept.
+enum Path<'p> {
+    Fronts(Fronts),
+    Windows(Windows<'p>),
+}
+
+impl<'p> Machine<'p> {
+    pub(crate) fn new(program: &'p Program, limits: &'p LookaheadLimits) -> Self {
+        let snapshot = MachineSnapshot {
+            words_done: vec![0; program.num_messages()],
+        };
+        Self::from_snapshot(program, limits, snapshot)
+    }
+
+    /// Rebuilds a machine over `program` from a previous run's end state.
+    ///
+    /// `program` must extend the snapshot's program by appending operations
+    /// at cell-program tails only: same cells, same message declarations,
+    /// and each cell's op list an extension of what the snapshot saw, so
+    /// every crossed op keeps its place among its message's ops. Every
+    /// cell (front path) or message (window walk) is examined once for the
+    /// first read of the ready set.
+    pub(crate) fn from_snapshot(
+        program: &'p Program,
+        limits: &'p LookaheadLimits,
+        snapshot: MachineSnapshot,
+    ) -> Self {
+        let MachineSnapshot { words_done } = snapshot;
+        debug_assert_eq!(
+            words_done.len(),
+            program.num_messages(),
+            "messages are fixed"
+        );
+        let crossed_ops: usize = words_done.iter().sum::<usize>() * 2;
+        let progress = Progress {
+            program,
+            words_done,
+            remaining_ops: program.total_ops() - crossed_ops,
+            rank: vec![None; program.num_messages()],
+        };
+        let path = if fronts_suffice(limits) {
+            Path::Fronts(Fronts::new(&progress))
+        } else {
+            Path::Windows(Windows::new(&progress, limits))
+        };
+        Machine { progress, path }
+    }
+
+    /// Consumes the machine into its portable end state.
+    pub(crate) fn into_snapshot(self) -> MachineSnapshot {
+        MachineSnapshot {
+            words_done: self.progress.words_done,
+        }
+    }
+
+    pub(crate) fn remaining_ops(&self) -> usize {
+        self.progress.remaining_ops
+    }
+
+    pub(crate) fn stuck_report(&self, crossed_words: usize) -> StuckReport {
+        let program = self.progress.program;
+        StuckReport {
+            fronts: program
+                .cell_ids()
+                .map(|c| match &self.path {
+                    Path::Fronts(fronts) => fronts
+                        .front_op(program, c)
+                        .map(|op| (fronts.front[c.index()], op)),
+                    Path::Windows(windows) => windows.front_op(&self.progress, c),
+                })
+                .collect(),
+            remaining_ops: self.progress.remaining_ops,
+            crossed_words,
+        }
+    }
+
+    /// Words of `message` not yet crossed, in either of its endpoints.
+    pub(crate) fn pending(&self, message: MessageId) -> usize {
+        self.progress.pending(message)
+    }
+
+    /// Ranks `message` by `label` in the ready set from now on (labeling
+    /// order: smallest label first, unlabeled messages last).
+    pub(crate) fn rank(&mut self, message: MessageId, label: Label) {
+        let old = self.progress.key(message);
+        self.progress.rank[message.index()] = Some(label);
+        let new = self.progress.key(message);
+        match &mut self.path {
+            Path::Fronts(fronts) => fronts.rekey(old, new),
+            Path::Windows(windows) => windows.rekey(old, new),
+        }
+    }
+
+    /// Removes and returns every executable pair, in ready-set order.
+    /// Nothing is crossed between the takes, so only the first refreshes.
+    pub(crate) fn take_ready(&mut self) -> Vec<Pair> {
+        std::iter::from_fn(|| self.take_first_ready()).collect()
+    }
+
+    /// Removes and returns the first executable pair in ready-set order.
+    pub(crate) fn take_first_ready(&mut self) -> Option<Pair> {
+        match &mut self.path {
+            Path::Fronts(fronts) => {
+                fronts.refresh(&self.progress);
+                fronts.take_first(&self.progress)
+            }
+            Path::Windows(windows) => {
+                windows.refresh(&self.progress);
+                windows.ready.pop_first().map(|(_, pair)| pair)
+            }
+        }
+    }
+
+    /// Crosses `pair` off and queues what it can change for the next
+    /// refresh of the ready set.
+    pub(crate) fn cross(&mut self, pair: &Pair) {
+        debug_assert!(self.pending(pair.message) > 0, "word crossed twice");
+        self.progress.words_done[pair.message.index()] += 1;
+        self.progress.remaining_ops -= 2;
+        let decl = self.progress.program.message(pair.message);
+        let cells = [decl.sender(), decl.receiver()];
+        match &mut self.path {
+            Path::Fronts(fronts) => fronts.crossed(pair, cells),
+            Path::Windows(windows) => windows.crossed(&self.progress, pair.message, cells),
+        }
+    }
+}
+
+/// The ready set when every lookahead budget is zero.
+///
+/// Only front ops are ever crossed then, so each cell's crossed ops are a
+/// prefix of its program and one position per cell says where it stands.
+/// An executable message holds the fronts of both of its cells, so
+/// executable messages have disjoint cells: a cross changes only its own
+/// message and the messages at the new fronts of its two cells, and
+/// [`Fronts::refresh`] examines one front per touched cell.
+struct Fronts {
+    /// Per cell: position of its first uncrossed op.
+    front: Vec<usize>,
+    /// The executable messages' keys in descending ready-set order, so the
+    /// next pair to take is the last one.
+    ready: Vec<ReadyKey>,
+    /// Per message: is its key in `ready`?
+    queued: Vec<bool>,
+    /// Cells crossed in since the last refresh.
+    touched: Vec<CellId>,
+}
+
+impl Fronts {
+    fn new(progress: &Progress<'_>) -> Self {
+        let program = progress.program;
+        // A cell's crossed prefix holds each of its messages' first
+        // `words_done` ops (see `MachineSnapshot`).
+        let mut front = vec![0; program.num_cells()];
+        for (decl, &done) in program.messages().iter().zip(&progress.words_done) {
+            front[decl.sender().index()] += done;
+            front[decl.receiver().index()] += done;
+        }
+        Fronts {
+            front,
+            ready: Vec::new(),
+            queued: vec![false; program.num_messages()],
+            touched: program.cell_ids().collect(),
+        }
+    }
+
+    /// The first uncrossed op of `cell`, if any remains.
+    fn front_op(&self, program: &Program, cell: CellId) -> Option<Op> {
+        program
+            .cell(cell)
+            .ops()
+            .get(self.front[cell.index()])
+            .copied()
+    }
+
+    /// Adds to the ready set the messages now executable at the touched
+    /// cells' fronts: a front op is its message's write or read, so the
+    /// message is executable when its other cell's front op pairs with it.
+    fn refresh(&mut self, progress: &Progress<'_>) {
+        let program = progress.program;
+        for i in 0..self.touched.len() {
+            let cell = self.touched[i];
+            #[cfg(test)]
+            FRONTS_EXAMINED.with(|v| v.set(v.get() + 1));
+            let Some(op) = self.front_op(program, cell) else {
+                continue;
+            };
+            let m = op.message();
+            if self.queued[m.index()] {
+                continue;
+            }
+            let decl = program.message(m);
+            let other = if op.is_write() {
+                decl.receiver()
+            } else {
+                decl.sender()
+            };
+            if self
+                .front_op(program, other)
+                .is_some_and(|front| front.pairs_with(op))
+            {
+                self.queued[m.index()] = true;
+                let key = progress.key(m);
+                let at = self.ready.partition_point(|k| *k > key);
+                self.ready.insert(at, key);
+            }
+        }
+        self.touched.clear();
+    }
+
+    /// Moves a queued message's key from `old` to `new`.
+    fn rekey(&mut self, old: ReadyKey, new: ReadyKey) {
+        if !self.queued[old.2.index()] {
+            return;
+        }
+        let at = self.ready.partition_point(|k| *k > old);
+        debug_assert_eq!(self.ready[at], old, "a queued message is in the set");
+        self.ready.remove(at);
+        let at = self.ready.partition_point(|k| *k > new);
+        self.ready.insert(at, new);
+    }
+
+    /// Removes the first executable message and builds its pair from the
+    /// two fronts.
+    fn take_first(&mut self, progress: &Progress<'_>) -> Option<Pair> {
+        let (_, _, m) = self.ready.pop()?;
+        self.queued[m.index()] = false;
+        let decl = progress.program.message(m);
+        Some(Pair {
+            message: m,
+            word: progress.words_done[m.index()],
+            write_pos: self.front[decl.sender().index()],
+            read_pos: self.front[decl.receiver().index()],
+            skipped: BTreeMap::new(),
+        })
+    }
+
+    /// Steps both of a crossed pair's cells past the ops it crossed.
+    fn crossed(&mut self, pair: &Pair, cells: [CellId; 2]) {
+        debug_assert_eq!(
+            [pair.write_pos, pair.read_pos],
+            cells.map(|c| self.front[c.index()]),
+            "only front ops are crossed"
+        );
+        for cell in cells {
+            self.front[cell.index()] += 1;
+            self.touched.push(cell);
+        }
+    }
+}
+
+/// The ready set when some message may have writes skipped.
+///
+/// A cell can locate an op only inside its *window*: the uncrossed ops
+/// from its front up to the first read, or up to the write whose skip
+/// would exceed its message's R2 budget (both inclusive). Crossing an op
+/// only ever extends a window, so after a cross the set is stale only for
+/// the crossed message and for the messages with an op in a touched
+/// cell's window. Windows are walked a run of repeated ops at a time.
+struct Windows<'p> {
     limits: &'p LookaheadLimits,
     /// Per cell: its program as runs of one repeated op.
     runs: Vec<Vec<Run>>,
     /// Per cell: index of the first run with an uncrossed op.
     front: Vec<usize>,
-    /// Per message: number of words crossed so far.
-    words_done: Vec<usize>,
-    remaining_ops: usize,
     /// Every executable pair, current as of the last refresh.
     ready: BTreeMap<ReadyKey, Pair>,
-    /// Per message: the label it is ranked by in the ready set.
-    rank: Vec<Option<Label>>,
     /// Messages to re-examine at the next refresh.
     stale: Vec<MessageId>,
     /// Cells crossed in since the last refresh.
@@ -357,32 +688,11 @@ struct Located {
     skipped: BTreeMap<MessageId, usize>,
 }
 
-impl<'p> Machine<'p> {
-    pub(crate) fn new(program: &'p Program, limits: &'p LookaheadLimits) -> Self {
-        let snapshot = MachineSnapshot {
-            words_done: vec![0; program.num_messages()],
-        };
-        Self::from_snapshot(program, limits, snapshot)
-    }
-
-    /// Rebuilds a machine over `program` from a previous run's end state.
-    ///
-    /// `program` must extend the snapshot's program by appending operations
-    /// at cell-program tails only: same cells, same message declarations,
-    /// and each cell's op list an extension of what the snapshot saw, so
-    /// every crossed op keeps its place among its message's ops. Every
-    /// message is examined once for the first read of the ready set.
-    pub(crate) fn from_snapshot(
-        program: &'p Program,
-        limits: &'p LookaheadLimits,
-        snapshot: MachineSnapshot,
-    ) -> Self {
-        let MachineSnapshot { words_done } = snapshot;
-        debug_assert_eq!(
-            words_done.len(),
-            program.num_messages(),
-            "messages are fixed"
-        );
+impl<'p> Windows<'p> {
+    /// Splits every cell program into runs and queues every message for
+    /// the first refresh.
+    fn new(progress: &Progress<'_>, limits: &'p LookaheadLimits) -> Self {
+        let program = progress.program;
         let messages = program.num_messages();
         // A message's writes all sit in its sender and its reads all in its
         // receiver, so counting per (kind, message) across the whole
@@ -409,16 +719,11 @@ impl<'p> Machine<'p> {
                 runs
             })
             .collect();
-        let crossed_ops: usize = words_done.iter().sum::<usize>() * 2;
-        let mut machine = Machine {
-            program,
+        let mut windows = Windows {
             limits,
             front: vec![0; runs.len()],
             runs,
-            words_done,
-            remaining_ops: program.total_ops() - crossed_ops,
             ready: BTreeMap::new(),
-            rank: vec![None; messages],
             stale: program.message_ids().collect(),
             touched: Vec::new(),
             stale_mark: vec![true; messages],
@@ -426,92 +731,32 @@ impl<'p> Machine<'p> {
             window: Vec::new(),
         };
         for cell in program.cell_ids() {
-            machine.advance_front(cell);
+            windows.advance_front(progress, cell);
         }
-        machine
+        windows
     }
 
-    /// Consumes the machine into its portable end state.
-    pub(crate) fn into_snapshot(self) -> MachineSnapshot {
-        MachineSnapshot {
-            words_done: self.words_done,
+    /// The first uncrossed op of `cell` and its position, if any remains.
+    fn front_op(&self, progress: &Progress<'_>, cell: CellId) -> Option<(usize, Op)> {
+        let run = self.runs[cell.index()].get(self.front[cell.index()])?;
+        Some((run.start + crossed_in(progress, run), run.op))
+    }
+
+    /// Moves a pair from key `old` to key `new`.
+    fn rekey(&mut self, old: ReadyKey, new: ReadyKey) {
+        if let Some(pair) = self.ready.remove(&old) {
+            self.ready.insert(new, pair);
         }
-    }
-
-    pub(crate) fn remaining_ops(&self) -> usize {
-        self.remaining_ops
-    }
-
-    pub(crate) fn stuck_report(&self, crossed_words: usize) -> StuckReport {
-        StuckReport {
-            fronts: self
-                .program
-                .cell_ids()
-                .map(|c| {
-                    let run = self.runs[c.index()].get(self.front[c.index()])?;
-                    Some((run.start + self.crossed_in(run), run.op))
-                })
-                .collect(),
-            remaining_ops: self.remaining_ops,
-            crossed_words,
-        }
-    }
-
-    /// Words of `message` not yet crossed. `Program::new` admits writes only
-    /// in a message's sender and reads only in its receiver, in equal
-    /// numbers, so this is also its uncrossed op count in either endpoint.
-    pub(crate) fn pending(&self, message: MessageId) -> usize {
-        self.program.word_count(message) - self.words_done[message.index()]
-    }
-
-    /// Ranks `message` by `label` in the ready set from now on (labeling
-    /// order: smallest label first, unlabeled messages last).
-    pub(crate) fn rank(&mut self, message: MessageId, label: Label) {
-        let ready = self.ready.remove(&self.key(message));
-        self.rank[message.index()] = Some(label);
-        if let Some(pair) = ready {
-            self.ready.insert(self.key(message), pair);
-        }
-    }
-
-    /// Removes and returns every executable pair, in ready-set order.
-    pub(crate) fn take_ready(&mut self) -> Vec<Pair> {
-        self.refresh();
-        let mut pairs = Vec::with_capacity(self.ready.len());
-        // Popping keeps the map's root node for the next step.
-        while let Some((_, pair)) = self.ready.pop_first() {
-            pairs.push(pair);
-        }
-        pairs
-    }
-
-    /// Removes and returns the first executable pair in ready-set order.
-    pub(crate) fn take_first_ready(&mut self) -> Option<Pair> {
-        self.refresh();
-        self.ready.pop_first().map(|(_, pair)| pair)
-    }
-
-    fn key(&self, message: MessageId) -> ReadyKey {
-        let label = self.rank[message.index()];
-        (label.is_none(), label, message)
-    }
-
-    /// How many of `run`'s ops are crossed: its message's crossed ops in
-    /// this cell are the first `words_done` of them.
-    fn crossed_in(&self, run: &Run) -> usize {
-        self.words_done[run.op.message().index()]
-            .saturating_sub(run.ordinal)
-            .min(run.len)
     }
 
     /// Re-examines every stale message: the ones crossed and the ones with
     /// an op in a touched cell's window.
-    fn refresh(&mut self) {
+    fn refresh(&mut self, progress: &Progress<'_>) {
         for i in 0..self.touched.len() {
             let cell = self.touched[i];
             self.touched_mark[cell.index()] = false;
             let mut window = std::mem::take(&mut self.window);
-            self.scan(cell, |op| {
+            self.scan(progress, cell, |op| {
                 window.push(op.message());
                 false
             });
@@ -525,8 +770,8 @@ impl<'p> Machine<'p> {
         for i in 0..self.stale.len() {
             let m = self.stale[i];
             self.stale_mark[m.index()] = false;
-            let key = self.key(m);
-            match self.executable_pair(m) {
+            let key = progress.key(m);
+            match self.executable_pair(progress, m) {
                 Some(pair) => self.ready.insert(key, pair),
                 None => self.ready.remove(&key),
             };
@@ -542,22 +787,22 @@ impl<'p> Machine<'p> {
 
     /// `message`'s next word as a pair, if its write and its read can both
     /// be located now.
-    fn executable_pair(&self, m: MessageId) -> Option<Pair> {
-        if self.pending(m) == 0 {
+    fn executable_pair(&self, progress: &Progress<'_>, m: MessageId) -> Option<Pair> {
+        if progress.pending(m) == 0 {
             return None;
         }
-        let decl = self.program.message(m);
+        let decl = progress.program.message(m);
         // The read must end the receiver's window, so most probes fail on
         // this side first.
-        let r = self.locate(decl.receiver(), Op::read(m))?;
-        let w = self.locate(decl.sender(), Op::write(m))?;
+        let r = self.locate(progress, decl.receiver(), Op::read(m))?;
+        let w = self.locate(progress, decl.sender(), Op::write(m))?;
         let mut skipped = w.skipped;
         for (msg, n) in r.skipped {
             *skipped.entry(msg).or_insert(0) += n;
         }
         Some(Pair {
             message: m,
-            word: self.words_done[m.index()],
+            word: progress.words_done[m.index()],
             write_pos: w.pos,
             read_pos: r.pos,
             skipped,
@@ -567,20 +812,25 @@ impl<'p> Machine<'p> {
     /// Scans `cell`'s program from its front for `target`, skipping only
     /// un-crossed *write* operations (rule R1) within the per-message budget
     /// (rule R2). Returns the position and the skip counts, or `None`.
-    fn locate(&self, cell: CellId, target: Op) -> Option<Located> {
-        self.scan(cell, |op| op == target)
+    fn locate(&self, progress: &Progress<'_>, cell: CellId, target: Op) -> Option<Located> {
+        self.scan(progress, cell, |op| op == target)
     }
 
     /// Walks `cell`'s window in program order, offering each run's op to
     /// `hit` (a run's uncrossed ops are all that op). Returns the first
     /// uncrossed position of the run `hit` accepted, with the writes
     /// skipped before it, or `None` once the window ends.
-    fn scan(&self, cell: CellId, mut hit: impl FnMut(Op) -> bool) -> Option<Located> {
+    fn scan(
+        &self,
+        progress: &Progress<'_>,
+        cell: CellId,
+        mut hit: impl FnMut(Op) -> bool,
+    ) -> Option<Located> {
         let mut skipped: BTreeMap<MessageId, usize> = BTreeMap::new();
         for run in &self.runs[cell.index()][self.front[cell.index()]..] {
             #[cfg(test)]
             RUNS_VISITED.with(|v| v.set(v.get() + 1));
-            let crossed = self.crossed_in(run);
+            let crossed = crossed_in(progress, run);
             if crossed == run.len {
                 continue;
             }
@@ -610,30 +860,34 @@ impl<'p> Machine<'p> {
     }
 
     /// Moves `cell`'s front past runs whose ops are all crossed.
-    fn advance_front(&mut self, cell: CellId) {
+    fn advance_front(&mut self, progress: &Progress<'_>, cell: CellId) {
         let runs = &self.runs[cell.index()];
         let mut f = self.front[cell.index()];
-        while f < runs.len() && self.crossed_in(&runs[f]) == runs[f].len {
+        while f < runs.len() && crossed_in(progress, &runs[f]) == runs[f].len {
             f += 1;
         }
         self.front[cell.index()] = f;
     }
 
-    /// Crosses `pair` off and queues what it can change — the pair's
-    /// message and both of its cells' windows — for the next refresh.
-    pub(crate) fn cross(&mut self, pair: &Pair) {
-        let decl = self.program.message(pair.message);
-        debug_assert!(self.pending(pair.message) > 0, "word crossed twice");
-        self.words_done[pair.message.index()] += 1;
-        self.remaining_ops -= 2;
-        for cell in [decl.sender(), decl.receiver()] {
-            self.advance_front(cell);
+    /// Queues what a cross of `message` can change: the message itself and
+    /// both of its cells' windows.
+    fn crossed(&mut self, progress: &Progress<'_>, message: MessageId, cells: [CellId; 2]) {
+        for cell in cells {
+            self.advance_front(progress, cell);
             if !std::mem::replace(&mut self.touched_mark[cell.index()], true) {
                 self.touched.push(cell);
             }
         }
-        self.mark_stale(pair.message);
+        self.mark_stale(message);
     }
+}
+
+/// How many of `run`'s ops are crossed: its message's crossed ops in its
+/// cell are the first `words_done` of them.
+fn crossed_in(progress: &Progress<'_>, run: &Run) -> usize {
+    progress.words_done[run.op.message().index()]
+        .saturating_sub(run.ordinal)
+        .min(run.len)
 }
 
 #[cfg(test)]
@@ -870,26 +1124,46 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Runs visited by [`Machine::scan`] while `f` runs on this thread.
-    fn runs_visited(f: impl FnOnce()) -> usize {
-        let before = RUNS_VISITED.with(std::cell::Cell::get);
+    /// Runs visited by [`Windows::scan`] and fronts examined by
+    /// [`Fronts::refresh`] while `f` runs on this thread.
+    fn work(f: impl FnOnce()) -> (usize, usize) {
+        let read = || {
+            (
+                RUNS_VISITED.with(std::cell::Cell::get),
+                FRONTS_EXAMINED.with(std::cell::Cell::get),
+            )
+        };
+        let (runs, fronts) = read();
         f();
-        RUNS_VISITED.with(std::cell::Cell::get) - before
+        let (runs_after, fronts_after) = read();
+        (runs_after - runs, fronts_after - fronts)
+    }
+
+    /// Classifies and labels `p` under `limits`, returning the work each
+    /// took.
+    fn classify_and_label_work(p: &Program, limits: &LookaheadLimits) -> [(usize, usize); 2] {
+        let classify = work(|| {
+            let c = classify_with(p, limits);
+            assert!(c.is_deadlock_free());
+        });
+        let label = work(|| {
+            crate::label_messages(p, limits).unwrap();
+        });
+        [classify, label]
     }
 
     #[test]
-    fn chain_work_is_linear_in_messages() {
+    fn window_walk_work_is_linear_in_messages() {
         for n in [1024, 8192] {
             let p = chain(n);
             let limits = LookaheadLimits::disabled(&p);
-            let classify_runs = runs_visited(|| {
-                let c = classify(&p);
-                assert!(c.is_deadlock_free());
-                assert_eq!(c.trace().steps().len(), n, "one message per step");
-            });
-            let label_runs = runs_visited(|| {
-                crate::label_messages(&p, &limits).unwrap();
-            });
+            assert_eq!(
+                with_window_walk(|| classify(&p)).trace().steps().len(),
+                n,
+                "one message per step"
+            );
+            let [(classify_runs, _), (label_runs, _)] =
+                with_window_walk(|| classify_and_label_work(&p, &limits));
             // Each cross re-examines the crossed message and the one new
             // front op per cell (every run here is a single op); a per-step
             // scan of every message would visit on the order of n * n.
@@ -902,6 +1176,78 @@ mod tests {
                 "labeling visited {label_runs} runs for {n}"
             );
         }
+    }
+
+    #[test]
+    fn front_path_examines_two_fronts_per_cross() {
+        for n in [1024, 8192] {
+            let p = chain(n);
+            let limits = LookaheadLimits::disabled(&p);
+            for (what, (runs, fronts)) in ["classify", "labeling"]
+                .into_iter()
+                .zip(classify_and_label_work(&p, &limits))
+            {
+                // Every cell once for the first refresh, then the two new
+                // fronts of each of the n crosses.
+                assert!(
+                    fronts <= 2 * n + p.num_cells(),
+                    "{what} examined {fronts} fronts for {n} crosses"
+                );
+                assert_eq!(runs, 0, "{what} walked a window");
+            }
+        }
+    }
+
+    #[test]
+    fn budgets_alone_pick_the_path() {
+        let p = p1();
+        // All-zero tables take the front path, whoever built them.
+        for limits in [
+            LookaheadLimits::disabled(&p),
+            LookaheadLimits::uniform(&p, 0),
+            LookaheadLimits::from_table(vec![Some(0); p.num_messages()]),
+        ] {
+            let (runs, fronts) = work(|| drop(classify_with(&p, &limits)));
+            assert!(fronts > 0 && runs == 0, "{limits:?}");
+        }
+        // One nonzero budget, or an unbounded one, walks windows.
+        for limits in [
+            LookaheadLimits::from_table(vec![Some(0), Some(1)]),
+            LookaheadLimits::from_table(vec![None, Some(0)]),
+            LookaheadLimits::uniform(&p, 2),
+        ] {
+            let (runs, fronts) = work(|| drop(classify_with(&p, &limits)));
+            assert!(runs > 0 && fronts == 0, "{limits:?}");
+        }
+    }
+
+    #[test]
+    fn ranking_a_ready_message_moves_it_in_the_ready_set() {
+        let p = parse_program(
+            "cells 6\n\
+             message X: c0 -> c1\n\
+             message Y: c2 -> c3\n\
+             message Z: c4 -> c5\n\
+             program c0 { W(X) }\nprogram c1 { R(X) }\n\
+             program c2 { W(Y) }\nprogram c3 { R(Y) }\n\
+             program c4 { W(Z) }\nprogram c5 { R(Z) }\n",
+        )
+        .unwrap();
+        let limits = LookaheadLimits::disabled(&p);
+        let id = |name| p.message_id(name).unwrap();
+        let order = || {
+            let mut machine = Machine::new(&p, &limits);
+            // All three are ready; unlabeled, they go in id order.
+            let first = machine.take_first_ready().unwrap().message;
+            // Labeled while ready, Z and then Y overtake what is left.
+            machine.rank(id("Z"), Label::integer(1));
+            machine.rank(id("Y"), Label::integer(2));
+            let rest = std::iter::from_fn(|| machine.take_first_ready()).map(|pair| pair.message);
+            std::iter::once(first).chain(rest).collect::<Vec<_>>()
+        };
+        let expected = vec![id("X"), id("Z"), id("Y")];
+        assert_eq!(order(), expected);
+        assert_eq!(with_window_walk(order), expected);
     }
 
     #[test]
@@ -940,5 +1286,223 @@ mod render_tests {
         let c = classify_with(&p, &limits);
         let text = c.trace().render(&p);
         assert!(text.contains("[skipped 2]"), "{text}");
+    }
+}
+
+/// The front path held to the window walk on zero budgets: every output of
+/// the procedure must be identical, on random programs small and mid-size,
+/// deadlock-free by construction or perturbed into deadlock.
+#[cfg(test)]
+mod front_path_tests {
+    use super::*;
+    use crate::labeling::label_messages_assignments_only;
+    use crate::{label_messages, CoreError, LabelingReport};
+    use proptest::prelude::*;
+    use systolic_model::{CellProgram, MessageDecl};
+    use systolic_workloads::{random_program, scramble, swap_adjacent, RandomConfig};
+
+    /// SplitMix64: the case's perturbation choices.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    fn rebuilt(program: &Program, messages: Vec<MessageDecl>, ops: Vec<Vec<Op>>) -> Program {
+        let names = program
+            .cell_ids()
+            .map(|c| program.cell_name(c).to_owned())
+            .collect();
+        Program::new(
+            names,
+            messages,
+            ops.into_iter().map(CellProgram::new).collect(),
+        )
+        .expect("balanced edits keep the program valid")
+    }
+
+    fn ops_of(program: &Program) -> Vec<Vec<Op>> {
+        program.cells().iter().map(|c| c.ops().to_vec()).collect()
+    }
+
+    /// Splices a read-before-write cycle between two cells: each waits for
+    /// the other's write, so the result is deadlocked.
+    fn splice(program: &Program, s: &mut Stream) -> Program {
+        let cells = program.num_cells();
+        let a = s.below(cells);
+        let b = (a + 1 + s.below(cells - 1)) % cells;
+        let (a, b) = (CellId::new(a as u32), CellId::new(b as u32));
+        let mut messages = program.messages().to_vec();
+        let x = MessageId::new(messages.len() as u32);
+        let y = MessageId::new(messages.len() as u32 + 1);
+        messages.push(MessageDecl::new("X", a, b).unwrap());
+        messages.push(MessageDecl::new("Y", b, a).unwrap());
+        let mut ops = ops_of(program);
+        for (cell, wait, send) in [(a, y, x), (b, x, y)] {
+            let list = &mut ops[cell.index()];
+            let at = s.below(list.len() + 1);
+            list.splice(at..at, [Op::read(wait), Op::write(send)]);
+        }
+        rebuilt(program, messages, ops)
+    }
+
+    /// Appends `words` more words of random messages at cell tails.
+    fn appended(program: &Program, s: &mut Stream, words: usize) -> Program {
+        let mut ops = ops_of(program);
+        for _ in 0..words {
+            let m = MessageId::new(s.below(program.num_messages()) as u32);
+            let decl = program.message(m);
+            ops[decl.sender().index()].push(Op::write(m));
+            ops[decl.receiver().index()].push(Op::read(m));
+        }
+        rebuilt(program, program.messages().to_vec(), ops)
+    }
+
+    /// A random program of kind `kind`: schedule-projected (deadlock-free),
+    /// scrambled, with adjacent ops swapped, or with a deadlock spliced in.
+    fn program(config: &RandomConfig, seed: u64, kind: usize, s: &mut Stream) -> Program {
+        let base = random_program(config, seed).expect("random programs build");
+        match kind {
+            0 => base,
+            1 => scramble(&base, seed),
+            2 => (0..3).fold(base, |p, _| {
+                let cell = s.below(p.num_cells());
+                let pos = s.below(p.cells()[cell].len().max(1));
+                swap_adjacent(&p, cell, pos).unwrap_or(p)
+            }),
+            _ => splice(&base, s),
+        }
+    }
+
+    fn same_labeling(
+        front: Result<LabelingReport, CoreError>,
+        walk: Result<LabelingReport, CoreError>,
+    ) -> Result<(), TestCaseError> {
+        match (front, walk) {
+            (Ok(front), Ok(walk)) => {
+                prop_assert_eq!(front.labeling(), walk.labeling());
+                prop_assert_eq!(front.assignment_order(), walk.assignment_order());
+            }
+            (Err(front), Err(walk)) => prop_assert_eq!(front, walk),
+            (front, walk) => {
+                prop_assert!(false, "labelings diverged: {front:?} against {walk:?}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Every output of both paths on `program`, and on its run resumed
+    /// after `extended`'s tail appends.
+    fn paths_agree(program: &Program, extended: &Program) -> Result<(), TestCaseError> {
+        let limits = LookaheadLimits::disabled(program);
+        let (front, front_end) = classify_with_snapshot(program, &limits);
+        let (walk, walk_end) = with_window_walk(|| classify_with_snapshot(program, &limits));
+        prop_assert_eq!(&front, &walk);
+        prop_assert_eq!(&front_end, &walk_end);
+        same_labeling(
+            label_messages(program, &limits),
+            with_window_walk(|| label_messages(program, &limits)),
+        )?;
+        if front.is_deadlock_free() {
+            same_labeling(
+                label_messages_assignments_only(program, &limits),
+                with_window_walk(|| label_messages_assignments_only(program, &limits)),
+            )?;
+        }
+
+        let limits = LookaheadLimits::disabled(extended);
+        let resumed = classify_resume(extended, &limits, front_end, front.trace().clone());
+        let resumed_walk =
+            with_window_walk(|| classify_resume(extended, &limits, walk_end, walk.trace().clone()));
+        prop_assert_eq!(&resumed, &resumed_walk);
+        // Confluence: a resumed run crosses what a fresh one does and
+        // stalls where it stalls.
+        let fresh = classify(extended);
+        prop_assert_eq!(resumed.0.trace().total_pairs(), fresh.trace().total_pairs());
+        match (&resumed.0, &fresh) {
+            (Classification::DeadlockFree(_), Classification::DeadlockFree(_)) => {}
+            (
+                Classification::Deadlocked { stuck: a, .. },
+                Classification::Deadlocked { stuck: b, .. },
+            ) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "resumed {a:?} against fresh {b:?}"),
+        }
+        Ok(())
+    }
+
+    fn check(
+        config: RandomConfig,
+        seed: u64,
+        kind: usize,
+        appends: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut s = Stream(seed);
+        let program = program(&config, seed, kind, &mut s);
+        let extended = appended(&program, &mut s, appends);
+        paths_agree(&program, &extended)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn small_programs_agree_on_both_paths(
+            shape in (2usize..6, 1usize..8, 1usize..4, any::<bool>()),
+            seed in 0u64..1_000_000,
+            kind in 0usize..4,
+            appends in 0usize..4,
+        ) {
+            let (cells, messages, max_words, clustered) = shape;
+            let config = RandomConfig { cells, messages, max_words, max_span: 2, clustered };
+            check(config, seed, kind, appends)?;
+        }
+
+        #[test]
+        fn mid_size_programs_agree_on_both_paths(
+            shape in (6usize..17, 8usize..41, 1usize..6, any::<bool>()),
+            seed in 0u64..1_000_000,
+            kind in 0usize..4,
+            appends in 0usize..12,
+        ) {
+            let (cells, messages, max_words, clustered) = shape;
+            let config = RandomConfig { cells, messages, max_words, max_span: 3, clustered };
+            check(config, seed, kind, appends)?;
+        }
+    }
+
+    /// The differential cases cover both verdicts and a labeling error, so
+    /// agreement is not vacuous.
+    #[test]
+    fn the_corpus_reaches_every_outcome() {
+        let mut free = 0;
+        let mut deadlocked = 0;
+        let mut wedged = 0;
+        for seed in 0..200u64 {
+            let config = RandomConfig {
+                cells: 6,
+                messages: 12,
+                max_words: 3,
+                max_span: 3,
+                clustered: seed % 2 == 0,
+            };
+            let p = program(&config, seed, (seed % 4) as usize, &mut Stream(seed));
+            let limits = LookaheadLimits::disabled(&p);
+            if classify(&p).is_deadlock_free() {
+                free += 1;
+                wedged += usize::from(label_messages(&p, &limits).is_err());
+            } else {
+                deadlocked += 1;
+            }
+        }
+        assert!(
+            free > 0 && deadlocked > 0 && wedged > 0,
+            "{free} {deadlocked} {wedged}"
+        );
     }
 }

@@ -79,6 +79,9 @@ pub enum DiagnosticCode {
 }
 
 impl DiagnosticCode {
+    /// The number of codes: `code as usize` is below it.
+    pub(crate) const COUNT: usize = 9;
+
     /// The stable wire string of this code.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -354,6 +357,24 @@ mod tests {
         strings.sort_unstable();
         strings.dedup();
         assert_eq!(strings.len(), codes.len());
+        // `COUNT` covers every code; the match stops compiling when a code
+        // is added, until it is listed above.
+        assert_eq!(codes.len(), DiagnosticCode::COUNT);
+        for code in codes {
+            match code {
+                DiagnosticCode::CellCountMismatch
+                | DiagnosticCode::RouteFailure
+                | DiagnosticCode::ModelInvalid
+                | DiagnosticCode::Deadlock
+                | DiagnosticCode::LabelConflict
+                | DiagnosticCode::InconsistentLabeling
+                | DiagnosticCode::Infeasible
+                | DiagnosticCode::Section6Fallback
+                | DiagnosticCode::ExtensionCandidate => {
+                    assert!((code as usize) < DiagnosticCode::COUNT);
+                }
+            }
+        }
     }
 
     #[test]

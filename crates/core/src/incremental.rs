@@ -36,6 +36,11 @@
 //! | labeling       | never wholesale; the assignments-only driver stops   |
 //! |                | once every message is labeled (sound after a         |
 //! |                | deadlock-free classification)                        |
+//! | requirements   | competing sets reused and the new labeling equal to  |
+//! |                | the base's (a function of those two alone)           |
+//!
+//! Reused artifacts are shared with the base analysis behind `Arc`s, not
+//! copied, and a resumed classification extends the base trace in place.
 //!
 //! # Examples
 //!
@@ -73,9 +78,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use systolic_model::{CellId, CellProgram, MessageId, ModelError, Op, Program, Topology};
-use systolic_obs::{names, SpanCtx};
+use systolic_obs::SpanCtx;
 
-use crate::analyzer::{AnalysisOutcome, SessionSeeds, WarmArtifacts};
+use crate::analyzer::{AnalysisOutcome, Observed, SessionSeeds, WarmArtifacts};
 use crate::crossing_off::classify_resume;
 use crate::{Analyzer, Classification, CompiledTopology, Diagnostics, Lookahead, LookaheadLimits};
 
@@ -645,6 +650,9 @@ impl IncrementalSession {
         let capacity_lookahead = matches!(lookahead, Lookahead::PerQueueCapacity(_));
 
         let mut seeds = SessionSeeds::default();
+        // Every warm artifact is moved into the seeds or dropped: the edit
+        // commits from here on, and a new warm state replaces this one.
+        let mut warm = std::mem::take(&mut self.warm);
         let mut report = ReuseReport {
             dirty_cells: dirty.count(),
             total_cells: self.program.num_cells(),
@@ -665,13 +673,16 @@ impl IncrementalSession {
                 // Edits never touch message declarations, so with the
                 // topology unchanged the route table — and the competing
                 // sets derived from it — are reused byte-for-byte.
-                if let Some(routes) = self.warm.routes.clone() {
+                if let Some(routes) = warm.routes.take() {
                     seeds.routes = Some(routes);
                     report.reused_routes = true;
                 }
-                if let Some(competing) = self.warm.competing.clone() {
+                if let Some(competing) = warm.competing.take() {
                     seeds.competing = Some(competing);
                     report.reused_competing = true;
+                    // With the competing sets reused, the base requirements
+                    // hold for an unchanged labeling (checked in the stage).
+                    seeds.requirements = warm.requirements.take();
                 }
             }
             if dirty.count() == 0 {
@@ -679,26 +690,31 @@ impl IncrementalSession {
                 // unchanged, and classification reads the topology only
                 // through capacity-derived lookahead budgets.
                 if !capacity_lookahead {
-                    if let Some(classification) = self.warm.classification.clone() {
+                    if let Some(classification) = warm.classification.take() {
                         seeds.classification = Some(classification);
                         report.seeded_classification = true;
-                        carried_snapshot = self.warm.snapshot.take();
+                        carried_snapshot = warm.snapshot.take();
                     }
                 }
             } else if !dirty.has_removals() && lookahead_disabled {
                 // Append-only program edit without lookahead: resume the
                 // crossing-off machine from the previous end state
                 // (see `classify_resume` for the confluence argument).
-                if self.warm.snapshot.is_some() && self.warm.classification.is_some() {
-                    let snapshot = self.warm.snapshot.take().expect("checked above");
-                    let base_trace = match self.warm.classification.take().expect("checked above") {
+                if let (Some(snapshot), Some(classification)) =
+                    (warm.snapshot.take(), warm.classification.take())
+                {
+                    // The old outcome shares the base classification; drop
+                    // it so the base trace is moved into the resumed run,
+                    // not copied.
+                    self.outcome = AnalysisOutcome::vacant();
+                    let base_trace = match Arc::unwrap_or_clone(classification) {
                         Classification::DeadlockFree(trace) => trace,
                         Classification::Deadlocked { trace, .. } => trace,
                     };
                     let limits = LookaheadLimits::disabled(&program);
                     let (resumed, snapshot) =
                         classify_resume(&program, &limits, snapshot, base_trace);
-                    seeds.classification = Some(resumed);
+                    seeds.classification = Some(Arc::new(resumed));
                     report.resumed_classification = true;
                     report.seeded_classification = true;
                     carried_snapshot = Some(snapshot);
@@ -711,7 +727,9 @@ impl IncrementalSession {
             seeds.capture_snapshot = true;
         }
 
-        if let (Some(obs), Some(ctx)) = (analyzer.obs(), ctx) {
+        drop(warm);
+
+        if let (Some(Observed { obs, .. }), Some(ctx)) = (analyzer.observed(), ctx) {
             for (reused, name) in [
                 (report.reused_routes, "reuse:routes"),
                 (report.seeded_classification, "reuse:classification"),
@@ -732,33 +750,29 @@ impl IncrementalSession {
             warm.snapshot = carried_snapshot;
         }
 
-        if let Some(obs) = analyzer.obs() {
+        if let Some(Observed { obs, instruments }) = analyzer.observed() {
             let registry = obs.registry();
-            registry.counter(names::INCREMENTAL_EDITS).inc();
-            registry
-                .counter(names::INCREMENTAL_DIRTY_CELLS)
-                .add(dirty.count() as u64);
+            instruments.edits(registry).inc();
+            instruments.dirty_cells(registry).add(dirty.count() as u64);
             if let Some(reason) = fallback {
-                registry
-                    .counter_with(names::INCREMENTAL_FALLBACKS, &[("reason", reason.as_str())])
-                    .inc();
+                instruments.fallbacks(registry, reason).inc();
             }
-            for (reused, stage) in [
-                (report.reused_routes, "routes"),
-                (report.seeded_classification, "classification"),
-                (report.reused_competing, "competing"),
-            ] {
+            // In `REUSABLE_STAGES` order.
+            let reused = [
+                report.reused_routes,
+                report.seeded_classification,
+                report.reused_competing,
+            ];
+            for (stage, reused) in reused.into_iter().enumerate() {
                 if reused {
-                    registry
-                        .counter_with(names::INCREMENTAL_STAGE_REUSED, &[("stage", stage)])
-                        .inc();
+                    instruments.reused(registry, stage).inc();
                 }
             }
             if report.reused_any() {
-                registry.counter(names::INCREMENTAL_HITS).inc();
+                instruments.hits(registry).inc();
             }
-            registry
-                .histogram(names::INCREMENTAL_EDIT_DURATION)
+            instruments
+                .edit_duration(registry)
                 .record(start.elapsed().as_micros() as u64);
         }
 
@@ -775,6 +789,7 @@ mod tests {
     use super::*;
     use crate::{AnalysisConfig, CoreError};
     use systolic_model::parse_program;
+    use systolic_obs::names;
 
     fn line_session(text: &str, n: usize) -> IncrementalSession {
         let program = parse_program(text).unwrap();
@@ -823,6 +838,75 @@ mod tests {
         assert!(report.fallback.is_none());
         assert_eq!(report.dirty_cells, 2);
         assert_eq!(session.program().total_words(), 4);
+        assert_parity(&session);
+    }
+
+    /// Two messages from c0 to c1, A before B: unrelated, so labeled 1 and
+    /// 2, and one queue serves the hop.
+    fn unrelated_pair() -> IncrementalSession {
+        let program = parse_program(
+            "cells 4\nmessage A: c0 -> c1\nmessage B: c0 -> c1\n\
+             program c0 { W(A) W(B) }\nprogram c1 { R(A) R(B) }\n",
+        )
+        .unwrap();
+        let config = AnalysisConfig {
+            queues_per_interval: 2,
+            ..AnalysisConfig::default()
+        };
+        let analyzer = Analyzer::for_topology(&Topology::linear(4), &config);
+        IncrementalSession::seed(analyzer, program, IncrementalConfig::default())
+    }
+
+    /// Appends one word of `name` at its sender's and receiver's tails.
+    fn append_word(session: &mut IncrementalSession, name: &str) -> ReuseReport {
+        let m = session.program().message_id(name).unwrap();
+        let decl = session.program().message(m);
+        let edits = [
+            EditOp::AppendOp {
+                cell: decl.sender(),
+                op: Op::write(m),
+            },
+            EditOp::AppendOp {
+                cell: decl.receiver(),
+                op: Op::read(m),
+            },
+        ];
+        session.apply(&edits).unwrap()
+    }
+
+    fn requirements(session: &IncrementalSession) -> &crate::QueueRequirements {
+        session.outcome().result().unwrap().plan().requirements()
+    }
+
+    #[test]
+    fn unchanged_labeling_keeps_the_base_requirements() {
+        let mut session = unrelated_pair();
+        let base: *const crate::QueueRequirements = requirements(&session);
+        let report = append_word(&mut session, "B");
+        assert!(report.resumed_classification && report.reused_competing);
+        assert!(
+            std::ptr::eq(base, requirements(&session)),
+            "the base requirements are shared, not recomputed"
+        );
+        assert_parity(&session);
+    }
+
+    #[test]
+    fn changed_labeling_recomputes_the_requirements() {
+        let mut session = unrelated_pair();
+        assert_eq!(requirements(&session).max_per_interval(), 1);
+        // W(A) W(B) W(A): A and B interleave, so their related classes
+        // merge into one label, and the hop needs a queue for each.
+        let report = append_word(&mut session, "A");
+        assert!(report.resumed_classification && report.reused_competing);
+        let plan = session.outcome().result().unwrap().plan();
+        let program = session.program();
+        let (a, b) = (
+            program.message_id("A").unwrap(),
+            program.message_id("B").unwrap(),
+        );
+        assert_eq!(plan.label(a), plan.label(b));
+        assert_eq!(requirements(&session).max_per_interval(), 2);
         assert_parity(&session);
     }
 

@@ -13,6 +13,8 @@
 //! [`analyzer`](crate::analyzer)); this module holds the configuration
 //! they run under and the [`Analysis`] they produce.
 
+use std::sync::Arc;
+
 use systolic_model::{MessageId, Program};
 
 use crate::{Classification, CommPlan, LabelingReport, LookaheadLimits};
@@ -85,7 +87,7 @@ pub enum LabelingMethod {
 /// A successful end-to-end analysis.
 #[derive(Clone, Debug)]
 pub struct Analysis {
-    classification: Classification,
+    classification: Arc<Classification>,
     labeling_report: Option<LabelingReport>,
     labeling_method: LabelingMethod,
     plan: CommPlan,
@@ -96,7 +98,7 @@ impl Analysis {
     /// Assembles an analysis from staged artifacts (the
     /// [`Analyzer`](crate::Analyzer)'s final step).
     pub(crate) fn from_parts(
-        classification: Classification,
+        classification: Arc<Classification>,
         labeling_report: Option<LabelingReport>,
         labeling_method: LabelingMethod,
         plan: CommPlan,

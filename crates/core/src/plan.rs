@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use systolic_model::{Hop, Interval, MessageId, MessageRoutes, Route};
 
@@ -17,12 +18,15 @@ use crate::{CompetingSets, Label, Labeling, QueueRequirements};
 /// Construct via [`Analyzer`](crate::Analyzer); the pieces can also be
 /// assembled by hand for experiments (e.g. swapping in the trivial
 /// labeling).
+///
+/// The parts sit behind [`Arc`]s, shared with the analysis stages that
+/// computed them, so cloning a plan copies four pointers.
 #[derive(Clone, Debug)]
 pub struct CommPlan {
-    labeling: Labeling,
-    routes: MessageRoutes,
-    competing: CompetingSets,
-    requirements: QueueRequirements,
+    labeling: Arc<Labeling>,
+    routes: Arc<MessageRoutes>,
+    competing: Arc<CompetingSets>,
+    requirements: Arc<QueueRequirements>,
 }
 
 impl CommPlan {
@@ -33,6 +37,21 @@ impl CommPlan {
         routes: MessageRoutes,
         competing: CompetingSets,
         requirements: QueueRequirements,
+    ) -> Self {
+        Self::from_shared(
+            Arc::new(labeling),
+            Arc::new(routes),
+            Arc::new(competing),
+            Arc::new(requirements),
+        )
+    }
+
+    /// Assembles a plan from parts other artifacts share.
+    pub(crate) fn from_shared(
+        labeling: Arc<Labeling>,
+        routes: Arc<MessageRoutes>,
+        competing: Arc<CompetingSets>,
+        requirements: Arc<QueueRequirements>,
     ) -> Self {
         CommPlan {
             labeling,

@@ -48,6 +48,9 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+use std::any::Any;
+use std::sync::{Arc, Mutex, PoisonError};
+
 pub mod metrics;
 pub mod trace;
 
@@ -152,6 +155,8 @@ pub mod names {
 pub struct Obs {
     registry: Registry,
     tracer: Tracer,
+    /// Producers' handle sets, one per type (see [`Obs::handles`]).
+    handles: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl Obs {
@@ -168,6 +173,27 @@ impl Obs {
     /// The span tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// This bundle's handle set of type `T`, created by `T::default()` on
+    /// the first call and shared by every later one.
+    ///
+    /// A producer keeps the instrument handles it has resolved from the
+    /// [`Registry`] here, so a short-lived producer over a long-lived
+    /// bundle (a serving layer's per-request analyzer, say) finds them
+    /// already resolved instead of locking the registry, building a key
+    /// and searching its map for every sample.
+    pub fn handles<T: Any + Send + Sync + Default>(&self) -> Arc<T> {
+        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(found) = handles
+            .iter()
+            .find_map(|set| Arc::clone(set).downcast::<T>().ok())
+        {
+            return found;
+        }
+        let set = Arc::new(T::default());
+        handles.push(Arc::clone(&set) as Arc<dyn Any + Send + Sync>);
+        set
     }
 }
 
@@ -189,5 +215,26 @@ mod tests {
             1
         );
         assert_eq!(obs.tracer().snapshot().len(), 1);
+    }
+
+    #[test]
+    fn handle_sets_are_kept_once_per_bundle_and_type() {
+        #[derive(Default)]
+        struct Hits(std::sync::OnceLock<Arc<Counter>>);
+        let obs = Obs::new();
+        let first = obs.handles::<Hits>();
+        first
+            .0
+            .get_or_init(|| obs.registry().counter(names::ARENA_CACHE_HITS))
+            .inc();
+        let again = obs.handles::<Hits>();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(again.0.get().is_some(), "the resolved handle is kept");
+        assert_eq!(
+            obs.handles::<Vec<u8>>().len(),
+            0,
+            "another type, another set"
+        );
+        assert!(Obs::new().handles::<Hits>().0.get().is_none());
     }
 }

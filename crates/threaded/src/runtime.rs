@@ -111,9 +111,11 @@ pub fn run_threaded(
         let handles: Vec<_> = cells
             .iter()
             .map(|&cell| scope.spawn(move || run_cell(ctl, program, routes, cell)))
-            .chain(forwarders.iter().map(|&(m, src, dst)| {
-                scope.spawn(move || forward(ctl, m, program.word_count(m), src, dst))
-            }))
+            .chain(
+                forwarders
+                    .iter()
+                    .map(|&(m, src, dst)| scope.spawn(move || forward(ctl, program, m, src, dst))),
+            )
             .collect();
         handles
             .into_iter()
@@ -158,7 +160,11 @@ fn run_cell(
     for (pc, op) in program.cell(cell).iter().enumerate() {
         let m = op.message();
         let mut hops = routes.route(m).hops();
-        let fail = |what: &str| format!("{name} blocked at op {pc} ({op}): {what}");
+        let message = program.message(m).name();
+        let fail = |what: &str| {
+            let kind = op.kind();
+            format!("{name} blocked at op {pc} ({kind}({message})): {what}")
+        };
         if op.is_write() {
             let hop = hops.next().expect("nonempty route");
             let queue = ctl
@@ -194,11 +200,25 @@ fn run_cell(
     Ok(())
 }
 
-/// Moves `m`'s `words` words from its queue on `src` to its queue on
-/// `dst`, across the cell between the two hops.
-fn forward(ctl: &Controller, m: MessageId, words: usize, src: Hop, dst: Hop) -> Result<(), String> {
+/// Moves `m`'s words from its queue on `src` to its queue on `dst`,
+/// across the cell between the two hops.
+fn forward(
+    ctl: &Controller,
+    program: &Program,
+    m: MessageId,
+    src: Hop,
+    dst: Hop,
+) -> Result<(), String> {
     let _leave = Leave(ctl);
-    let fail = |what: &str| format!("forwarder {m}@{dst}: {what}");
+    // Named as the program names them, like the cells' reports.
+    let fail = |what: &str| {
+        format!(
+            "forwarder {}@{}->{}: {what}",
+            program.message(m).name(),
+            program.cell_name(dst.from()),
+            program.cell_name(dst.to())
+        )
+    };
     let from = ctl
         .await_assignment(m, src.interval())
         .map_err(|Deadlock| fail("waiting for upstream queue"))?;
@@ -209,7 +229,7 @@ fn forward(ctl: &Controller, m: MessageId, words: usize, src: Hop, dst: Hop) -> 
     let to = ctl
         .acquire(m, dst)
         .map_err(|Deadlock| fail("acquiring next-hop queue"))?;
-    for _ in 0..words {
+    for _ in 0..program.word_count(m) {
         let word = ctl.pop(from).map_err(|Deadlock| fail("popping"))?;
         ctl.push(to, word, false)
             .map_err(|Deadlock| fail("pushing"))?;
@@ -293,14 +313,14 @@ mod tests {
     fn fifo_fig7_completes_or_sticks_in_one_shape() {
         // FIFO gives interval c3-c4 to B when B asks before C's header
         // reaches c3; then c4 waits for C, and C waits for the queue B
-        // holds. Hops print cell ids (c0-c3), cells their names (c1-c4).
+        // holds. Cells and messages print by their names in the program.
         let p = wl::fig7(3);
         let t = wl::fig7_topology();
         let stuck = [
-            "c3 blocked at op 5 (W(m1)): pushing (queue full or latch held)",
-            "c4 blocked at op 0 (R(m2)): waiting for queue assignment",
-            "forwarder m2@c1->c2: pushing",
-            "forwarder m2@c2->c3: acquiring next-hop queue",
+            "c3 blocked at op 5 (W(B)): pushing (queue full or latch held)",
+            "c4 blocked at op 0 (R(C)): waiting for queue assignment",
+            "forwarder C@c2->c3: pushing",
+            "forwarder C@c3->c4: acquiring next-hop queue",
         ];
         for _ in 0..RUNS {
             let out = run_threaded(
