@@ -22,13 +22,14 @@
 //! `BENCH_incremental.json` at the workspace root, and the floor is
 //! asserted afterwards: ≥ 3× warm-session speedup in full mode, ≥ 2×
 //! under `SYSTOLIC_BENCH_QUICK=1` (headroom for noisy shared runners).
-//! All arms are timed by their per-round minimum, the noise-robust
-//! statistic.
+//! The arms are timed in alternating rounds, each by its per-round
+//! minimum, the noise-robust statistic.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use systolic_bench::alternating_minima;
 use systolic_core::{
     AnalysisConfig, Analyzer, CompiledTopology, EditOp, IncrementalConfig, IncrementalSession,
 };
@@ -179,27 +180,22 @@ fn incremental_acceptance_ratio(_c: &mut Criterion) {
     assert_eq!(session.outcome().diagnostics(), fresh.diagnostics());
 
     // From-scratch arm: full diagnose of the edited program on the shared
-    // precompiled topology.
-    let scratch_time = (0..rounds)
-        .map(|_| {
+    // precompiled topology. Warm arm: each round re-seeds outside the
+    // timer, then times one apply of the same batch.
+    let (scratch_time, incremental_time) = alternating_minima(
+        rounds,
+        || {
             let started = Instant::now();
             std::hint::black_box(analyzer.diagnose(std::hint::black_box(&edited)));
             started.elapsed()
-        })
-        .min()
-        .expect("rounds >= 1");
-
-    // Warm arm: each round re-seeds outside the timer, then times one
-    // apply of the same batch.
-    let incremental_time = (0..rounds)
-        .map(|_| {
+        },
+        || {
             let mut session = seed_session(&compiled, &program);
             let started = Instant::now();
             let _ = std::hint::black_box(session.apply(std::hint::black_box(&edits)).unwrap());
             started.elapsed()
-        })
-        .min()
-        .expect("rounds >= 1");
+        },
+    );
 
     let ratio = scratch_time.as_secs_f64() / incremental_time.as_secs_f64().max(f64::EPSILON);
     println!(

@@ -143,8 +143,9 @@ fn bench_workload_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena reuse on a replay stream: one `SimArena` resetting in place vs a
-/// fresh arena (world + pools + routing) per `run_simulation` call.
+/// Arena reuse on a replay stream: one `SimArena` resetting in place and
+/// replaying over each plan's routes vs a fresh arena (pools + routing)
+/// per `run_simulation` call.
 fn bench_arena_replay(c: &mut Criterion) {
     let topology = wl::fig7_topology();
     let a_config = AnalysisConfig::default();
@@ -181,13 +182,13 @@ fn bench_arena_replay(c: &mut Criterion) {
     });
     group.bench_function("shared_arena", |b| {
         b.iter(|| {
-            let mut arena = SimArena::from_topology(&topology, sim);
+            let mut arena = SimArena::new(&topology, sim);
             items
                 .iter()
                 .filter(|(program, plan)| {
                     let mut policy = CompatiblePolicy::new(Arc::clone(plan));
                     arena
-                        .run(program, &mut policy)
+                        .run(program, plan.routes(), &mut policy)
                         .expect("sim builds")
                         .is_completed()
                 })

@@ -23,12 +23,14 @@
 //! donor, and every answer must carry warm-cache provenance. The
 //! measured ratio is recorded in `BENCH_snapshot.json` at the workspace
 //! root (with `hw_threads` noted, since both arms use the same worker
-//! pool) and the floor is asserted after the file is written. All arms
-//! are timed by their per-round minimum, the noise-robust statistic.
+//! pool) and the floor is asserted after the file is written. The arms
+//! are timed in alternating rounds, each by its per-round minimum, the
+//! noise-robust statistic.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use systolic_bench::alternating_minima;
 use systolic_service::{AnalysisRequest, AnalysisService, CacheProvenance, ServiceConfig};
 use systolic_workloads::{random_program, random_topology, traffic, RandomConfig, TrafficConfig};
 
@@ -159,22 +161,19 @@ fn snapshot_acceptance_ratio(_c: &mut Criterion) {
     }
 
     // Cold arm: a fresh service replays the stream with an empty cache.
+    // Warm arm: import + replay, both inside the timer — the import is
+    // the price of warming and the bench claims end-to-end speedup.
     // Request construction stays outside the timer in both arms.
-    let cold_time = (0..rounds)
-        .map(|_| {
+    let (cold_time, warm_time) = alternating_minima(
+        rounds,
+        || {
             let service = AnalysisService::new(config());
             let batch = requests.clone();
             let started = Instant::now();
             std::hint::black_box(service.run_batch(batch));
             started.elapsed()
-        })
-        .min()
-        .expect("rounds >= 1");
-
-    // Warm arm: import + replay, both inside the timer — the import is
-    // the price of warming and the bench claims end-to-end speedup.
-    let warm_time = (0..rounds)
-        .map(|_| {
+        },
+        || {
             let service = AnalysisService::new(config());
             let batch = requests.clone();
             let started = Instant::now();
@@ -183,9 +182,8 @@ fn snapshot_acceptance_ratio(_c: &mut Criterion) {
                 .expect("snapshot imports");
             std::hint::black_box(service.run_batch(batch));
             started.elapsed()
-        })
-        .min()
-        .expect("rounds >= 1");
+        },
+    );
 
     let ratio = cold_time.as_secs_f64() / warm_time.as_secs_f64().max(f64::EPSILON);
     println!(

@@ -1,23 +1,24 @@
-//! Criterion bench for the batch-verification acceptance target: replaying
-//! a 64-plan batch through one arena (`verify_batch_compiled`) must beat
-//! per-run setup (`verify_plan` in a loop, which routes every message and
-//! builds fresh queue pools per call) by ≥ 1.5×.
+//! Criterion bench for the arena-reuse acceptance target: replaying a
+//! 64-plan batch through one reused arena (`SimArena::verify` in a loop)
+//! must beat per-run setup (`verify_plan` in a loop, which routes every
+//! message over the topology and builds a fresh arena per call) by ≥ 1.5×.
 //!
 //! The ratio is measured explicitly, asserted, and recorded in
 //! `BENCH_verify.json` at the workspace root.
 //!
 //! `SYSTOLIC_BENCH_QUICK=1` shrinks the round count and relaxes the
 //! asserted floor to 1.2× — headroom for noisy shared CI runners; full
-//! mode asserts the acceptance target. Both arms are timed by their
-//! per-round minimum, the noise-robust statistic.
+//! mode asserts the acceptance target. The arms are timed in alternating
+//! rounds, each by its per-round minimum, the noise-robust statistic.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use systolic_core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology};
+use systolic_bench::alternating_minima;
+use systolic_core::{AnalysisConfig, Analyzer, CommPlan};
 use systolic_model::{CellId, Program, ProgramBuilder, Topology};
-use systolic_sim::{verify_batch_compiled, verify_plan, SimConfig, VerifyReport};
+use systolic_sim::{verify_plan, SimArena, SimConfig, VerifyReport};
 
 const BATCH: usize = 64;
 const CELLS: usize = 256;
@@ -25,8 +26,8 @@ const MESSAGES: usize = 8;
 
 /// A 256-cell chorded ring — a large fabric, the service shape where one
 /// topology serves many small requests. Per-run setup scales with the
-/// *fabric* (topology clone, one BFS per message, pool construction for
-/// every interval); the shared arena pays it once per batch.
+/// *fabric* (one BFS per message, pool construction for every interval);
+/// the shared arena pays it once per batch.
 fn topology() -> Topology {
     let mut edges = Vec::new();
     for i in 0..CELLS {
@@ -75,7 +76,6 @@ fn program(seed: u64) -> Program {
 }
 
 struct Batch {
-    compiled: Arc<CompiledTopology>,
     topology: Topology,
     items: Vec<(Program, Arc<CommPlan>)>,
     sim: SimConfig,
@@ -87,8 +87,7 @@ fn certified_batch(size: usize) -> Batch {
         queues_per_interval: MESSAGES,
         ..Default::default()
     };
-    let compiled = CompiledTopology::compile(&topology, &config).into_shared();
-    let analyzer = Analyzer::new(Arc::clone(&compiled));
+    let analyzer = Analyzer::for_topology(&topology, &config);
     let items: Vec<(Program, Arc<CommPlan>)> = (0..size as u64 * 2)
         .map(program)
         .filter_map(|p| {
@@ -99,7 +98,6 @@ fn certified_batch(size: usize) -> Batch {
         .collect();
     assert_eq!(items.len(), size, "enough bench programs certify");
     Batch {
-        compiled,
         topology,
         items,
         sim: SimConfig::default(),
@@ -107,8 +105,8 @@ fn certified_batch(size: usize) -> Batch {
 }
 
 fn run_per_plan(batch: &Batch) -> Vec<VerifyReport> {
-    // The pre-arena shape: every replay routes its messages over the
-    // topology and builds fresh queue pools and run state.
+    // The one-shot shape: every replay routes its messages over the
+    // topology and builds a fresh arena (queue pools and run state).
     batch
         .items
         .iter()
@@ -119,13 +117,14 @@ fn run_per_plan(batch: &Batch) -> Vec<VerifyReport> {
 }
 
 fn run_shared_arena(batch: &Batch) -> Vec<VerifyReport> {
-    // One arena for the whole batch: pools and state reset in place.
-    verify_batch_compiled(
-        batch.items.iter().map(|(p, plan)| (p, plan)),
-        &batch.compiled,
-        batch.sim,
-    )
-    .expect("setup succeeds")
+    // One arena for the whole batch: routes from each plan, pools and
+    // state reset in place.
+    let mut arena = SimArena::new(&batch.topology, batch.sim);
+    batch
+        .items
+        .iter()
+        .map(|(program, plan)| arena.verify(program, plan).expect("setup succeeds"))
+        .collect()
 }
 
 fn bench_verify(c: &mut Criterion) {
@@ -141,17 +140,11 @@ fn bench_verify(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-round minimum: the noise-robust statistic for wall-clock
-/// comparisons on shared machines.
-fn min_time(rounds: usize, mut f: impl FnMut() -> Vec<VerifyReport>) -> std::time::Duration {
-    (0..rounds)
-        .map(|_| {
-            let started = Instant::now();
-            std::hint::black_box(f());
-            started.elapsed()
-        })
-        .min()
-        .expect("rounds >= 1")
+/// One timed run of `f`.
+fn timed(f: impl FnOnce() -> Vec<VerifyReport>) -> std::time::Duration {
+    let started = Instant::now();
+    std::hint::black_box(f());
+    started.elapsed()
 }
 
 /// The acceptance ratio, measured explicitly, asserted, and recorded in
@@ -174,8 +167,11 @@ fn verify_acceptance_ratio(_c: &mut Criterion) {
     let completed = shared.iter().filter(|r| r.completed).count();
     assert_eq!(completed, BATCH, "certified plans complete (Theorem 1)");
 
-    let per_run_time = min_time(rounds, || run_per_plan(&batch));
-    let shared_time = min_time(rounds, || run_shared_arena(&batch));
+    let (per_run_time, shared_time) = alternating_minima(
+        rounds,
+        || timed(|| run_per_plan(&batch)),
+        || timed(|| run_shared_arena(&batch)),
+    );
     let shared_ratio = per_run_time.as_secs_f64() / shared_time.as_secs_f64().max(f64::EPSILON);
     println!(
         "verify_shared_arena_vs_per_run           per-run {per_run_time:>12?}   \

@@ -6,20 +6,42 @@
 //! ```text
 //! repro            # print all experiments as text
 //! repro --markdown # print as markdown (for EXPERIMENTS.md)
-//! repro F7 T1      # print selected experiments only
+//! repro F7 T1      # print selected experiments only (ids are case-insensitive)
 //! ```
+//!
+//! An unknown id or flag prints a usage line to stderr and exits 2 before
+//! any experiment runs.
 
-use systolic_bench::all_experiments;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let wanted: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+use systolic_bench::EXPERIMENTS;
 
-    for e in all_experiments() {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w.eq_ignore_ascii_case(e.id)) {
+fn main() -> ExitCode {
+    let mut markdown = false;
+    let mut wanted = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--markdown" {
+            markdown = true;
+        } else if let Some(index) = EXPERIMENTS
+            .iter()
+            .position(|(id, _)| id.eq_ignore_ascii_case(&arg))
+        {
+            wanted.push(index);
+        } else {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "repro: unknown argument `{arg}`\nusage: repro [--markdown] [ID ...]  (IDs: {})",
+                ids.join(" ")
+            );
+            return ExitCode::from(2);
+        }
+    }
+
+    for (index, (_, run)) in EXPERIMENTS.iter().enumerate() {
+        if !wanted.is_empty() && !wanted.contains(&index) {
             continue;
         }
+        let e = run();
         println!("## {} — {}", e.id, e.title);
         println!();
         if markdown {
@@ -32,4 +54,5 @@ fn main() {
         }
         println!();
     }
+    ExitCode::SUCCESS
 }

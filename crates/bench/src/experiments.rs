@@ -1029,33 +1029,41 @@ pub fn fig7_labels() -> Vec<(String, Label)> {
         .collect()
 }
 
-/// Every experiment, in presentation order, with fast default parameters.
-#[must_use]
-pub fn all_experiments() -> Vec<Experiment> {
-    vec![
-        fig01_comm_models(),
-        fig02_fir_program(),
-        fig03_queue_assignment(),
-        fig04_crossing_off(),
-        fig05_deadlocked_programs(),
-        fig06_cycle(),
-        fig07_ordering(&[1, 2, 4, 8]),
-        fig08_interleaved_reads(),
-        fig09_interleaved_writes(),
-        fig10_lookahead(),
-        t1_theorem_campaign(100, 2),
-        e1_scaling(),
-        e2_campaign(50),
-        e3_labeling_ablation(),
-        e4_queue_extension(),
-        e5_threaded(),
-        e6_strict_pipeline_depth(),
-    ]
-}
+/// Runs one experiment with fast default parameters.
+pub type RunExperiment = fn() -> Experiment;
+
+/// Every experiment's id and the function that runs it, in presentation
+/// order.
+pub const EXPERIMENTS: [(&str, RunExperiment); 17] = [
+    ("F1", fig01_comm_models),
+    ("F2", fig02_fir_program),
+    ("F3", fig03_queue_assignment),
+    ("F4", fig04_crossing_off),
+    ("F5", fig05_deadlocked_programs),
+    ("F6", fig06_cycle),
+    ("F7", || fig07_ordering(&[1, 2, 4, 8])),
+    ("F8", fig08_interleaved_reads),
+    ("F9", fig09_interleaved_writes),
+    ("F10", fig10_lookahead),
+    ("T1", || t1_theorem_campaign(100, 2)),
+    ("E1", e1_scaling),
+    ("E2", || e2_campaign(50)),
+    ("E3", e3_labeling_ablation),
+    ("E4", e4_queue_extension),
+    ("E5", e5_threaded),
+    ("E6", e6_strict_pipeline_depth),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_ids_name_their_experiments() {
+        for (id, run) in EXPERIMENTS {
+            assert_eq!(run().id, id);
+        }
+    }
 
     #[test]
     fn fig01_shapes_hold() {

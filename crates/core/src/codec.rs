@@ -1,14 +1,14 @@
-//! Stable binary codec shared by the JSONL wire and the disk snapshot.
+//! Stable binary codec of the disk snapshot.
 //!
-//! Every persisted or transmitted analysis artifact — labels, routes,
-//! diagnostics, errors, whole [`CommPlan`]s — is expressed once here as a
-//! tagged-field encoding, so the snapshot tier and the wire responses can
-//! never drift: both are projections of the same [`Encode`]/[`Decode`]
-//! implementations and the same stable-string vocabulary
-//! ([`labeling_method_str`], [`core_error_kind`],
-//! [`DiagnosticCode::as_str`](crate::DiagnosticCode::as_str), …).
+//! Every persisted analysis artifact — labels, routes, diagnostics,
+//! errors, whole [`CommPlan`]s — is expressed once here as a tagged-field
+//! encoding. The JSONL wire (`systolic_service::wire`) writes its own
+//! lines and shares with the snapshot only the stable-string vocabulary
+//! — [`LabelingMethod::as_str`], [`DiagnosticCode::as_str`] and
+//! [`Severity::as_str`], whose inverses live here — so wire and disk name
+//! a labeling method, a diagnostic code and a severity alike.
 //!
-//! # Wire shape
+//! # Encoding
 //!
 //! A value is a flat sequence of *fields*. Each field is
 //!
@@ -375,65 +375,28 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
 // Stable-string vocabulary shared with the JSONL wire
 // ---------------------------------------------------------------------------
 
-/// Stable wire/disk name of a [`LabelingMethod`] (`"section6"` /
-/// `"constraint-solver"`), shared by the JSONL responses and the snapshot.
-#[must_use]
-pub fn labeling_method_str(method: LabelingMethod) -> &'static str {
-    match method {
-        LabelingMethod::Section6 => "section6",
-        LabelingMethod::ConstraintSolver => "constraint-solver",
-    }
+/// The value of `all` whose stable string is `s`: the inverse of an
+/// `as_str` table, derived from it.
+fn from_stable_str<T: Copy>(all: &[T], as_str: fn(T) -> &'static str, s: &str) -> Option<T> {
+    all.iter().copied().find(|&value| as_str(value) == s)
 }
 
-/// Inverse of [`labeling_method_str`].
+/// Inverse of [`LabelingMethod::as_str`].
 #[must_use]
 pub fn labeling_method_from_str(s: &str) -> Option<LabelingMethod> {
-    match s {
-        "section6" => Some(LabelingMethod::Section6),
-        "constraint-solver" => Some(LabelingMethod::ConstraintSolver),
-        _ => None,
-    }
+    from_stable_str(&LabelingMethod::ALL, LabelingMethod::as_str, s)
 }
 
 /// Inverse of [`Severity::as_str`].
 #[must_use]
 pub fn severity_from_str(s: &str) -> Option<Severity> {
-    match s {
-        "info" => Some(Severity::Info),
-        "warning" => Some(Severity::Warning),
-        "error" => Some(Severity::Error),
-        _ => None,
-    }
+    from_stable_str(&Severity::ALL, Severity::as_str, s)
 }
 
 /// Inverse of [`DiagnosticCode::as_str`].
 #[must_use]
 pub fn diagnostic_code_from_str(s: &str) -> Option<DiagnosticCode> {
-    match s {
-        "E-CELL-COUNT" => Some(DiagnosticCode::CellCountMismatch),
-        "E-ROUTE" => Some(DiagnosticCode::RouteFailure),
-        "E-MODEL" => Some(DiagnosticCode::ModelInvalid),
-        "E-DEADLOCK" => Some(DiagnosticCode::Deadlock),
-        "E-LABEL-CONFLICT" => Some(DiagnosticCode::LabelConflict),
-        "E-INCONSISTENT-LABELING" => Some(DiagnosticCode::InconsistentLabeling),
-        "E-INFEASIBLE" => Some(DiagnosticCode::Infeasible),
-        "W-SECTION6-FALLBACK" => Some(DiagnosticCode::Section6Fallback),
-        "I-EXTENSION-CANDIDATE" => Some(DiagnosticCode::ExtensionCandidate),
-        _ => None,
-    }
-}
-
-/// Stable `error_kind` string of a [`CoreError`], shared by the JSONL
-/// `"error_kind"` member and the snapshot's rejection records.
-#[must_use]
-pub fn core_error_kind(error: &CoreError) -> &'static str {
-    match error {
-        CoreError::Model(_) => "model",
-        CoreError::ProgramDeadlocked { .. } => "deadlocked",
-        CoreError::LabelConflict { .. } => "label-conflict",
-        CoreError::InconsistentLabeling { .. } => "inconsistent-labeling",
-        CoreError::Infeasible { .. } => "infeasible",
-    }
+    from_stable_str(&DiagnosticCode::ALL, DiagnosticCode::as_str, s)
 }
 
 // ---------------------------------------------------------------------------
@@ -1331,10 +1294,7 @@ mod tests {
     #[test]
     fn stable_strings_invert() {
         for method in [LabelingMethod::Section6, LabelingMethod::ConstraintSolver] {
-            assert_eq!(
-                labeling_method_from_str(labeling_method_str(method)),
-                Some(method)
-            );
+            assert_eq!(labeling_method_from_str(method.as_str()), Some(method));
         }
         for severity in [Severity::Info, Severity::Warning, Severity::Error] {
             assert_eq!(severity_from_str(severity.as_str()), Some(severity));
@@ -1384,18 +1344,6 @@ mod proptests {
         Labeling::from_labels((0..len).map(|_| label_from(state)).collect())
     }
 
-    const ALL_CODES: [DiagnosticCode; 9] = [
-        DiagnosticCode::CellCountMismatch,
-        DiagnosticCode::RouteFailure,
-        DiagnosticCode::ModelInvalid,
-        DiagnosticCode::Deadlock,
-        DiagnosticCode::LabelConflict,
-        DiagnosticCode::InconsistentLabeling,
-        DiagnosticCode::Infeasible,
-        DiagnosticCode::Section6Fallback,
-        DiagnosticCode::ExtensionCandidate,
-    ];
-
     proptest! {
         #[test]
         fn label_roundtrips(parts in (1i64..=1_000_000, 1i64..=1_000_000)) {
@@ -1420,9 +1368,9 @@ mod proptests {
         ) {
             let (code_idx, severity_idx, ids, seed) = parts;
             let mut state = seed;
-            let severity = [Severity::Info, Severity::Warning, Severity::Error][severity_idx];
+            let severity = Severity::ALL[severity_idx];
             let diagnostic = Diagnostic::new(
-                ALL_CODES[code_idx],
+                DiagnosticCode::ALL[code_idx],
                 format!("generated diagnostic {:#x}", mix(&mut state)),
             )
             .with_severity(severity)

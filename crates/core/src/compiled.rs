@@ -283,28 +283,6 @@ impl CompiledTopology {
         }
     }
 
-    /// Routes every declared message of `program` — the precompiled
-    /// equivalent of [`MessageRoutes::compute`], with identical results.
-    ///
-    /// # Errors
-    ///
-    /// * [`ModelError::CellCountMismatch`] if the program and topology
-    ///   disagree on the number of cells;
-    /// * any routing error from [`CompiledTopology::route`].
-    pub fn routes_for(&self, program: &Program) -> Result<MessageRoutes, ModelError> {
-        if program.num_cells() != self.topology.num_cells() {
-            return Err(ModelError::CellCountMismatch {
-                program: program.num_cells(),
-                topology: self.topology.num_cells(),
-            });
-        }
-        let mut routes = Vec::with_capacity(program.num_messages());
-        for decl in program.messages() {
-            routes.push(self.route(decl.sender(), decl.receiver())?);
-        }
-        Ok(MessageRoutes::from_routes(routes))
-    }
-
     /// The lookahead budgets the compiled configuration implies for
     /// `program` (whose routes must come from this compilation).
     #[must_use]
@@ -356,25 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn routes_for_matches_message_routes_compute() {
-        let program = parse_program(
-            "cells 4\n\
-             message A: c0 -> c3\n\
-             message B: c3 -> c1\n\
-             program c0 { W(A)*2 }\n\
-             program c1 { R(B) }\n\
-             program c3 { R(A)*2 W(B) }\n",
-        )
-        .unwrap();
-        let topology = diamond();
-        let compiled = CompiledTopology::compile(&topology, &AnalysisConfig::default());
-        assert_eq!(
-            compiled.routes_for(&program).unwrap(),
-            MessageRoutes::compute(&program, &topology).unwrap()
-        );
-    }
-
-    #[test]
     fn route_errors_match_direct_routing() {
         let disconnected = Topology::graph(4, [(c(0), c(1)), (c(2), c(3))]).unwrap();
         let compiled = CompiledTopology::compile(&disconnected, &AnalysisConfig::default());
@@ -389,16 +348,6 @@ mod tests {
         assert!(matches!(
             compiled.route(c(0), c(9)),
             Err(ModelError::CellOutOfRange { .. })
-        ));
-
-        let program = parse_program(
-            "cells 2\nmessage A: c0 -> c1\nprogram c0 { W(A) }\nprogram c1 { R(A) }\n",
-        )
-        .unwrap();
-        let three = CompiledTopology::compile(&Topology::linear(3), &AnalysisConfig::default());
-        assert!(matches!(
-            three.routes_for(&program),
-            Err(ModelError::CellCountMismatch { .. })
         ));
     }
 
@@ -500,7 +449,7 @@ mod tests {
             queues_per_interval: 1,
         };
         let compiled = CompiledTopology::compile(&topology, &capacity);
-        let routes = compiled.routes_for(&program).unwrap();
+        let routes = MessageRoutes::compute(&program, &topology).unwrap();
         let limits = compiled.limits_for(&program, &routes);
         // A crosses two intervals at capacity 2 => budget 4.
         assert_eq!(limits.limit(systolic_model::MessageId::new(0)), Some(4));

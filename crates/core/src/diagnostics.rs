@@ -29,6 +29,9 @@ pub enum Severity {
 }
 
 impl Severity {
+    /// Every severity: the table [`Severity::as_str`]'s inverse searches.
+    pub(crate) const ALL: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Error];
+
     /// Stable lower-case name (`"info"`, `"warning"`, `"error"`), used by
     /// the JSONL wire format.
     #[must_use]
@@ -79,8 +82,22 @@ pub enum DiagnosticCode {
 }
 
 impl DiagnosticCode {
+    /// Every code: the table [`DiagnosticCode::as_str`]'s inverse
+    /// searches.
+    pub(crate) const ALL: [DiagnosticCode; 9] = [
+        DiagnosticCode::CellCountMismatch,
+        DiagnosticCode::RouteFailure,
+        DiagnosticCode::ModelInvalid,
+        DiagnosticCode::Deadlock,
+        DiagnosticCode::LabelConflict,
+        DiagnosticCode::InconsistentLabeling,
+        DiagnosticCode::Infeasible,
+        DiagnosticCode::Section6Fallback,
+        DiagnosticCode::ExtensionCandidate,
+    ];
+
     /// The number of codes: `code as usize` is below it.
-    pub(crate) const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// The stable wire string of this code.
     #[must_use]

@@ -52,6 +52,22 @@ pub enum CoreError {
     },
 }
 
+impl CoreError {
+    /// Stable `error_kind` string of this error (`"model"`,
+    /// `"deadlocked"`, …), written by the JSONL wire's `"error_kind"`
+    /// member.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            CoreError::Model(_) => "model",
+            CoreError::ProgramDeadlocked { .. } => "deadlocked",
+            CoreError::LabelConflict { .. } => "label-conflict",
+            CoreError::InconsistentLabeling { .. } => "inconsistent-labeling",
+            CoreError::Infeasible { .. } => "infeasible",
+        }
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -84,6 +84,23 @@ pub enum LabelingMethod {
     ConstraintSolver,
 }
 
+impl LabelingMethod {
+    /// Both methods: the table [`LabelingMethod::as_str`]'s inverse
+    /// searches.
+    pub(crate) const ALL: [LabelingMethod; 2] =
+        [LabelingMethod::Section6, LabelingMethod::ConstraintSolver];
+
+    /// Stable wire/disk name (`"section6"` / `"constraint-solver"`),
+    /// shared by the JSONL responses and the snapshot.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LabelingMethod::Section6 => "section6",
+            LabelingMethod::ConstraintSolver => "constraint-solver",
+        }
+    }
+}
+
 /// A successful end-to-end analysis.
 #[derive(Clone, Debug)]
 pub struct Analysis {

@@ -620,8 +620,21 @@ impl NameIndex {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Names compared by [`find_by_name`] on this thread: the name
+    /// lookup's deterministic work counter, which the complexity test
+    /// reads.
+    static NAME_COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The first of `ids`, sorted by `name_of`, that is named `name`.
 fn find_by_name<'p, I: Copy>(ids: &[I], name_of: impl Fn(I) -> &'p str, name: &str) -> Option<I> {
+    let name_of = |id| {
+        #[cfg(test)]
+        NAME_COMPARISONS.with(|n| n.set(n.get() + 1));
+        name_of(id)
+    };
     let at = ids.partition_point(|&id| name_of(id) < name);
     ids.get(at).copied().filter(|&id| name_of(id) == name)
 }
@@ -1499,10 +1512,9 @@ mod tests {
     #[test]
     fn edit_batches_resolve_names_without_scans() {
         // 8,000 appends naming the last 16 of 8,000 messages. Through the
-        // session's name index that is 16,000 binary searches: 8-12 ms
-        // unoptimized on a 2-core VM. The linear `Program::cell_id` and
-        // `message_id` scans walk ~64 million names for it: 0.9-1.3 s
-        // unoptimized there, over 20x the bound.
+        // session's name index each op costs two binary searches, about
+        // 17 name comparisons; a linear scan of the names costs thousands
+        // per op (tens of millions for the batch).
         const MESSAGES: usize = 8_000;
         let mut text = String::from("cells 2\n");
         for m in 0..MESSAGES {
@@ -1525,9 +1537,10 @@ mod tests {
                 message: format!("M{}", MESSAGES - 16 + i % 16),
             })
             .collect();
-        let started = Instant::now();
+        let comparisons = || NAME_COMPARISONS.with(std::cell::Cell::get);
+        let before = comparisons();
         let resolved = resolve_ops(&program, &names, &batch).unwrap();
-        let elapsed = started.elapsed();
+        let compared = comparisons() - before;
         assert_eq!(resolved.len(), MESSAGES);
         assert_eq!(
             resolved[1],
@@ -1536,9 +1549,13 @@ mod tests {
                 op: Op::read(MessageId::new(MESSAGES as u32 - 15)),
             }
         );
+        // O(ops · log names): two lookups per op, each at most
+        // log2(names) + 2 comparisons.
+        let log_names = MESSAGES.ilog2() as usize + 1;
+        let bound = batch.len() * 2 * (log_names + 2);
         assert!(
-            elapsed < std::time::Duration::from_millis(40),
-            "resolving {MESSAGES} ops took {elapsed:?}"
+            compared <= bound,
+            "resolving {MESSAGES} ops compared {compared} names, over the bound {bound}"
         );
     }
 

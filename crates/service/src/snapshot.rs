@@ -47,8 +47,8 @@
 use std::sync::Arc;
 
 use systolic_core::codec::{
-    self, decode_nested, decode_str, decode_u128, decode_u64, encode_to_vec, labeling_method_str,
-    Decode, Encode, FieldReader, FieldWriter,
+    self, decode_nested, decode_str, decode_u128, decode_u64, encode_to_vec, Decode, Encode,
+    FieldReader, FieldWriter,
 };
 use systolic_core::{
     read_uvarint, write_uvarint, AnalysisConfig, CodecError, CommPlan, CoreError, Diagnostic,
@@ -234,7 +234,7 @@ impl Decode for VerifyReportCodec {
 impl Encode for Certified {
     fn encode(&self, w: &mut FieldWriter) {
         w.put_nested(1, &self.plan);
-        w.put_str(2, labeling_method_str(self.labeling_method));
+        w.put_str(2, self.labeling_method.as_str());
         if let Some(report) = &self.verified {
             w.put_nested(5, &VerifyReportCodec(report.clone()));
         }

@@ -81,7 +81,7 @@
 use std::fmt::{self, Write as _};
 use std::io::BufRead;
 
-use systolic_core::{codec, Diagnostic, Lookahead, LookaheadLimits};
+use systolic_core::{Diagnostic, Lookahead, LookaheadLimits};
 use systolic_model::{parse_program, program_to_text, ModelError, Topology};
 use systolic_obs::RegistrySnapshot;
 use systolic_workloads::TrafficItem;
@@ -464,10 +464,13 @@ pub fn parse_edit(value: &Json, line_number: usize) -> Result<EditCommand, WireE
 /// JSONL protocol: every response — analysis outcomes, edit results,
 /// metrics dumps, parse errors, generated traffic, snapshot ops — goes
 /// through it, so the daemon and tests cannot drift apart on field order
-/// or vocabulary. The stable strings (`labeling`, diagnostic `code` /
-/// `severity`, `error_kind`) come from [`systolic_core::codec`], the same
-/// vocabulary the binary snapshot format encodes, so wire and disk cannot
-/// drift either.
+/// or vocabulary. The stable strings come from their types
+/// ([`LabelingMethod::as_str`](systolic_core::LabelingMethod::as_str),
+/// [`DiagnosticCode::as_str`](systolic_core::DiagnosticCode::as_str),
+/// [`Severity::as_str`](systolic_core::Severity::as_str),
+/// [`CoreError::kind`](systolic_core::CoreError::kind)), and the binary
+/// snapshot format encodes the same labeling, code and severity strings,
+/// so wire and disk cannot drift either.
 #[derive(Debug)]
 pub enum WireResponse<'a> {
     /// A regular analysis response (certified or rejected).
@@ -687,10 +690,7 @@ impl Line {
         match response.outcome.as_ref() {
             Ok(certified) => {
                 self.str("classification", "deadlock-free");
-                self.str(
-                    "labeling",
-                    codec::labeling_method_str(certified.labeling_method),
-                );
+                self.str("labeling", certified.labeling_method.as_str());
                 self.key("labels");
                 self.open('{');
                 for (name, label) in &certified.message_labels {
@@ -827,13 +827,13 @@ impl fmt::Write for Escaping<'_> {
 
 /// The stable `error_kind` vocabulary: `"internal"` for contained panics,
 /// `"config"` for a configuration that does not cover its program,
-/// otherwise the [`codec::core_error_kind`] string — the same one the
-/// binary snapshot format commits to, so wire and disk agree.
+/// otherwise the analysis error's
+/// [`CoreError::kind`](systolic_core::CoreError::kind).
 fn error_kind(error: &ServiceError) -> &'static str {
     match error {
         ServiceError::Panicked(_) => "internal",
         ServiceError::InvalidConfig(_) => "config",
-        ServiceError::Analysis(error) => codec::core_error_kind(error),
+        ServiceError::Analysis(error) => error.kind(),
     }
 }
 

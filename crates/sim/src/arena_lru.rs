@@ -1,4 +1,4 @@
-//! A small LRU of verification arenas over multiple worlds, keyed by
+//! A small LRU of verification arenas over multiple topologies, keyed by
 //! compiled-topology fingerprint, and the one replay path through it.
 //!
 //! The verification chase replays a certified plan through a
@@ -62,7 +62,7 @@ impl std::error::Error for VerifyTaskError {
     }
 }
 
-/// One resident arena: the world's key (compiled-topology fingerprint)
+/// One resident arena: its topology's key (compiled-topology fingerprint)
 /// and the [`SimConfig`] it was built under (both must match for reuse —
 /// an arena's queue shapes and cycle limits are baked in at
 /// construction), a recency tick, the arena itself, and its topology's
@@ -251,9 +251,9 @@ impl ArenaLru {
     /// arena for `compiled` under `sim` (see
     /// [`get_or_build`](ArenaLru::get_or_build)). The arena's queue pool
     /// grows to the plan's requirement and never shrinks, which leaves
-    /// the report unchanged: it equals what
-    /// [`verify_batch_compiled`](crate::verify_batch_compiled) reports for
-    /// the same plan, `ReplayDeadlock` details included.
+    /// the report unchanged: it equals what [`SimArena::verify`] on a
+    /// fresh arena reports for the same plan, `ReplayDeadlock` details
+    /// included.
     ///
     /// # Errors
     ///
@@ -354,7 +354,7 @@ impl ArenaLru {
             self.evict_lru();
         }
         let build_start = Instant::now();
-        let arena = SimArena::from_compiled(Arc::clone(compiled), sim);
+        let arena = SimArena::new(compiled.topology(), sim);
         let series = self.instruments.as_ref().map(|m| {
             m.misses.inc();
             m.build_micros

@@ -20,55 +20,12 @@
 //! * quiescence-based deadlock detection with a full
 //!   [diagnosis](DeadlockReport).
 //!
-//! # Verifying at scale
-//!
-//! The engine is split into an immutable per-batch [`SimWorld`] (topology,
-//! optionally precompiled; simulation parameters) and a reusable
-//! [`SimArena`] whose run state — queue pools, program counters, per-hop
-//! word tables — is **reset in place** between replays rather than
-//! reallocated. Batch verification ([`verify_batch_compiled`]) replays a
-//! whole batch of certified plans through one arena: routes come from each
-//! plan, plans are shared as `Arc<CommPlan>`, and the queue pool grows to
-//! the batch's largest requirement once. That is what lets a serving layer
-//! chase cached analyses with simulator replays at cache-hit throughput.
-//!
-//! Beyond one-topology batches, certified plans replay one at a time
-//! through [`ArenaLru::replay`]: an LRU of arenas keyed by
-//! compiled-topology fingerprint, so topology-interleaved traffic
-//! switches worlds by warm lookup instead of rebuild. Each LRU keeps at
-//! most a fixed number of arenas and evicts the least recently used one
-//! past it; pick the count ≈ the distinct topologies its holder sees. A
-//! replay panic drops only the arena it ran in, and the report equals
-//! the sequential path's for the same plan. An LRU is owned outright
-//! while it replays, so a serving layer keeps a pool of them and lends
-//! one to each replaying thread.
-//!
-//! ```
-//! use std::sync::Arc;
-//! use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic_sim::{verify_batch_compiled, SimConfig};
-//! use systolic_workloads::{fig7, fig7_topology};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let topology = fig7_topology();
-//! let compiled = CompiledTopology::compile(&topology, &AnalysisConfig::default()).into_shared();
-//! let analyzer = Analyzer::new(Arc::clone(&compiled));
-//! let batch: Vec<_> = (2..6)
-//!     .map(|reps| {
-//!         let program = fig7(reps);
-//!         let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
-//!         Ok::<_, systolic_core::CoreError>((program, plan))
-//!     })
-//!     .collect::<Result<_, _>>()?;
-//! let reports = verify_batch_compiled(
-//!     batch.iter().map(|(p, plan)| (p, plan)),
-//!     &compiled,
-//!     SimConfig::default(),
-//! )?;
-//! assert!(reports.iter().all(|r| r.completed));
-//! # Ok(())
-//! # }
-//! ```
+//! A [`SimArena`] holds one topology's queue pools and run state and
+//! resets them in place between replays; [`SimArena::verify`] replays a
+//! certified plan over the plan's own routes. A serving layer replays
+//! through [`ArenaLru::replay`]: at most a fixed number of arenas keyed by
+//! compiled-topology fingerprint, with a replay panic contained to the
+//! arena it ran in.
 //!
 //! # Examples
 //!
@@ -118,11 +75,11 @@ mod verify;
 pub use arena_lru::{ArenaLookup, ArenaLru, VerifyTaskError};
 pub use cost::CostModel;
 pub use deadlock::{BlockReason, BlockedCell, DeadlockReport, QueueSnapshot};
-pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig, SimWorld};
+pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig};
 pub use policy::{
     AssignmentPolicy, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, Request, StaticPolicy,
 };
 pub use pool::{PendingRequests, PoolView, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
 pub use stats::{AssignmentEvent, RunStats};
-pub use verify::{verify_batch_compiled, verify_plan, ReplayDeadlock, VerifyReport};
+pub use verify::{verify_plan, ReplayDeadlock, VerifyReport};

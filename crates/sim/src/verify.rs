@@ -1,31 +1,19 @@
 //! Plan verification: replay an analyzed program through the simulator.
 //!
 //! The compile-time analysis certifies (Theorem 1) that a deadlock-free
-//! program completes under compatible assignment. [`verify_plan`] checks
-//! that claim empirically for one [`CommPlan`] by running the cycle-stepped
-//! simulator with the [`CompatiblePolicy`]; the serving layer
-//! (`systolic-service`) uses it to chase cached analyses with an end-to-end
-//! run.
-//!
-//! # Verifying at scale
-//!
-//! A service verifies *batches*: many certified plans over one topology.
-//! [`verify_batch_compiled`] replays them all through **one**
-//! [`SimArena`]: queue pools, per-cell state and per-hop tables are reset
-//! in place between replays instead of rebuilt, routes come straight from
-//! each plan (no per-replay routing), and plans travel as
-//! [`Arc<CommPlan>`] so the [`CompatiblePolicy`] borrows instead of
-//! deep-cloning. The one-shot [`verify_plan`] by contrast pays full setup
-//! per call — routing each message over the topology and allocating fresh
-//! pools — which is exactly the gap the `verify` criterion bench measures
-//! (shared arena ≥ 1.5× faster over a 64-plan batch).
+//! program completes under compatible assignment. [`SimArena::verify`]
+//! checks that claim for one [`CommPlan`] by replaying it under the
+//! [`CompatiblePolicy`] over the plan's own routes; the serving layer
+//! (`systolic-service`) chases cached analyses with it through
+//! [`ArenaLru::replay`](crate::ArenaLru::replay). [`verify_plan`] is the
+//! one-shot form: it routes over a topology and replays on a fresh arena.
 
 use std::sync::Arc;
 
-use systolic_core::{CommPlan, CompiledTopology};
+use systolic_core::CommPlan;
 use systolic_model::{CellId, ModelError, Program, Topology};
 
-use crate::{CompatiblePolicy, DeadlockReport, RunOutcome, SimArena, SimConfig, SimWorld};
+use crate::{run_simulation, CompatiblePolicy, DeadlockReport, RunOutcome, SimArena, SimConfig};
 
 /// Where and when a replay deadlocked — the actionable core of a
 /// [`DeadlockReport`], small enough to travel with every [`VerifyReport`]
@@ -75,8 +63,8 @@ impl std::fmt::Display for ReplayDeadlock {
 /// The result of replaying one plan through the simulator.
 ///
 /// Implements `PartialEq`/`Eq` so replay paths can be checked for
-/// byte-identical results ([`crate::ArenaLru::replay`] must match the
-/// sequential [`verify_batch_compiled`] report-for-report).
+/// byte-identical results ([`crate::ArenaLru::replay`] must match a
+/// fresh arena's [`SimArena::verify`] report-for-report).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VerifyReport {
     /// `true` if every cell completed its program — what Theorem 1
@@ -110,56 +98,43 @@ impl VerifyReport {
 
 impl SimArena {
     /// Replays `program` under `plan`'s compatible assignment through this
-    /// arena — the batch verification primitive. Routes come from the
-    /// plan itself (certified over this world's topology), the queue pool
-    /// is raised to the plan's requirement
-    /// ([`ensure_queues`](SimArena::ensure_queues)), and all run state is
-    /// reset in place.
+    /// arena. Routes come from the plan itself (certified over this
+    /// arena's topology), the queue pool is raised to the plan's
+    /// requirement ([`ensure_queues`](SimArena::ensure_queues)), and all
+    /// run state is reset in place.
     ///
     /// # Errors
     ///
     /// [`ModelError::CellCountMismatch`] if the program does not fit the
-    /// world's topology.
+    /// arena's topology.
     ///
     /// # Panics
     ///
     /// Panics if `plan` was certified over a *different* topology (its
-    /// routes cross intervals this world does not have).
+    /// routes cross intervals this arena does not have) or for another
+    /// program (its routes do not cover the program's messages).
     pub fn verify(
         &mut self,
         program: &Program,
         plan: &Arc<CommPlan>,
     ) -> Result<VerifyReport, ModelError> {
-        let topology_cells = self.world().topology().num_cells();
-        if program.num_cells() != topology_cells {
-            return Err(ModelError::CellCountMismatch {
-                program: program.num_cells(),
-                topology: topology_cells,
-            });
-        }
         self.ensure_queues(plan.requirements().max_per_interval().max(1));
         let mut policy = CompatiblePolicy::new(Arc::clone(plan));
-        let outcome = self.run_with_routes(program, plan.routes(), &mut policy);
-        Ok(VerifyReport::from_outcome(outcome))
+        self.run(program, plan.routes(), &mut policy)
+            .map(VerifyReport::from_outcome)
     }
 }
 
-/// Replays `program` under `plan`'s compatible assignment and reports
-/// whether the run completed.
-///
-/// The simulator is configured with exactly the plan's queue requirement
-/// (`plan.requirements().max_per_interval()`, but at least 1) unless
-/// `config` asks for more queues.
-///
-/// This is the **one-shot** path: it builds a fresh [`SimWorld`] and
-/// [`SimArena`] and routes every message over `topology`, per call. Batch
-/// callers share one arena via [`verify_batch_compiled`] instead.
+/// Replays `program` under `plan`'s compatible assignment once, on a
+/// fresh arena over `topology` with every message routed over it
+/// ([`run_simulation`]), and reports whether the run completed. The
+/// arena has the plan's queue requirement (at least 1) unless `config`
+/// asks for more queues.
 ///
 /// # Errors
 ///
-/// Returns routing/validation errors from the simulator's setup; the
-/// verification *outcome* (completed or not) is in the report, not the
-/// error channel.
+/// Cell-count mismatches and routing failures; the verification
+/// *outcome* (completed or not) is in the report, not the error channel.
 ///
 /// # Examples
 ///
@@ -190,45 +165,14 @@ pub fn verify_plan(
         queues_per_interval: config.queues_per_interval.max(required),
         ..config
     };
-    let world = SimWorld::new(topology, config);
-    // The per-call setup shape: route every message over the topology and
-    // build fresh pools, exactly what a batch arena amortizes away.
-    let routes = world.routes_for(program)?;
-    let mut arena = SimArena::new(world);
-    let mut policy = CompatiblePolicy::new(Arc::clone(plan));
-    Ok(VerifyReport::from_outcome(arena.run_with_routes(
-        program,
-        &routes,
-        &mut policy,
-    )))
-}
-
-/// Replays a batch of `(program, plan)` pairs that all share one
-/// precompiled topology — the common shape of a service batch — through
-/// **one** [`SimArena`]. Queue pools and run-state vectors are built
-/// once and reset in place per replay; the pool grows to the batch's
-/// largest queue requirement and never shrinks.
-///
-/// # Errors
-///
-/// Fails fast on the first setup error (cell-count mismatch); per-run
-/// outcomes are in the reports.
-pub fn verify_batch_compiled<'a>(
-    batch: impl IntoIterator<Item = (&'a Program, &'a Arc<CommPlan>)>,
-    compiled: &Arc<CompiledTopology>,
-    config: SimConfig,
-) -> Result<Vec<VerifyReport>, ModelError> {
-    let mut arena = SimArena::from_compiled(Arc::clone(compiled), config);
-    batch
-        .into_iter()
-        .map(|(program, plan)| arena.verify(program, plan))
-        .collect()
+    let policy = Box::new(CompatiblePolicy::new(Arc::clone(plan)));
+    run_simulation(program, topology, policy, config).map(VerifyReport::from_outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_core::{AnalysisConfig, Analyzer};
+    use systolic_core::{AnalysisConfig, Analyzer, CompiledTopology};
     use systolic_workloads::{fig7, fig7_topology, fig9, fig9_topology};
 
     fn plan_for(program: &Program, topology: &Topology, config: &AnalysisConfig) -> Arc<CommPlan> {
@@ -257,6 +201,8 @@ mod tests {
 
     #[test]
     fn compiled_verification_matches_direct() {
+        // Plan routes through one reused arena, topology routes through a
+        // fresh one: the same report.
         let program = fig7(3);
         let topology = fig7_topology();
         let compiled =
@@ -264,12 +210,8 @@ mod tests {
         let analyzer = Analyzer::new(Arc::clone(&compiled));
         let plan = Arc::new(analyzer.analyze(&program).unwrap().into_plan());
         let direct = verify_plan(&program, &topology, &plan, SimConfig::default()).unwrap();
-        let reports = verify_batch_compiled(
-            [(&program, &plan), (&program, &plan)],
-            &compiled,
-            SimConfig::default(),
-        )
-        .unwrap();
+        let mut arena = SimArena::new(compiled.topology(), SimConfig::default());
+        let reports = [(); 2].map(|()| arena.verify(&program, &plan).unwrap());
         assert!(direct.completed);
         assert_eq!(reports, [direct.clone(), direct]);
     }
@@ -278,7 +220,7 @@ mod tests {
     fn verify_raises_queue_count_to_plan_requirement() {
         // Fig. 9 needs 2 queues on one interval; a default SimConfig (1
         // queue) must be bumped automatically rather than fail Theorem 1's
-        // assumption (ii).
+        // assumption (ii), on both replay paths.
         let program = fig9();
         let topology = fig9_topology();
         let config = AnalysisConfig {
@@ -289,37 +231,33 @@ mod tests {
         assert_eq!(plan.requirements().max_per_interval(), 2);
         let report = verify_plan(&program, &topology, &plan, SimConfig::default()).unwrap();
         assert!(report.completed);
+        let mut arena = SimArena::new(&topology, SimConfig::default());
+        assert_eq!(arena.verify(&program, &plan).unwrap(), report);
     }
 
     #[test]
-    fn batch_arena_grows_queues_across_mixed_requirements() {
-        // A batch whose first plan needs 1 queue and second needs 2: the
-        // shared arena must raise its pool mid-batch, and the first plan's
-        // replay must not be affected by replay order.
-        let p7 = fig7(3);
-        let t7 = fig7_topology();
-        let plan7 = plan_for(&p7, &t7, &AnalysisConfig::default());
-        let p9 = fig9();
-        let c9 = AnalysisConfig {
+    fn arena_grows_queues_across_mixed_requirements() {
+        // One arena replays a 1-queue plan, then Fig. 9's 2-queue plan,
+        // then the 1-queue plan again: the pool grows mid-sequence, and
+        // the larger pool leaves the 1-queue plan's report unchanged.
+        let topology = fig9_topology();
+        let transfer = systolic_model::parse_program(
+            "cells 3\nmessage A: c0 -> c2\nprogram c0 { W(A)*3 }\nprogram c2 { R(A)*3 }\n",
+        )
+        .unwrap();
+        let one = plan_for(&transfer, &topology, &AnalysisConfig::default());
+        let two_queues = AnalysisConfig {
             queues_per_interval: 2,
             ..Default::default()
         };
-        let plan9 = plan_for(&p9, &fig9_topology(), &c9);
-        // fig7_topology and fig9_topology are both linear:4? fig9 is
-        // linear(3); use per-topology arenas where they differ.
-        let compiled7 = CompiledTopology::compile(&t7, &AnalysisConfig::default()).into_shared();
-        let mut arena = SimArena::from_compiled(Arc::clone(&compiled7), SimConfig::default());
-        let first = arena.verify(&p7, &plan7).unwrap();
+        let two = plan_for(&fig9(), &topology, &two_queues);
+        assert_eq!(one.requirements().max_per_interval(), 1);
+        assert_eq!(two.requirements().max_per_interval(), 2);
+        let mut arena = SimArena::new(&topology, SimConfig::default());
+        let first = arena.verify(&transfer, &one).unwrap();
         assert!(first.completed);
-
-        let compiled9 = CompiledTopology::compile(&fig9_topology(), &c9).into_shared();
-        let mut arena9 = SimArena::from_compiled(compiled9, SimConfig::default());
-        let a = arena9.verify(&p9, &plan9).unwrap();
-        assert!(a.completed);
-        // Re-verify the 1-queue plan in the grown arena: identical result.
-        let again = arena.verify(&p7, &plan7).unwrap();
-        assert_eq!(again.cycles, first.cycles);
-        assert_eq!(again.words_delivered, first.words_delivered);
+        assert!(arena.verify(&fig9(), &two).unwrap().completed);
+        assert_eq!(arena.verify(&transfer, &one).unwrap(), first);
     }
 
     #[test]
@@ -366,8 +304,7 @@ mod tests {
             ..Default::default()
         };
         let plan = plan_for(&program, &fig9_topology(), &c9);
-        let compiled = CompiledTopology::compile(&t7, &AnalysisConfig::default()).into_shared();
-        let mut arena = SimArena::from_compiled(compiled, SimConfig::default());
+        let mut arena = SimArena::new(&t7, SimConfig::default());
         assert!(matches!(
             arena.verify(&program, &plan),
             Err(ModelError::CellCountMismatch { .. })

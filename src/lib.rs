@@ -63,15 +63,14 @@
 //!
 //! # Verifying at scale
 //!
-//! Batch replays share one [`sim::SimArena`]: the immutable world
-//! (topology + config) is built once and the run state is reset in place
-//! per replay. With a precompiled topology, routes come from the shared
-//! closure and certified plans travel as `Arc`s. Plans over any mix of
-//! fabrics replay one at a time through [`sim::ArenaLru::replay`]: an
-//! LRU of at most a fixed number of warm arenas keyed by
-//! compiled-topology fingerprint, whose reports equal the sequential
-//! path's and which contains a replay panic to the one arena it ran in.
-//! The serving layer keeps a pool of these LRUs; the thread that
+//! A [`sim::SimArena`] holds one topology's queue pools and run state,
+//! reset in place between replays, and [`sim::SimArena::verify`] replays
+//! a certified plan over the plan's own routes (plans travel as `Arc`s).
+//! Plans over any mix of fabrics replay one at a time through
+//! [`sim::ArenaLru::replay`]: an LRU of at most a fixed number of warm
+//! arenas keyed by compiled-topology fingerprint, whose reports equal a
+//! fresh arena's and which contains a replay panic to the one arena it
+//! ran in. The serving layer keeps a pool of these LRUs; the thread that
 //! computed a plan borrows one, replays, and hands it back, so the pool
 //! size (`ServiceConfig::verify_threads`, default one per analysis
 //! worker) caps concurrent replays and resident arenas. Tuning: an arena
@@ -80,26 +79,20 @@
 //! ```
 //! use std::sync::Arc;
 //! use systolic::core::{AnalysisConfig, Analyzer, CompiledTopology};
-//! use systolic::sim::{verify_batch_compiled, SimConfig};
+//! use systolic::sim::{SimArena, SimConfig};
 //! use systolic::workloads::{fig7, fig7_topology};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let compiled =
 //!     CompiledTopology::compile(&fig7_topology(), &AnalysisConfig::default()).into_shared();
 //! let analyzer = Analyzer::new(Arc::clone(&compiled));
-//! let batch: Vec<_> = (2..5)
-//!     .map(|reps| {
-//!         let program = fig7(reps);
-//!         let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
-//!         Ok::<_, systolic::core::CoreError>((program, plan))
-//!     })
-//!     .collect::<Result<_, _>>()?;
-//! let reports = verify_batch_compiled(
-//!     batch.iter().map(|(program, plan)| (program, plan)),
-//!     &compiled,
-//!     SimConfig::default(),
-//! )?;
-//! assert!(reports.iter().all(|r| r.completed));
+//! let mut arena = SimArena::new(compiled.topology(), SimConfig::default());
+//! for reps in 2..5 {
+//!     let program = fig7(reps);
+//!     let plan = Arc::new(analyzer.analyze(&program)?.into_plan());
+//!     // One arena, three replays: its state is reset, not rebuilt.
+//!     assert!(arena.verify(&program, &plan)?.completed);
+//! }
 //! # Ok(())
 //! # }
 //! ```

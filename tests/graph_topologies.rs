@@ -134,8 +134,7 @@ fn high_water_respects_capacity() {
 
 /// Torus program exercising both wraparound dimensions: a message that XY
 /// routing sends through the column wrap and then the row wrap, verified
-/// end-to-end through analysis, the arena simulator, and the batch
-/// verifier.
+/// end-to-end through analysis, a one-shot replay and a reused arena.
 #[test]
 fn torus_wraparound_routes_and_completes() {
     let topology = Topology::from_spec("torus:4x4").unwrap();
@@ -164,15 +163,9 @@ fn torus_wraparound_routes_and_completes() {
     assert!(report.completed);
     assert_eq!(report.words_delivered, 4);
 
-    // The same plan replays identically through a shared batch arena.
-    let compiled = systolic::core::CompiledTopology::compile(&topology, &config).into_shared();
-    let reports = systolic::sim::verify_batch_compiled(
-        [(&program, &plan), (&program, &plan)],
-        &compiled,
-        SimConfig::default(),
-    )
-    .unwrap();
-    assert!(reports
-        .iter()
-        .all(|r| r.completed && r.cycles == report.cycles));
+    // The same plan replays identically, twice, through one reused arena.
+    let mut arena = systolic::sim::SimArena::new(&topology, SimConfig::default());
+    for _ in 0..2 {
+        assert_eq!(arena.verify(&program, &plan).unwrap(), report);
+    }
 }

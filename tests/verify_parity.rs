@@ -1,14 +1,19 @@
-//! Property: batch verification through one shared `SimArena`
-//! (`verify_batch_compiled`) is observationally identical to sequential
-//! one-shot `verify_plan` calls — same `completed`, `cycles` and
-//! `words_delivered` per plan — over generated mixed-traffic workloads.
-//! Arena reuse (reset-in-place pools, plan-route reuse, queue-pool
-//! growth across a batch) must never leak state between replays.
+//! Replay parity: every way of replaying a certified plan reports the
+//! same thing.
+//!
+//! Property one: over generated mixed-traffic workloads, replaying each
+//! topology's certified plans in turn through one reused `SimArena`
+//! equals replaying each plan on a fresh arena — every `VerifyReport`
+//! equal — and agrees with a one-shot `verify_plan` routed over the
+//! topology on `completed`, `cycles` and `words_delivered`, so a plan's
+//! routes replay like the topology's. Arena reuse (reset-in-place pools,
+//! queue-pool growth across replays) must never leak state between
+//! replays.
 //!
 //! Property two: replaying every certified plan of a generated stream,
 //! interleaved across topologies, one at a time through one `ArenaLru`
 //! (`ArenaLru::replay`, the service's chase path) is **byte-identical**
-//! to the sequential batch per topology — every `VerifyReport` equal —
+//! to the sequential replays per topology — every `VerifyReport` equal —
 //! whatever the LRU's arena count, so whether its arenas stay warm or
 //! get evicted and rebuilt.
 //!
@@ -22,15 +27,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use systolic::core::{AnalysisConfig, Analyzer, CommPlan, CompiledTopology, Lookahead};
 use systolic::model::{Program, Topology};
-use systolic::sim::{
-    verify_batch_compiled, verify_plan, ArenaLru, QueueConfig, SimConfig, VerifyReport,
-};
+use systolic::sim::{verify_plan, ArenaLru, QueueConfig, SimArena, SimConfig, VerifyReport};
 use systolic::workloads::{fig5_p2, fig7, fig7_topology, traffic, TrafficConfig, TrafficItem};
 
-/// One same-topology batch: the shape `verify_batch_compiled` serves.
+/// One topology's certified plans, in stream order.
 struct Batch {
     compiled: Arc<CompiledTopology>,
-    topology: Topology,
     items: Vec<(Program, Arc<CommPlan>)>,
 }
 
@@ -53,7 +55,6 @@ fn certified_batches(stream: &[TrafficItem]) -> Vec<Batch> {
                 let compiled = CompiledTopology::compile(&item.topology, &config).into_shared();
                 batches.push(Batch {
                     compiled,
-                    topology: item.topology.clone(),
                     items: Vec::new(),
                 });
                 batches.last_mut().expect("just pushed")
@@ -69,11 +70,25 @@ fn certified_batches(stream: &[TrafficItem]) -> Vec<Batch> {
     batches
 }
 
+/// Replays `items` in order through one fresh arena over `compiled`'s
+/// topology: the sequential reference.
+fn sequential_replays<'a>(
+    compiled: &CompiledTopology,
+    items: impl IntoIterator<Item = (&'a Program, &'a Arc<CommPlan>)>,
+    sim: SimConfig,
+) -> Vec<VerifyReport> {
+    let mut arena = SimArena::new(compiled.topology(), sim);
+    items
+        .into_iter()
+        .map(|(program, plan)| arena.verify(program, plan).expect("replay setup succeeds"))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn parallel_pool_is_byte_identical_to_sequential(
+    fn arena_lru_replays_equal_sequential_replays_per_topology(
         seed in 0u64..1_000_000,
         count in 4usize..12,
         hot_percent in 0u32..101,
@@ -93,12 +108,11 @@ proptest! {
         let sequential: Vec<Vec<VerifyReport>> = batches
             .iter()
             .map(|batch| {
-                verify_batch_compiled(
-                    batch.items.iter().map(|(program, plan)| (program, plan)),
+                sequential_replays(
                     &batch.compiled,
+                    batch.items.iter().map(|(program, plan)| (program, plan)),
                     sim,
                 )
-                .expect("batch setup succeeds")
             })
             .collect();
         // Round-robin over the batches: consecutive replays alternate
@@ -121,7 +135,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_verification_equals_sequential(
+    fn reused_arena_equals_fresh_arenas_and_topology_routes(
         seed in 0u64..1_000_000,
         count in 4usize..12,
         hot_percent in 0u32..101,
@@ -140,22 +154,23 @@ proptest! {
         let sim = SimConfig::default();
         let mut verified = 0usize;
         for batch in certified_batches(&stream) {
-            if batch.items.is_empty() {
-                continue;
-            }
-            let batch_reports = verify_batch_compiled(
-                batch.items.iter().map(|(program, plan)| (program, plan)),
+            let topology = batch.compiled.topology();
+            let reused = sequential_replays(
                 &batch.compiled,
+                batch.items.iter().map(|(program, plan)| (program, plan)),
                 sim,
-            )
-            .expect("batch setup succeeds");
-            prop_assert_eq!(batch_reports.len(), batch.items.len());
-            for ((program, plan), through_arena) in batch.items.iter().zip(&batch_reports) {
-                let sequential =
-                    verify_plan(program, &batch.topology, plan, sim).expect("setup succeeds");
-                prop_assert_eq!(through_arena.completed, sequential.completed);
-                prop_assert_eq!(through_arena.cycles, sequential.cycles);
-                prop_assert_eq!(through_arena.words_delivered, sequential.words_delivered);
+            );
+            prop_assert_eq!(reused.len(), batch.items.len());
+            for ((program, plan), through_arena) in batch.items.iter().zip(&reused) {
+                let fresh = SimArena::new(topology, sim)
+                    .verify(program, plan)
+                    .expect("replay setup succeeds");
+                prop_assert_eq!(through_arena, &fresh);
+                let routed =
+                    verify_plan(program, topology, plan, sim).expect("setup succeeds");
+                prop_assert_eq!(through_arena.completed, routed.completed);
+                prop_assert_eq!(through_arena.cycles, routed.cycles);
+                prop_assert_eq!(through_arena.words_delivered, routed.words_delivered);
                 // Certified plans complete (Theorem 1), so replays agree on
                 // success, not just on failure shape.
                 prop_assert!(through_arena.completed, "{} did not complete", program.num_cells());
@@ -179,8 +194,8 @@ fn transfer(cells: usize, reps: usize) -> Program {
 }
 
 /// The sequential reference: split the mixed batch by
-/// compiled-topology fingerprint, run each group through sequential
-/// `verify_batch_compiled`, and scatter the reports back to input order.
+/// compiled-topology fingerprint, replay each group in order through one
+/// arena, and scatter the reports back to input order.
 fn sequential_reference(
     items: &[(Program, Arc<CompiledTopology>, Arc<CommPlan>)],
     sim: SimConfig,
@@ -196,15 +211,14 @@ fn sequential_reference(
     let mut reports: Vec<Option<VerifyReport>> = (0..items.len()).map(|_| None).collect();
     for (_, indices) in &groups {
         let compiled = &items[indices[0]].1;
-        let group = verify_batch_compiled(
+        let group = sequential_replays(
+            compiled,
             indices.iter().map(|&i| {
                 let (program, _, plan) = &items[i];
                 (program, plan)
             }),
-            compiled,
             sim,
-        )
-        .expect("group setup succeeds");
+        );
         for (&i, report) in indices.iter().zip(group) {
             reports[i] = Some(report);
         }
