@@ -1123,6 +1123,54 @@ mod tests {
     }
 
     #[test]
+    fn reused_and_recomputed_classifications_stay_resumable() {
+        let program = parse_program(
+            "cells 3\nmessage A: c0 -> c2\nprogram c0 { W(A)*2 }\nprogram c2 { R(A)*2 }\n",
+        )
+        .unwrap();
+        let chain = Topology::graph(
+            3,
+            [
+                (CellId::new(0), CellId::new(1)),
+                (CellId::new(1), CellId::new(2)),
+            ],
+        )
+        .unwrap();
+        let analyzer = Analyzer::for_topology(&chain, &AnalysisConfig::default());
+        let mut session = IncrementalSession::seed(
+            analyzer,
+            program,
+            IncrementalConfig {
+                fallback_ratio: 1.0,
+            },
+        );
+
+        // A topology-only edit reuses the classification wholesale; the
+        // append after it resumes from that classification.
+        let report = session
+            .apply(&[EditOp::AddLink {
+                a: CellId::new(0),
+                b: CellId::new(2),
+            }])
+            .unwrap();
+        assert!(report.seeded_classification && !report.resumed_classification);
+        assert_parity(&session);
+        assert!(append_word(&mut session, "A").resumed_classification);
+        assert_parity(&session);
+
+        // A forced fallback recomputes the classification; the append
+        // after it resumes from the recomputed one.
+        session.config.fallback_ratio = 0.0;
+        let report = append_word(&mut session, "A");
+        assert_eq!(report.fallback, Some(FallbackReason::DirtyRatio));
+        assert!(!report.seeded_classification);
+        assert_parity(&session);
+        session.config.fallback_ratio = 1.0;
+        assert!(append_word(&mut session, "A").resumed_classification);
+        assert_parity(&session);
+    }
+
+    #[test]
     fn wide_edits_fall_back_and_stay_correct() {
         let mut session = line_session(
             "cells 2\nmessage A: c0 -> c1\nprogram c0 { W(A)*2 }\nprogram c1 { R(A)*2 }\n",
