@@ -1,11 +1,11 @@
 //! Regenerates every figure of the paper plus the extension experiments,
-//! printing the tables recorded in `EXPERIMENTS.md`.
+//! printing one table per experiment.
 //!
 //! Usage:
 //!
 //! ```text
 //! repro            # print all experiments as text
-//! repro --markdown # print as markdown (for EXPERIMENTS.md)
+//! repro --markdown # print as markdown tables
 //! repro F7 T1      # print selected experiments only (ids are case-insensitive)
 //! ```
 //!

@@ -1,6 +1,6 @@
 //! The experiment suite: one function per paper figure plus the extension
-//! experiments from DESIGN.md. Each returns an [`Experiment`] with a table
-//! that the `repro` binary prints and `EXPERIMENTS.md` records.
+//! experiments (`E1`–`E6`). Each returns an [`Experiment`] with a table
+//! that the `repro` binary prints.
 
 use std::time::Instant;
 

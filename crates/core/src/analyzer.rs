@@ -19,6 +19,12 @@
 //! ids) alongside the usual [`CoreError`], so serving layers can forward
 //! failures without parsing prose.
 //!
+//! Every entry point runs the same session: [`Analyzer::analyze`] is
+//! [`Analyzer::diagnose`] without the diagnostics, and `diagnose` is
+//! [`Analyzer::diagnose_in`] without a tracing context. The incremental
+//! path seeds that session with the stage artifacts an edit left valid
+//! and takes back the ones it computed; every other caller seeds none.
+//!
 //! # Examples
 //!
 //! Compile once, analyze many programs, inspect a failure:
@@ -58,7 +64,6 @@ use systolic_model::{CellId, MessageId, MessageRoutes, Program, Topology};
 use systolic_obs::{names, Counter, Histogram, Obs, Registry, SpanCtx};
 
 use crate::constraint_labeling::label_classified;
-use crate::crossing_off::{classify_with_snapshot, MachineSnapshot};
 use crate::labeling::label_messages_assignments_only;
 use crate::{
     check_consistency, classify_with, Analysis, AnalysisConfig, Classification, CommPlan,
@@ -67,40 +72,26 @@ use crate::{
     LookaheadLimits, QueueRequirements,
 };
 
-/// Precomputed artifacts the incremental path injects into a session so
-/// unchanged stages are *reused* instead of recomputed. Seeded stages skip
-/// their stage closure entirely (they can emit no diagnostics on success,
-/// so skipping preserves diagnostic parity), except classification, which
-/// is injected *into* its closure so the deadlock diagnostic is still
-/// emitted by the same code as a from-scratch run.
-#[derive(Default)]
-pub(crate) struct SessionSeeds {
-    pub routes: Option<Arc<MessageRoutes>>,
-    pub classification: Option<Arc<Classification>>,
-    pub competing: Option<Arc<CompetingSets>>,
-    /// A base labeling and the requirements computed from it. Offer them
-    /// only with `competing`: the requirements stage then keeps them when
-    /// the new labeling equals the base's, since
-    /// [`QueueRequirements::compute`] reads nothing but the competing sets
-    /// and the labels.
-    pub requirements: Option<BaseRequirements>,
-    /// Capture the crossing-off machine's end state for later resumption.
-    pub capture_snapshot: bool,
-}
-
-/// A labeling and the queue requirements computed from it.
-pub(crate) type BaseRequirements = (Arc<Labeling>, Arc<QueueRequirements>);
-
-/// What a finished incremental session hands back for the next edit:
-/// every per-stage artifact that survived, ready to seed the next session.
-/// The artifacts are shared with the session's [`Analysis`], not copies.
+/// The per-stage artifacts the incremental path carries from one edit to
+/// the next: a session is seeded with them and hands back the ones its
+/// stages computed or reused. They are shared with the session's
+/// [`Analysis`] behind `Arc`s, not copied.
+///
+/// Seeded stages skip their stage closure entirely (they can emit no
+/// diagnostics on success, so skipping preserves diagnostic parity),
+/// except classification, which is injected *into* its closure so the
+/// deadlock diagnostic is still emitted by the same code as a
+/// from-scratch run.
 #[derive(Debug, Default)]
-pub(crate) struct WarmArtifacts {
+pub(crate) struct StageArtifacts {
     pub routes: Option<Arc<MessageRoutes>>,
     pub classification: Option<Arc<Classification>>,
-    pub snapshot: Option<MachineSnapshot>,
     pub competing: Option<Arc<CompetingSets>>,
-    pub requirements: Option<BaseRequirements>,
+    /// A labeling and the requirements computed from it. Seed them only
+    /// with `competing`: the requirements stage then keeps them when the
+    /// new labeling equals this one, since [`QueueRequirements::compute`]
+    /// reads nothing but the competing sets and the labels.
+    pub requirements: Option<(Arc<Labeling>, Arc<QueueRequirements>)>,
 }
 
 /// The stage names of [`AnalyzerSession::drive_observed`], in pipeline
@@ -261,36 +252,18 @@ impl Analyzer {
     /// are first inspected; nothing is computed up front.
     #[must_use]
     pub fn session<'a>(&'a self, program: &'a Program) -> AnalyzerSession<'a> {
-        self.session_with(program, true, None)
+        self.seeded_session(program, None, StageArtifacts::default())
     }
 
-    fn session_with<'a>(
-        &'a self,
-        program: &'a Program,
-        advisories: bool,
-        ctx: Option<SpanCtx>,
-    ) -> AnalyzerSession<'a> {
-        self.seeded_session_with(program, advisories, ctx, SessionSeeds::default())
-    }
-
-    /// A session pre-seeded with artifacts reused from a previous analysis
-    /// (the incremental path). Diagnostics behave exactly as in
-    /// [`Analyzer::diagnose`].
+    /// The one session constructor: `seeds` holds the artifacts the
+    /// incremental path reuses from a previous analysis (none elsewhere),
+    /// `ctx` the tracing context for the stage spans. Diagnostics behave
+    /// exactly as in [`Analyzer::diagnose`].
     pub(crate) fn seeded_session<'a>(
         &'a self,
         program: &'a Program,
         ctx: Option<SpanCtx>,
-        seeds: SessionSeeds,
-    ) -> AnalyzerSession<'a> {
-        self.seeded_session_with(program, true, ctx, seeds)
-    }
-
-    fn seeded_session_with<'a>(
-        &'a self,
-        program: &'a Program,
-        advisories: bool,
-        ctx: Option<SpanCtx>,
-        seeds: SessionSeeds,
+        seeds: StageArtifacts,
     ) -> AnalyzerSession<'a> {
         fn cell_from<T>(value: Option<T>) -> OnceCell<Result<T, CoreError>> {
             match value {
@@ -301,14 +274,11 @@ impl Analyzer {
         AnalyzerSession {
             analyzer: self,
             program,
-            advisories,
             ctx,
             routes: cell_from(seeds.routes),
             limits: OnceCell::new(),
             classification: OnceCell::new(),
             seeded_classification: RefCell::new(seeds.classification),
-            capture_snapshot: seeds.capture_snapshot,
-            snapshot: RefCell::new(None),
             labeling: OnceCell::new(),
             consistency: OnceCell::new(),
             competing: cell_from(seeds.competing),
@@ -349,18 +319,14 @@ impl Analyzer {
     /// * [`CoreError::Infeasible`] if an interval needs more queues than
     ///   the configured `queues_per_interval`.
     pub fn analyze(&self, program: &Program) -> Result<Analysis, CoreError> {
-        // Diagnostics are discarded here, so skip the advisory
-        // (info-severity) scans; error paths still emit theirs.
-        self.session_with(program, false, None)
-            .finish()
-            .into_result()
+        self.diagnose(program).into_result()
     }
 
     /// Runs all stages and returns the result *with* the accumulated
     /// structured diagnostics — what serving layers forward to clients.
     #[must_use]
     pub fn diagnose(&self, program: &Program) -> AnalysisOutcome {
-        self.session(program).finish()
+        self.diagnose_in(program, None)
     }
 
     /// [`Analyzer::diagnose`] with a tracing context: when this analyzer
@@ -368,7 +334,8 @@ impl Analyzer {
     /// child span of `ctx.parent` in `ctx.trace`.
     #[must_use]
     pub fn diagnose_in(&self, program: &Program, ctx: Option<SpanCtx>) -> AnalysisOutcome {
-        self.session_with(program, true, ctx).finish()
+        self.seeded_session(program, ctx, StageArtifacts::default())
+            .finish()
     }
 }
 
@@ -429,10 +396,6 @@ impl AnalysisOutcome {
 pub struct AnalyzerSession<'a> {
     analyzer: &'a Analyzer,
     program: &'a Program,
-    /// When `false`, info-severity advisory scans (queue-extension
-    /// candidates) are skipped — result-only callers don't pay for
-    /// diagnostics nobody reads.
-    advisories: bool,
     /// Trace context for stage spans (requires an observed analyzer).
     ctx: Option<SpanCtx>,
     routes: OnceCell<Result<Arc<MessageRoutes>, CoreError>>,
@@ -442,16 +405,13 @@ pub struct AnalyzerSession<'a> {
     /// by the classification stage in place of running the crossing-off
     /// procedure, so the stage's diagnostics are still emitted uniformly.
     seeded_classification: RefCell<Option<Arc<Classification>>>,
-    /// Capture the crossing-off end state into `snapshot`.
-    capture_snapshot: bool,
-    snapshot: RefCell<Option<MachineSnapshot>>,
     labeling: OnceCell<Result<LabelingOutcome, CoreError>>,
     consistency: OnceCell<Result<Vec<ConsistencyViolation>, CoreError>>,
     competing: OnceCell<Result<Arc<CompetingSets>, CoreError>>,
     requirements: OnceCell<Result<Arc<QueueRequirements>, CoreError>>,
     /// Requirements the incremental path offers for reuse; consumed by the
-    /// requirements stage (see [`SessionSeeds::requirements`]).
-    base_requirements: RefCell<Option<BaseRequirements>>,
+    /// requirements stage (see [`StageArtifacts::requirements`]).
+    base_requirements: RefCell<Option<(Arc<Labeling>, Arc<QueueRequirements>)>>,
     plan: OnceCell<Result<CommPlan, CoreError>>,
     diagnostics: RefCell<Diagnostics>,
 }
@@ -590,16 +550,8 @@ impl<'a> AnalyzerSession<'a> {
             .get_or_init(|| {
                 let limits = self.limits()?;
                 let seeded = self.seeded_classification.borrow_mut().take();
-                let classification = match seeded {
-                    Some(classification) => classification,
-                    None if self.capture_snapshot => {
-                        let (classification, snapshot) =
-                            classify_with_snapshot(self.program, limits);
-                        *self.snapshot.borrow_mut() = Some(snapshot);
-                        Arc::new(classification)
-                    }
-                    None => Arc::new(classify_with(self.program, limits)),
-                };
+                let classification =
+                    seeded.unwrap_or_else(|| Arc::new(classify_with(self.program, limits)));
                 if let Classification::Deadlocked { trace, stuck } = &*classification {
                     let mut cells = Vec::new();
                     let mut messages = Vec::new();
@@ -624,12 +576,10 @@ impl<'a> AnalyzerSession<'a> {
                         .with_messages(messages)
                         .with_cells(cells),
                     );
-                } else if self.advisories
-                    && !matches!(
-                        self.analyzer.compiled.config().lookahead,
-                        Lookahead::Disabled
-                    )
-                {
+                } else if !matches!(
+                    self.analyzer.compiled.config().lookahead,
+                    Lookahead::Disabled
+                ) {
                     // Advisory: messages whose skip counts would engage the
                     // iWarp queue-extension mechanism on zero-capacity
                     // budgets (Section 8.1). One pass over the trace.
@@ -956,32 +906,16 @@ impl<'a> AnalyzerSession<'a> {
     /// [`Analyzer::analyze`]) plus all accumulated diagnostics.
     #[must_use]
     pub fn finish(self) -> AnalysisOutcome {
-        // Drive the stages to completion (or the first error)…
-        let driven = self.drive();
-        let diagnostics = self.diagnostics.into_inner();
-        // …then drain the memoized artifacts out of their cells without
-        // cloning — the session owns them and is consumed here.
-        let result = driven.map(|()| {
-            let take = "plan success implies every earlier stage succeeded";
-            let plan = self.plan.into_inner().expect(take).expect(take);
-            let classification = self.classification.into_inner().expect(take).expect(take);
-            let outcome = self.labeling.into_inner().expect(take).expect(take);
-            let limits = self.limits.into_inner().expect(take).expect(take);
-            Analysis::from_parts(classification, outcome.report, outcome.method, plan, limits)
-        });
-        AnalysisOutcome {
-            result,
-            diagnostics,
-        }
+        self.finish_with_artifacts().0
     }
 
-    /// [`AnalyzerSession::finish`] for the incremental path: additionally
-    /// drains every per-stage artifact (successful stages only) so the
-    /// next edit can be seeded from them. Failed pipelines keep whatever
-    /// stages did succeed — a deadlocked program's classification and
-    /// snapshot are exactly what the next (possibly fixing) edit resumes
-    /// from.
-    pub(crate) fn finish_incremental(self) -> (AnalysisOutcome, WarmArtifacts) {
+    /// [`AnalyzerSession::finish`], also handing back every stage artifact
+    /// that succeeded so the next edit can be seeded from them. The
+    /// memoized artifacts are drained out of their cells, not cloned.
+    /// Failed pipelines keep whatever stages did succeed: a deadlocked
+    /// program's classification is exactly what the next (possibly
+    /// fixing) edit resumes from.
+    pub(crate) fn finish_with_artifacts(self) -> (AnalysisOutcome, StageArtifacts) {
         let driven = self.drive();
         let diagnostics = self.diagnostics.into_inner();
         let routes = self.routes.into_inner().and_then(Result::ok);
@@ -991,7 +925,6 @@ impl<'a> AnalyzerSession<'a> {
         let labeling = self.labeling.into_inner().and_then(Result::ok);
         let requirements = self.requirements.into_inner().and_then(Result::ok);
         let plan = self.plan.into_inner().and_then(Result::ok);
-        let snapshot = self.snapshot.into_inner();
         let requirements = labeling
             .as_ref()
             .zip(requirements)
@@ -1012,10 +945,9 @@ impl<'a> AnalyzerSession<'a> {
                 result,
                 diagnostics,
             },
-            WarmArtifacts {
+            StageArtifacts {
                 routes,
                 classification,
-                snapshot,
                 competing,
                 requirements,
             },

@@ -20,6 +20,11 @@
 //! never disables another executable pair — so this choice affects only the
 //! trace layout, not the classification.
 //!
+//! A [`Trace`] keeps how many words of each message its run crossed. By
+//! confluence that is the whole end state: after appends at cell-program
+//! tails, `classify_resume` picks up from any trace (fresh, reused or
+//! itself resumed) instead of re-crossing every pair.
+//!
 //! The executable pairs are kept in a ready set that a cross updates only
 //! around the two cells it touches. With every lookahead budget zero, a
 //! message is executable exactly when its sender's and its receiver's
@@ -60,9 +65,16 @@ pub struct Step {
 }
 
 /// The full record of a crossing-off run.
+///
+/// Besides its steps, a trace keeps how many words of each message the run
+/// crossed. The procedure is confluent, so these counts alone say where the
+/// run stopped, and a run over a tail-extended program can pick up from
+/// them (incremental reanalysis).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Trace {
     steps: Vec<Step>,
+    /// Per message: words crossed by the end of the run.
+    words_done: Vec<usize>,
 }
 
 impl Trace {
@@ -205,21 +217,12 @@ pub fn classify(program: &Program) -> Classification {
 /// buffering capacity at run time.
 #[must_use]
 pub fn classify_with(program: &Program, limits: &LookaheadLimits) -> Classification {
-    run_to_completion(Machine::new(program, limits), Trace::default()).0
+    run_to_completion(Machine::new(program, limits), Vec::new())
 }
 
-/// [`classify_with`], additionally returning the machine's end state so a
-/// later run can resume from it (incremental reanalysis).
-pub(crate) fn classify_with_snapshot(
-    program: &Program,
-    limits: &LookaheadLimits,
-) -> (Classification, MachineSnapshot) {
-    run_to_completion(Machine::new(program, limits), Trace::default())
-}
-
-/// Resumes the crossing-off procedure from a previous run's end state.
+/// Resumes the crossing-off procedure where `base_trace`'s run stopped.
 ///
-/// `program` must extend the snapshot's program by **appending** operations
+/// `program` must extend the base run's program by **appending** operations
 /// at cell-program tails only (positions of existing ops unchanged), and
 /// `limits` must be skip-free ([`LookaheadLimits::disabled`]-shaped) for the
 /// result to be parity-sound:
@@ -236,31 +239,26 @@ pub(crate) fn classify_with_snapshot(
 ///   into steps can differ from a from-scratch run, and nothing downstream
 ///   consumes step layout.
 ///
+/// Any trace can be resumed, whether its run was fresh or itself resumed.
 /// With skip-free limits the machine takes its front path, which rebuilds
-/// its state from the snapshot's per-message word counts alone, in time
+/// its state from the trace's per-message word counts alone, in time
 /// linear in the cells and messages rather than the ops.
 pub(crate) fn classify_resume(
     program: &Program,
     limits: &LookaheadLimits,
-    snapshot: MachineSnapshot,
     base_trace: Trace,
-) -> (Classification, MachineSnapshot) {
-    run_to_completion(
-        Machine::from_snapshot(program, limits, snapshot),
-        base_trace,
-    )
+) -> Classification {
+    let Trace { steps, words_done } = base_trace;
+    run_to_completion(Machine::resume(program, limits, words_done), steps)
 }
 
-/// Drives a machine until no pair is executable, then packages the verdict
-/// and the end-state snapshot.
+/// Drives a machine until no pair is executable, appending each step to
+/// `steps`, then packages the verdict with the machine's word counts.
 ///
 /// Each step takes the whole ready set, so its pairs (skip counts
 /// included) all describe the state before the step, in ascending
 /// message-id order; they are then crossed together.
-fn run_to_completion(
-    mut machine: Machine<'_>,
-    mut trace: Trace,
-) -> (Classification, MachineSnapshot) {
+fn run_to_completion(mut machine: Machine<'_>, mut steps: Vec<Step>) -> Classification {
     loop {
         let pairs = machine.take_ready();
         if pairs.is_empty() {
@@ -269,34 +267,17 @@ fn run_to_completion(
         for p in &pairs {
             machine.cross(p);
         }
-        trace.steps.push(Step { pairs });
+        steps.push(Step { pairs });
     }
-    let stuck = if machine.remaining_ops() == 0 {
-        None
-    } else {
-        Some(machine.stuck_report(trace.total_pairs()))
+    let stuck = (machine.remaining_ops() > 0).then(|| machine.stuck_report());
+    let trace = Trace {
+        steps,
+        words_done: machine.progress.words_done,
     };
-    let snapshot = machine.into_snapshot();
-    let classification = match stuck {
+    match stuck {
         None => Classification::DeadlockFree(trace),
         Some(stuck) => Classification::Deadlocked { trace, stuck },
-    };
-    (classification, snapshot)
-}
-
-/// The portable end state of a crossing-off run, detached from the program
-/// borrow, so an extended program can resume where the base run finished
-/// instead of re-crossing every pair.
-///
-/// A cell's program holds only writes or only reads of a given message,
-/// and each cross takes that message's first uncrossed op in both of its
-/// cells, so the crossed ops are exactly each message's first
-/// `words_done` ops in its sender and in its receiver. Without lookahead
-/// only front ops are crossed, so they are also a prefix of each cell's
-/// program, and a front-path machine resumes from these counts alone.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct MachineSnapshot {
-    words_done: Vec<usize>,
+    }
 }
 
 /// Orders the ready set: labeled messages first, by label, then unlabeled
@@ -412,26 +393,24 @@ enum Path<'p> {
 
 impl<'p> Machine<'p> {
     pub(crate) fn new(program: &'p Program, limits: &'p LookaheadLimits) -> Self {
-        let snapshot = MachineSnapshot {
-            words_done: vec![0; program.num_messages()],
-        };
-        Self::from_snapshot(program, limits, snapshot)
+        Self::resume(program, limits, vec![0; program.num_messages()])
     }
 
-    /// Rebuilds a machine over `program` from a previous run's end state.
+    /// Rebuilds a machine over `program` from a previous run's per-message
+    /// crossed-word counts.
     ///
-    /// `program` must extend the snapshot's program by appending operations
-    /// at cell-program tails only: same cells, same message declarations,
-    /// and each cell's op list an extension of what the snapshot saw, so
-    /// every crossed op keeps its place among its message's ops. Every
-    /// cell (front path) or message (window walk) is examined once for the
-    /// first read of the ready set.
-    pub(crate) fn from_snapshot(
-        program: &'p Program,
-        limits: &'p LookaheadLimits,
-        snapshot: MachineSnapshot,
-    ) -> Self {
-        let MachineSnapshot { words_done } = snapshot;
+    /// `program` must extend the previous run's program by appending
+    /// operations at cell-program tails only: same cells, same message
+    /// declarations, and each cell's op list an extension of what that run
+    /// saw, so every crossed op keeps its place among its message's ops.
+    ///
+    /// A cell's program holds only writes or only reads of a given message,
+    /// and each cross takes that message's first uncrossed op in both of its
+    /// cells, so the crossed ops are exactly each message's first
+    /// `words_done` ops in its sender and in its receiver. Every cell
+    /// (front path) or message (window walk) is examined once for the first
+    /// read of the ready set.
+    fn resume(program: &'p Program, limits: &'p LookaheadLimits, words_done: Vec<usize>) -> Self {
         debug_assert_eq!(
             words_done.len(),
             program.num_messages(),
@@ -452,18 +431,11 @@ impl<'p> Machine<'p> {
         Machine { progress, path }
     }
 
-    /// Consumes the machine into its portable end state.
-    pub(crate) fn into_snapshot(self) -> MachineSnapshot {
-        MachineSnapshot {
-            words_done: self.progress.words_done,
-        }
-    }
-
     pub(crate) fn remaining_ops(&self) -> usize {
         self.progress.remaining_ops
     }
 
-    pub(crate) fn stuck_report(&self, crossed_words: usize) -> StuckReport {
+    fn stuck_report(&self) -> StuckReport {
         let program = self.progress.program;
         StuckReport {
             fronts: program
@@ -476,7 +448,7 @@ impl<'p> Machine<'p> {
                 })
                 .collect(),
             remaining_ops: self.progress.remaining_ops,
-            crossed_words,
+            crossed_words: self.progress.words_done.iter().sum(),
         }
     }
 
@@ -556,7 +528,7 @@ impl Fronts {
     fn new(progress: &Progress<'_>) -> Self {
         let program = progress.program;
         // A cell's crossed prefix holds each of its messages' first
-        // `words_done` ops (see `MachineSnapshot`).
+        // `words_done` ops (see `Machine::resume`).
         let mut front = vec![0; program.num_cells()];
         for (decl, &done) in program.messages().iter().zip(&progress.words_done) {
             front[decl.sender().index()] += done;
@@ -1401,10 +1373,9 @@ mod front_path_tests {
     /// after `extended`'s tail appends.
     fn paths_agree(program: &Program, extended: &Program) -> Result<(), TestCaseError> {
         let limits = LookaheadLimits::disabled(program);
-        let (front, front_end) = classify_with_snapshot(program, &limits);
-        let (walk, walk_end) = with_window_walk(|| classify_with_snapshot(program, &limits));
+        let front = classify_with(program, &limits);
+        let walk = with_window_walk(|| classify_with(program, &limits));
         prop_assert_eq!(&front, &walk);
-        prop_assert_eq!(&front_end, &walk_end);
         same_labeling(
             label_messages(program, &limits),
             with_window_walk(|| label_messages(program, &limits)),
@@ -1417,15 +1388,15 @@ mod front_path_tests {
         }
 
         let limits = LookaheadLimits::disabled(extended);
-        let resumed = classify_resume(extended, &limits, front_end, front.trace().clone());
+        let resumed = classify_resume(extended, &limits, front.trace().clone());
         let resumed_walk =
-            with_window_walk(|| classify_resume(extended, &limits, walk_end, walk.trace().clone()));
+            with_window_walk(|| classify_resume(extended, &limits, walk.trace().clone()));
         prop_assert_eq!(&resumed, &resumed_walk);
         // Confluence: a resumed run crosses what a fresh one does and
         // stalls where it stalls.
         let fresh = classify(extended);
-        prop_assert_eq!(resumed.0.trace().total_pairs(), fresh.trace().total_pairs());
-        match (&resumed.0, &fresh) {
+        prop_assert_eq!(&resumed.trace().words_done, &fresh.trace().words_done);
+        match (&resumed, &fresh) {
             (Classification::DeadlockFree(_), Classification::DeadlockFree(_)) => {}
             (
                 Classification::Deadlocked { stuck: a, .. },

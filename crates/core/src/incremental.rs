@@ -30,17 +30,22 @@
 //! | routes         | topology unchanged (edits never touch message decls) |
 //! | competing      | topology unchanged (function of routes only)         |
 //! | classification | program unchanged (topology-only edit, non-capacity  |
-//! |                | lookahead), or *resumed* from the previous run's     |
-//! |                | machine snapshot (append-only edit, no lookahead —   |
-//! |                | sound by confluence of the crossing-off procedure)   |
+//! |                | lookahead), or *resumed* where the previous trace    |
+//! |                | stopped (append-only edit, no lookahead — sound by   |
+//! |                | confluence of the crossing-off procedure)            |
 //! | labeling       | never wholesale; the assignments-only driver stops   |
 //! |                | once every message is labeled (sound after a         |
 //! |                | deadlock-free classification)                        |
 //! | requirements   | competing sets reused and the new labeling equal to  |
 //! |                | the base's (a function of those two alone)           |
 //!
-//! Reused artifacts are shared with the base analysis behind `Arc`s, not
-//! copied, and a resumed classification extends the base trace in place.
+//! The session keeps one set of stage artifacts: each edit clears the ones
+//! it invalidates, seeds the next analyzer session with the rest and keeps
+//! what that session hands back. Reused artifacts are shared with the base
+//! analysis behind `Arc`s, not copied. A classification's trace keeps the
+//! per-message word counts its run stopped at, so every classification,
+//! whether fresh, reused wholesale or resumed, can be resumed by the next
+//! append, and a resumed run extends the base trace in place.
 //!
 //! # Examples
 //!
@@ -80,7 +85,7 @@ use std::time::Instant;
 use systolic_model::{CellId, CellProgram, MessageId, ModelError, Op, Program, Topology};
 use systolic_obs::SpanCtx;
 
-use crate::analyzer::{AnalysisOutcome, Observed, SessionSeeds, WarmArtifacts};
+use crate::analyzer::{AnalysisOutcome, Observed, StageArtifacts};
 use crate::crossing_off::classify_resume;
 use crate::{Analyzer, Classification, CompiledTopology, Diagnostics, Lookahead, LookaheadLimits};
 
@@ -268,8 +273,8 @@ impl DirtySet {
         self.topology
     }
 
-    /// `true` if any operation was removed (removals forfeit the
-    /// snapshot-resume path: the crossing-off machine cannot un-cross).
+    /// `true` if any operation was removed (removals forfeit the resumed
+    /// classification: the crossing-off machine cannot un-cross).
     #[must_use]
     pub fn has_removals(&self) -> bool {
         self.removals
@@ -477,8 +482,8 @@ pub struct ReuseReport {
     pub reused_routes: bool,
     /// The competing sets were reused unchanged.
     pub reused_competing: bool,
-    /// Classification was *resumed* from the previous machine snapshot
-    /// (implies [`ReuseReport::seeded_classification`]).
+    /// Classification was *resumed* where the previous classification's
+    /// trace stopped (implies [`ReuseReport::seeded_classification`]).
     pub resumed_classification: bool,
     /// Classification was injected instead of recomputed from scratch.
     pub seeded_classification: bool,
@@ -524,7 +529,7 @@ pub struct IncrementalSession {
     program: Arc<Program>,
     config: IncrementalConfig,
     outcome: AnalysisOutcome,
-    warm: WarmArtifacts,
+    artifacts: StageArtifacts,
 }
 
 impl IncrementalSession {
@@ -534,31 +539,16 @@ impl IncrementalSession {
         program: impl Into<Arc<Program>>,
         config: IncrementalConfig,
     ) -> IncrementalSession {
-        Self::seed_in(analyzer, program, config, None)
-    }
-
-    /// [`IncrementalSession::seed`] with a tracing context for the
-    /// initial analysis' stage spans.
-    pub fn seed_in(
-        analyzer: Analyzer,
-        program: impl Into<Arc<Program>>,
-        config: IncrementalConfig,
-        ctx: Option<SpanCtx>,
-    ) -> IncrementalSession {
         let program = program.into();
-        let seeds = SessionSeeds {
-            capture_snapshot: matches!(analyzer.config().lookahead, Lookahead::Disabled),
-            ..SessionSeeds::default()
-        };
-        let (outcome, warm) = analyzer
-            .seeded_session(&program, ctx, seeds)
-            .finish_incremental();
+        let (outcome, artifacts) = analyzer
+            .seeded_session(&program, None, StageArtifacts::default())
+            .finish_with_artifacts();
         IncrementalSession {
             analyzer,
             program,
             config,
             outcome,
-            warm,
+            artifacts,
         }
     }
 
@@ -649,60 +639,33 @@ impl IncrementalSession {
         let lookahead_disabled = matches!(lookahead, Lookahead::Disabled);
         let capacity_lookahead = matches!(lookahead, Lookahead::PerQueueCapacity(_));
 
-        let mut seeds = SessionSeeds::default();
-        // Every warm artifact is moved into the seeds or dropped: the edit
-        // commits from here on, and a new warm state replaces this one.
-        let mut warm = std::mem::take(&mut self.warm);
-        let mut report = ReuseReport {
-            dirty_cells: dirty.count(),
-            total_cells: self.program.num_cells(),
-            dirty_messages: dirty.messages().len(),
-            reused_routes: false,
-            reused_competing: false,
-            resumed_classification: false,
-            seeded_classification: false,
-            fast_labeling: true,
-            fallback,
-        };
-        // A snapshot to carry into the new warm state when the session
-        // itself captures none (both classification-reuse paths).
-        let mut carried_snapshot = None;
-
-        if fallback.is_none() {
-            if !dirty.topology_dirty() {
-                // Edits never touch message declarations, so with the
-                // topology unchanged the route table — and the competing
-                // sets derived from it — are reused byte-for-byte.
-                if let Some(routes) = warm.routes.take() {
-                    seeds.routes = Some(routes);
-                    report.reused_routes = true;
-                }
-                if let Some(competing) = warm.competing.take() {
-                    seeds.competing = Some(competing);
-                    report.reused_competing = true;
-                    // With the competing sets reused, the base requirements
-                    // hold for an unchanged labeling (checked in the stage).
-                    seeds.requirements = warm.requirements.take();
-                }
+        // The edit commits from here on: whatever it leaves valid seeds the
+        // next session, and that session's artifacts replace these.
+        let mut seeds = std::mem::take(&mut self.artifacts);
+        let mut resumed = false;
+        if fallback.is_some() {
+            seeds = StageArtifacts::default();
+        } else {
+            if dirty.topology_dirty() {
+                // Edits never touch message declarations, so only a link
+                // edit moves the routes, and with them the competing sets
+                // and the requirements computed from those.
+                seeds.routes = None;
+                seeds.competing = None;
+                seeds.requirements = None;
             }
             if dirty.count() == 0 {
                 // Topology-only (or empty) batch: the program is
                 // unchanged, and classification reads the topology only
                 // through capacity-derived lookahead budgets.
-                if !capacity_lookahead {
-                    if let Some(classification) = warm.classification.take() {
-                        seeds.classification = Some(classification);
-                        report.seeded_classification = true;
-                        carried_snapshot = warm.snapshot.take();
-                    }
+                if capacity_lookahead {
+                    seeds.classification = None;
                 }
             } else if !dirty.has_removals() && lookahead_disabled {
                 // Append-only program edit without lookahead: resume the
-                // crossing-off machine from the previous end state
-                // (see `classify_resume` for the confluence argument).
-                if let (Some(snapshot), Some(classification)) =
-                    (warm.snapshot.take(), warm.classification.take())
-                {
+                // crossing-off where the base run stopped (see
+                // `classify_resume` for the confluence argument).
+                if let Some(classification) = seeds.classification.take() {
                     // The old outcome shares the base classification; drop
                     // it so the base trace is moved into the resumed run,
                     // not copied.
@@ -712,22 +675,25 @@ impl IncrementalSession {
                         Classification::Deadlocked { trace, .. } => trace,
                     };
                     let limits = LookaheadLimits::disabled(&program);
-                    let (resumed, snapshot) =
-                        classify_resume(&program, &limits, snapshot, base_trace);
-                    seeds.classification = Some(Arc::new(resumed));
-                    report.resumed_classification = true;
-                    report.seeded_classification = true;
-                    carried_snapshot = Some(snapshot);
+                    let resumed_classification = classify_resume(&program, &limits, base_trace);
+                    seeds.classification = Some(Arc::new(resumed_classification));
+                    resumed = true;
                 }
+            } else {
+                seeds.classification = None;
             }
         }
-        if seeds.classification.is_none() && lookahead_disabled {
-            // Whatever path recomputes classification also captures a
-            // fresh snapshot so the *next* append can resume.
-            seeds.capture_snapshot = true;
-        }
-
-        drop(warm);
+        let report = ReuseReport {
+            dirty_cells: dirty.count(),
+            total_cells: self.program.num_cells(),
+            dirty_messages: dirty.messages().len(),
+            reused_routes: seeds.routes.is_some(),
+            reused_competing: seeds.competing.is_some(),
+            resumed_classification: resumed,
+            seeded_classification: seeds.classification.is_some(),
+            fast_labeling: true,
+            fallback,
+        };
 
         if let (Some(Observed { obs, .. }), Some(ctx)) = (analyzer.observed(), ctx) {
             for (reused, name) in [
@@ -743,12 +709,9 @@ impl IncrementalSession {
         }
 
         let program = Arc::new(program);
-        let (outcome, mut warm) = analyzer
+        let (outcome, artifacts) = analyzer
             .seeded_session(&program, ctx, seeds)
-            .finish_incremental();
-        if warm.snapshot.is_none() {
-            warm.snapshot = carried_snapshot;
-        }
+            .finish_with_artifacts();
 
         if let Some(Observed { obs, instruments }) = analyzer.observed() {
             let registry = obs.registry();
@@ -779,7 +742,7 @@ impl IncrementalSession {
         self.analyzer = analyzer;
         self.program = program;
         self.outcome = outcome;
-        self.warm = warm;
+        self.artifacts = artifacts;
         Ok(report)
     }
 }
@@ -961,8 +924,8 @@ mod tests {
         assert!(report.reused_routes);
         assert_eq!(session.program().total_words(), 2);
         assert_parity(&session);
-        // The fresh snapshot captured during the removal re-enables
-        // resume for the following append.
+        // The classification recomputed for the removal is resumable by
+        // the following append.
         let a = session.program().message_id("A").unwrap();
         let report = session
             .apply(&[
@@ -1194,9 +1157,7 @@ mod tests {
         assert!(!report.reused_any());
         assert!((report.dirty_ratio() - 1.0).abs() < f64::EPSILON);
         assert_parity(&session);
-        // Fallback still captured a snapshot, so the session stays warm
-        // for later narrow edits (cannot exist on a 2-cell array — but
-        // the snapshot presence is observable via another fallback).
+        // A second wide edit falls back again and stays correct.
         let report = session
             .apply(&[
                 EditOp::AppendOp {

@@ -2,7 +2,7 @@
 //! the experiment harness.
 //!
 //! No external dependencies: the `repro` binary and the benches use this to
-//! print the paper-style tables recorded in `EXPERIMENTS.md`.
+//! print the paper-style tables.
 //!
 //! # Examples
 //!

@@ -79,7 +79,7 @@ pub use engine::{run_simulation, RunOutcome, SimArena, SimConfig};
 pub use policy::{
     AssignmentPolicy, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, Request, StaticPolicy,
 };
-pub use pool::{PendingRequests, PoolView, QueuePools};
+pub use pool::{PendingRequests, QueuePools};
 pub use queue::{HwQueue, QueueConfig, Word};
 pub use stats::{AssignmentEvent, RunStats};
 pub use verify::{verify_plan, ReplayDeadlock, VerifyReport};

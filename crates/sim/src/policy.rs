@@ -20,7 +20,7 @@ use std::sync::Arc;
 use systolic_core::{CommPlan, Label};
 use systolic_model::{Hop, Interval, MessageId};
 
-use crate::PoolView;
+use crate::QueuePools;
 
 /// A pending request: `message` wants a queue to cross `hop`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,8 +47,9 @@ pub struct Grant {
 /// A runtime queue-assignment policy.
 ///
 /// The runtime passes the outstanding requests (oldest first) and a
-/// [`PoolView`]; the policy returns the grants to apply. A policy must only
-/// grant free queues and must not grant one queue twice in a single call.
+/// read-only borrow of its [`QueuePools`]; the policy returns the grants to
+/// apply. A policy must only grant free queues and must not grant one
+/// queue twice in a single call.
 ///
 /// Both runtimes drive the same policy objects and feed them from one
 /// [`PendingRequests`](crate::PendingRequests) list, whose
@@ -59,7 +60,7 @@ pub struct Grant {
 /// one behind its lock.
 pub trait AssignmentPolicy: std::fmt::Debug + Send {
     /// Decides grants for the outstanding `requests`.
-    fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant>;
+    fn grant(&mut self, pools: &QueuePools, requests: &[Request]) -> Vec<Grant>;
 
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -115,7 +116,7 @@ impl StaticPolicy {
 }
 
 impl AssignmentPolicy for StaticPolicy {
-    fn grant(&mut self, _view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
+    fn grant(&mut self, _pools: &QueuePools, requests: &[Request]) -> Vec<Grant> {
         // Dedicated queues are free by construction whenever requested.
         requests
             .iter()
@@ -151,7 +152,7 @@ impl FifoPolicy {
 }
 
 impl AssignmentPolicy for FifoPolicy {
-    fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
+    fn grant(&mut self, pools: &QueuePools, requests: &[Request]) -> Vec<Grant> {
         // Requests arrive oldest-first; enqueue new ones.
         for r in requests {
             let key = (r.message, r.hop.interval());
@@ -164,7 +165,7 @@ impl AssignmentPolicy for FifoPolicy {
         }
         let mut grants = Vec::new();
         for (&interval, queue_line) in &mut self.waiting {
-            let mut free = view.free_queues(interval);
+            let mut free = pools.free_queues(interval);
             while let Some(&(m, hop)) = queue_line.front() {
                 let Some(q) = free.pop() else { break };
                 grants.push(Grant {
@@ -203,14 +204,14 @@ impl GreedyPolicy {
 }
 
 impl AssignmentPolicy for GreedyPolicy {
-    fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
+    fn grant(&mut self, pools: &QueuePools, requests: &[Request]) -> Vec<Grant> {
         let mut free: BTreeMap<Interval, Vec<usize>> = BTreeMap::new();
         let mut grants = Vec::new();
         for r in requests {
             let interval = r.hop.interval();
             let slots = free
                 .entry(interval)
-                .or_insert_with(|| view.free_queues(interval));
+                .or_insert_with(|| pools.free_queues(interval));
             if let Some(q) = slots.pop() {
                 grants.push(Grant {
                     message: r.message,
@@ -320,7 +321,7 @@ impl CompatiblePolicy {
 }
 
 impl AssignmentPolicy for CompatiblePolicy {
-    fn grant(&mut self, view: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
+    fn grant(&mut self, pools: &QueuePools, requests: &[Request]) -> Vec<Grant> {
         let mut grants: Vec<Grant> = Vec::new();
         self.granted_now.clear();
         self.taken.clear();
@@ -329,19 +330,19 @@ impl AssignmentPolicy for CompatiblePolicy {
             // grants nothing.
             let (Ok(h), Some(iv)) = (
                 self.hops.binary_search(&r.hop),
-                view.interval_index(r.hop.interval()),
+                pools.interval_index(r.hop.interval()),
             ) else {
                 continue;
             };
             let granted = |m: MessageId, now: &[(MessageId, usize)]| {
-                view.has_granted_at(m, iv) || now.contains(&(m, iv))
+                pools.has_granted_at(m, iv) || now.contains(&(m, iv))
             };
             if granted(r.message, &self.granted_now) {
                 continue; // reservation already made for this message
             }
             let end = self.offsets[h + 1];
             let mut cursor = self.cursors[h];
-            while cursor < end && view.has_granted_at(self.competitors[cursor].1, iv) {
+            while cursor < end && pools.has_granted_at(self.competitors[cursor].1, iv) {
                 cursor += 1;
             }
             self.cursors[h] = cursor;
@@ -372,7 +373,7 @@ impl AssignmentPolicy for CompatiblePolicy {
                 if self.picked.len() == self.group.len() {
                     break;
                 }
-                if view.is_free_at(iv, q) && !self.taken.contains(&(iv, q)) {
+                if pools.is_free_at(iv, q) && !self.taken.contains(&(iv, q)) {
                     self.picked.push(q);
                 }
             }
@@ -425,9 +426,8 @@ mod tests {
     fn fifo_respects_arrival_order() {
         let pools = QueuePools::uniform([hop01().interval()], 1, QueueConfig::default());
         let mut policy = FifoPolicy::new();
-        let view = PoolView::new(&pools);
         // Two competitors, one queue: only the older request is granted.
-        let grants = policy.grant(&view, &[req(1, hop01(), 5), req(0, hop01(), 9)]);
+        let grants = policy.grant(&pools, &[req(1, hop01(), 5), req(0, hop01(), 9)]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].message, MessageId::new(1));
     }
@@ -436,8 +436,7 @@ mod tests {
     fn greedy_grants_whatever_is_free() {
         let pools = QueuePools::uniform([hop01().interval()], 2, QueueConfig::default());
         let mut policy = GreedyPolicy::new();
-        let view = PoolView::new(&pools);
-        let grants = policy.grant(&view, &[req(0, hop01(), 0), req(1, hop01(), 1)]);
+        let grants = policy.grant(&pools, &[req(0, hop01(), 0), req(1, hop01(), 1)]);
         assert_eq!(grants.len(), 2);
         let queues: Vec<usize> = grants.iter().map(|g| g.queue).collect();
         assert_ne!(queues[0], queues[1], "no double-granting one queue");
@@ -463,9 +462,8 @@ mod tests {
         // (smaller label) has never been granted here.
         let b = MessageId::new(1);
         let c = MessageId::new(2);
-        let view = PoolView::new(&pools);
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: b,
                 hop,
@@ -476,7 +474,7 @@ mod tests {
 
         // C requests: granted immediately (smallest label present).
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: c,
                 hop,
@@ -500,9 +498,8 @@ mod tests {
         pools.release(c, hop.interval());
 
         let mut policy = CompatiblePolicy::new(plan);
-        let view = PoolView::new(&pools);
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: b,
                 hop,
@@ -532,9 +529,8 @@ mod tests {
         // With 2 queues: A's request triggers grants for BOTH A and B.
         let pools = QueuePools::uniform([hop.interval()], 2, QueueConfig::default());
         let mut policy = CompatiblePolicy::new(plan.clone());
-        let view = PoolView::new(&pools);
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: a,
                 hop,
@@ -550,9 +546,8 @@ mod tests {
         // With 1 queue: nobody is granted (cannot satisfy the group).
         let pools = QueuePools::uniform([hop.interval()], 1, QueueConfig::default());
         let mut policy = CompatiblePolicy::new(plan);
-        let view = PoolView::new(&pools);
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: a,
                 hop,
@@ -616,17 +611,15 @@ mod more_policy_tests {
             hop,
             born: 2,
         };
-        let view = PoolView::new(&pools);
         assert!(
-            policy.grant(&view, &[r1, r0]).is_empty(),
+            policy.grant(&pools, &[r1, r0]).is_empty(),
             "nothing free yet"
         );
 
         // Queue frees up; even if only m0 re-requests this cycle, the line
         // head (m1) is served first.
         pools.release(MessageId::new(9), hop.interval());
-        let view = PoolView::new(&pools);
-        let grants = policy.grant(&view, &[r1, r0]);
+        let grants = policy.grant(&pools, &[r1, r0]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].message, MessageId::new(1));
     }
@@ -651,10 +644,9 @@ mod more_policy_tests {
             QueueConfig::default(),
         );
         let mut policy = CompatiblePolicy::new(plan);
-        let view = PoolView::new(&pools);
         // C is the only competitor on its first hop: granted immediately.
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: c,
                 hop: first_hop,
@@ -664,7 +656,7 @@ mod more_policy_tests {
         assert_eq!(grants.len(), 1);
         // B on the last hop still waits for C's grant *there*.
         let grants = policy.grant(
-            &view,
+            &pools,
             &[Request {
                 message: b,
                 hop: last_hop,

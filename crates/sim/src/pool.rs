@@ -201,6 +201,14 @@ impl QueuePools {
         (q != NONE).then_some(q as usize)
     }
 
+    /// `true` if queue `index` exists on interval index `iv` and is free.
+    #[must_use]
+    pub fn is_free_at(&self, iv: usize, index: usize) -> bool {
+        self.queue_slice(iv)
+            .get(index)
+            .is_some_and(HwQueue::is_free)
+    }
+
     /// Grants queue `index` of `hop.interval()` to `message`.
     ///
     /// # Panics
@@ -304,62 +312,6 @@ impl QueuePools {
     }
 }
 
-/// The read-only view handed to assignment policies.
-#[derive(Debug)]
-pub struct PoolView<'a> {
-    pools: &'a QueuePools,
-}
-
-impl<'a> PoolView<'a> {
-    /// The view of `pools` that a runtime hands to its policy.
-    #[must_use]
-    pub fn new(pools: &'a QueuePools) -> Self {
-        PoolView { pools }
-    }
-
-    /// Indices of free queues on `interval`.
-    #[must_use]
-    pub fn free_queues(&self, interval: Interval) -> Vec<usize> {
-        self.pools.free_queues(interval)
-    }
-
-    /// Number of queues on `interval`.
-    #[must_use]
-    pub fn pool_size(&self, interval: Interval) -> usize {
-        self.pools.pool_size(interval)
-    }
-
-    /// The ordered-assignment predicate: has `message` ever been granted a
-    /// queue on `interval`?
-    #[must_use]
-    pub fn has_granted(&self, message: MessageId, interval: Interval) -> bool {
-        self.pools.has_granted(message, interval)
-    }
-
-    /// Position of `interval` in the pools' interval table, if present:
-    /// the index the `_at` lookups take, so a policy searches once per
-    /// request.
-    #[must_use]
-    pub fn interval_index(&self, interval: Interval) -> Option<usize> {
-        self.pools.interval_index(interval)
-    }
-
-    /// [`PoolView::has_granted`] by interval index.
-    #[must_use]
-    pub fn has_granted_at(&self, message: MessageId, iv: usize) -> bool {
-        self.pools.has_granted_at(message, iv)
-    }
-
-    /// `true` if queue `index` exists on interval index `iv` and is free.
-    #[must_use]
-    pub fn is_free_at(&self, iv: usize, index: usize) -> bool {
-        self.pools
-            .queue_slice(iv)
-            .get(index)
-            .is_some_and(HwQueue::is_free)
-    }
-}
-
 /// The outstanding queue requests of one run, oldest first: the one list
 /// both runtimes hand their [`AssignmentPolicy`].
 ///
@@ -420,7 +372,7 @@ impl PendingRequests {
         policy: &mut dyn AssignmentPolicy,
         pools: &mut QueuePools,
     ) -> Vec<Grant> {
-        let grants = policy.grant(&PoolView::new(pools), &self.requests);
+        let grants = policy.grant(pools, &self.requests);
         for g in &grants {
             pools.grant(g.message, g.hop, g.queue);
         }
@@ -496,15 +448,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_view_reflects_state() {
+    fn policy_reads_reflect_state() {
         let mut p = pools(2);
         let m = MessageId::new(3);
         p.grant(m, hop(), 0);
-        let view = PoolView::new(&p);
-        assert_eq!(view.free_queues(iv()), vec![1]);
-        assert_eq!(view.pool_size(iv()), 2);
-        assert!(view.has_granted(m, iv()));
-        assert!(!view.has_granted(MessageId::new(9), iv()));
+        assert_eq!(p.free_queues(iv()), vec![1]);
+        assert_eq!(p.pool_size(iv()), 2);
+        assert!(p.has_granted(m, iv()));
+        assert!(!p.has_granted(MessageId::new(9), iv()));
     }
 
     #[test]
@@ -553,19 +504,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_view_looks_up_by_interval_index() {
+    fn policy_reads_look_up_by_interval_index() {
         let mut p = pools(2);
         let m = MessageId::new(3);
         p.grant(m, hop(), 1);
-        let view = PoolView::new(&p);
-        let at = view.interval_index(iv()).unwrap();
-        assert!(view.has_granted_at(m, at));
-        assert!(!view.has_granted_at(MessageId::new(0), at));
-        assert!(view.is_free_at(at, 0));
-        assert!(!view.is_free_at(at, 1), "held");
-        assert!(!view.is_free_at(at, 2), "no such queue");
+        let at = p.interval_index(iv()).unwrap();
+        assert!(p.has_granted_at(m, at));
+        assert!(!p.has_granted_at(MessageId::new(0), at));
+        assert!(p.is_free_at(at, 0));
+        assert!(!p.is_free_at(at, 1), "held");
+        assert!(!p.is_free_at(at, 2), "no such queue");
         assert_eq!(
-            view.interval_index(Interval::new(CellId::new(4), CellId::new(5))),
+            p.interval_index(Interval::new(CellId::new(4), CellId::new(5))),
             None
         );
     }

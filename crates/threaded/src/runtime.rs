@@ -244,7 +244,7 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use systolic_core::{AnalysisConfig, Analyzer, DiagnosticCode};
     use systolic_sim::{
-        run_simulation, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, PoolView, QueueConfig,
+        run_simulation, CompatiblePolicy, FifoPolicy, Grant, GreedyPolicy, QueueConfig, QueuePools,
         Request, SimConfig,
     };
     use systolic_workloads as wl;
@@ -457,7 +457,7 @@ mod tests {
     struct MissingQueue;
 
     impl AssignmentPolicy for MissingQueue {
-        fn grant(&mut self, _: &PoolView<'_>, requests: &[Request]) -> Vec<Grant> {
+        fn grant(&mut self, _: &QueuePools, requests: &[Request]) -> Vec<Grant> {
             let grant = |r: &Request| Grant {
                 message: r.message,
                 hop: r.hop,

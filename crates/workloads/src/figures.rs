@@ -3,7 +3,7 @@
 //! Every example program that appears in the paper is reproduced here
 //! op-for-op, so analyses and simulations can be checked against the text.
 //! Where the source scan is ambiguous (Fig. 5), the reconstruction is
-//! derived from the prose and the Fig. 10 walkthrough; see DESIGN.md.
+//! derived from the prose and the Fig. 10 walkthrough; see [`fig5_p1`].
 
 use systolic_model::{parse_program, Program, Topology};
 

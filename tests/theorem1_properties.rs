@@ -37,7 +37,8 @@ proptest! {
     /// The Section 6 scheme never produces an inconsistent labeling
     /// silently: it either succeeds with a consistent labeling or reports
     /// the wedge explicitly (`LabelConflict`) — a gap in the literal paper
-    /// scheme that the constraint solver covers (see DESIGN.md).
+    /// scheme that the constraint solver covers (see the module docs of
+    /// `systolic_core`'s `constraint_labeling`).
     #[test]
     fn section6_scheme_is_consistent_or_reports_conflict(
         cfg in config_strategy(),
