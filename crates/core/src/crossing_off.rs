@@ -73,7 +73,11 @@ pub struct Step {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Trace {
     steps: Vec<Step>,
-    /// Per message: words crossed by the end of the run.
+    /// Per message: words crossed by the end of the run, which is the
+    /// number of that message's pairs in `steps`. Kept rather than
+    /// recounted so that `classify_resume` reads the end state in time
+    /// linear in the messages and moves `steps` over untouched, instead
+    /// of passing over every pair crossed so far on each append.
     words_done: Vec<usize>,
 }
 
@@ -1369,6 +1373,16 @@ mod front_path_tests {
         Ok(())
     }
 
+    /// Per message, the pairs a trace's steps cross: what its word counts
+    /// must hold.
+    fn words_in_steps(trace: &Trace, messages: usize) -> Vec<usize> {
+        let mut words = vec![0; messages];
+        for pair in trace.pairs() {
+            words[pair.message.index()] += 1;
+        }
+        words
+    }
+
     /// Every output of both paths on `program`, and on its run resumed
     /// after `extended`'s tail appends.
     fn paths_agree(program: &Program, extended: &Program) -> Result<(), TestCaseError> {
@@ -1376,6 +1390,10 @@ mod front_path_tests {
         let front = classify_with(program, &limits);
         let walk = with_window_walk(|| classify_with(program, &limits));
         prop_assert_eq!(&front, &walk);
+        prop_assert_eq!(
+            &front.trace().words_done,
+            &words_in_steps(front.trace(), program.num_messages())
+        );
         same_labeling(
             label_messages(program, &limits),
             with_window_walk(|| label_messages(program, &limits)),
@@ -1393,9 +1411,15 @@ mod front_path_tests {
             with_window_walk(|| classify_resume(extended, &limits, walk.trace().clone()));
         prop_assert_eq!(&resumed, &resumed_walk);
         // Confluence: a resumed run crosses what a fresh one does and
-        // stalls where it stalls.
+        // stalls where it stalls. Its steps are the base run's followed by
+        // its own, each once, so they agree with its word counts.
         let fresh = classify(extended);
+        prop_assert_eq!(resumed.trace().total_pairs(), fresh.trace().total_pairs());
         prop_assert_eq!(&resumed.trace().words_done, &fresh.trace().words_done);
+        prop_assert_eq!(
+            &resumed.trace().words_done,
+            &words_in_steps(resumed.trace(), extended.num_messages())
+        );
         match (&resumed, &fresh) {
             (Classification::DeadlockFree(_), Classification::DeadlockFree(_)) => {}
             (

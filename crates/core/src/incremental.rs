@@ -761,13 +761,18 @@ mod tests {
     }
 
     /// The incremental outcome must equal a from-scratch diagnose of the
-    /// session's current program — fingerprints, errors and diagnostics.
+    /// session's current program — fingerprints, crossed pairs, errors and
+    /// diagnostics.
     fn assert_parity(session: &IncrementalSession) {
         let fresh = session.analyzer().diagnose(session.program());
         match (session.outcome().result(), fresh.result()) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.plan().fingerprint(), b.plan().fingerprint());
                 assert_eq!(a.labeling_method(), b.labeling_method());
+                assert_eq!(
+                    a.classification().trace().total_pairs(),
+                    b.classification().trace().total_pairs()
+                );
             }
             (Err(a), Err(b)) => assert_eq!(a, b),
             (a, b) => panic!("outcome mismatch: incremental={a:?} fresh={b:?}"),

@@ -144,6 +144,13 @@ fn assert_outcome_parity(session: &IncrementalSession, config: &AnalysisConfig) 
                 "plan fingerprints must be byte-identical"
             );
             assert_eq!(a.labeling_method(), b.labeling_method());
+            // A resumed trace holds the base run's steps and its own, each
+            // once; the split into steps may differ, the pairs may not.
+            assert_eq!(
+                a.classification().trace().total_pairs(),
+                b.classification().trace().total_pairs(),
+                "traces must cross the same number of pairs"
+            );
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "rejection errors must be identical"),
         (a, b) => panic!("verdicts diverged: incremental={a:?} fresh={b:?}"),
